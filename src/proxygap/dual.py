@@ -1,29 +1,36 @@
 """Certified upper bounds on constrained maximum entropy via Lagrangian
 duality, entropy gaps, detection windows, and the PPT minimum energy.
 
-The reduced von Neumann dual is
+Both entropy duals are one spectral function F of one exponent,
+
+    l(y, X_A) = F(sum_k y_k A_k + sum_A X_A^(T_A)) - b.y,
+
+minimized over scalars y (nu_i >= 0 on the witnesses) and PSD X_A.  The
+reduced von Neumann dual has F = ln tr exp:
 
     l(mu, nu_i, X_A) = ln tr exp(mu H + sum_i nu_i W_i + sum_A X_A^(T_A)) - mu E
 
-minimized over mu real, nu_i >= 0, X_A PSD.  Any feasible point is a
-valid certificate (weak duality), so even a non-converged minimization
-yields a usable upper bound.
+and the linear-entropy dual has F = 1 + 1/4 tr (.)_+^2, a trace multiplier
+lam on the identity, and b.y = lam + mu E.  Any feasible point is a valid
+certificate (weak duality), so even a non-converged minimization yields a
+usable upper bound.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.optimize import minimize
 from scipy.special import logsumexp
 
-from .linalg import (Bipartition, HermitianOperator, LinalgError,
+from .linalg import (HermitianOperator, LinalgError,
                      partial_transpose_matrix, psd_project_matrix)
-from .models import (SectorBlocks, is_translation_invariant,
-                     momentum_sector_split, sector_split_sparse)
-from .thermo import GibbsCurve, beta_from_energy, gibbs_at, linear_entropy_max
-from .witness import ConstraintSet, Witness
+from .models import (is_translation_invariant, momentum_sector_split,
+                     sector_split_sparse)
+from .thermo import (_linear_entropy_weights, beta_from_energy, gibbs_at,
+                     linear_entropy_max)
+from .witness import ConstraintSet
 
 GAP_TOLERANCE = 1e-4       # nats; "detected" threshold, von Neumann path
 GAP_TOLERANCE_LINEAR = 1e-6  # the quadratic dual converges to ~1e-11
@@ -44,7 +51,7 @@ class DualPoint:
 class SolveInfo:
     converged: bool
     iterations: int
-    grad_norm: float
+    grad_norm: float  # norm of the projected gradient
 
 
 @dataclass
@@ -85,102 +92,14 @@ def _local_dims(h, dim: int):
     return (dim,)
 
 
-def _build_exponent(hmat, cs: ConstraintSet, dims, p: DualPoint) -> np.ndarray:
-    m = p.mu * hmat
-    for nu, w in zip(p.nus, cs.witnesses):
-        if nu != 0.0:
-            m = m + nu * w.to_dense()
-    for x, cut in zip(p.xs, cs.map_slots):
-        m = m + partial_transpose_matrix(x, dims, cut.subset_mask)
-    return (m + m.conj().T) / 2
-
-
-def wcee_value_grad(h, cs: ConstraintSet, e: float, p: DualPoint):
-    """Value and gradients of the reduced von Neumann dual at `p`.
-
-    Returns (value, grad_mu, grad_nus, grad_xs); the gradients are those
-    of the witness-canonical-ensemble state sigma = exp(M)/tr exp(M):
-    d/dmu = tr(sigma H) - E, d/dnu_i = tr(sigma W_i),
-    d/dX_A = partial transpose of sigma on A.
-    """
-    hmat = _operator_matrix(h)
-    dims = _local_dims(h, hmat.shape[0])
-    m = _build_exponent(hmat, cs, dims, p)
-    w, v = np.linalg.eigh(m)
-    shift = w.max()
-    ew = np.exp(w - shift)
-    z = ew.sum()
-    value = np.log(z) + shift - p.mu * e
-    sigma = (v * (ew / z)) @ v.conj().T
-    gmu = float(np.real(np.sum(sigma.T * hmat))) - e
-    gnus = np.array([float(np.real(np.sum(sigma.T * wi.to_dense())))
-                     for wi in cs.witnesses])
-    gxs = [partial_transpose_matrix(sigma, dims, cut.subset_mask)
-           for cut in cs.map_slots]
-    return float(value), gmu, gnus, gxs
-
-
 # ---------------------------------------------------------------------------
-# block-diagonal objective (witness-only constraint sets)
-
-class _BlockObjective:
-    """l(mu, nu) over magnetization blocks.  Blocks with no witness
-    support contribute through their fixed spectra only."""
-
-    def __init__(self, h_blocks, w_blocks, e):
-        # h_blocks: list of dense Hermitian blocks
-        # w_blocks: list (per witness) of lists of blocks (None if zero)
-        self.e = e
-        self.n_wit = len(w_blocks)
-        self.active = []    # (h_block, [w_block per witness])
-        self.free_eigs = []
-        for bi, hb in enumerate(h_blocks):
-            wbs = [wb[bi] for wb in w_blocks]
-            if any(wb is not None and np.abs(wb).max() > 0 for wb in wbs):
-                wbs = [wb if wb is not None else np.zeros_like(hb)
-                       for wb in wbs]
-                self.active.append((hb, wbs))
-            else:
-                self.free_eigs.append(np.linalg.eigvalsh(hb))
-
-    def value_grad(self, x):
-        mu, nus = x[0], x[1:]
-        exps = []     # exponent eigenvalues per block
-        hds = []      # diag of H in the eigenbasis per block
-        wds = []      # per witness
-        for w_free in self.free_eigs:
-            exps.append(mu * w_free)
-            hds.append(w_free)
-            wds.append(np.zeros((self.n_wit, w_free.size)))
-        for hb, wbs in self.active:
-            m = mu * hb
-            for nu, wb in zip(nus, wbs):
-                m = m + nu * wb
-            w, v = np.linalg.eigh(m)
-            exps.append(w)
-            hds.append(np.real(np.einsum("ij,jk,ki->i", v.conj().T, hb, v)))
-            wds.append(np.array(
-                [np.real(np.einsum("ij,jk,ki->i", v.conj().T, wb, v))
-                 for wb in wbs]))
-        allw = np.concatenate(exps)
-        shift = allw.max()
-        ew = np.exp(allw - shift)
-        z = ew.sum()
-        value = np.log(z) + shift - mu * self.e
-        probs = ew / z
-        hd = np.concatenate(hds)
-        gmu = float(probs @ hd) - self.e
-        if self.n_wit:
-            wd = np.concatenate(wds, axis=1)
-            gnus = wd @ probs
-        else:
-            gnus = np.zeros(0)
-        return float(value), np.concatenate(([gmu], gnus))
-
+# the dual problem, prepared once per scan
 
 def _blocks_for(h, cs: ConstraintSet):
-    """Try to express H and all witnesses as magnetization blocks.
-    Returns (h_blocks, w_blocks, indices) or None."""
+    """Express H and all witnesses as magnetization blocks, refined by
+    momentum when all are translation invariant (Gatermann & Parrilo, JPAA
+    2004; Sandvik, arXiv:1101.3281 sec. 4).  Returns (h_blocks, w_blocks
+    per witness), or None when there are PPT cuts or no split applies."""
     if cs.map_slots:
         return None
     if isinstance(h, HermitianOperator):
@@ -201,20 +120,139 @@ def _blocks_for(h, cs: ConstraintSet):
         w_sb = [sector_split_sparse(ws, n) for ws in w_sparse]
     except Exception:
         return None
-    # refine by momentum when everything is translation invariant
     try:
         ops = [hs] + w_sparse
         if all(is_translation_invariant(o, n) for o in ops):
             fine = momentum_sector_split(ops, n)
-            h_blocks = [bl[0] for bl in fine]
-            w_blocks = [[bl[1 + i] for bl in fine]
-                        for i in range(len(w_sparse))]
-            return h_blocks, w_blocks, None
+            return ([bl[0] for bl in fine],
+                    [[bl[1 + i] for bl in fine] for i in range(len(w_sparse))])
     except LinalgError:
         pass
-    h_blocks = [s.block for s in sb.sectors]
-    w_blocks = [[s.block for s in wsb.sectors] for wsb in w_sb]
-    return h_blocks, w_blocks, [s.indices for s in sb.sectors]
+    return ([s.block for s in sb.sectors],
+            [[s.block for s in wsb.sectors] for wsb in w_sb])
+
+
+@dataclass
+class DualProblem:
+    """H and a constraint set, prepared for any number of dual solves.
+
+    `blocks` holds (H block, [witness block, or None where the witness
+    vanishes]) for every symmetry block with witness support.  With PPT
+    cuts, or when no split applies, the dense H is the only block.  `free`
+    holds the fixed spectra of the witness-free blocks and `spectrum` the
+    sorted spectrum of H."""
+    blocks: list
+    free: np.ndarray
+    spectrum: np.ndarray
+    dims: tuple   # local dimensions, for the partial transposes
+    cuts: tuple
+    x_dims: list  # the dimension of each X_A
+    n_wit: int
+
+
+def prepare_dual(h, cs: ConstraintSet) -> DualProblem:
+    """Split H and the witnesses into symmetry blocks once; pass the result
+    as `problem` to every solve on the same H and constraint set."""
+    n_wit = len(cs.witnesses)
+    split = _blocks_for(h, cs)
+    if split is None:
+        hmat = _operator_matrix(h)
+        d = hmat.shape[0]
+        return DualProblem([(hmat, [w.to_dense() for w in cs.witnesses])],
+                           np.zeros(0), np.linalg.eigvalsh(hmat),
+                           _local_dims(h, d), cs.map_slots,
+                           [d] * len(cs.map_slots), n_wit)
+    blocks, free, eigs = [], [], []
+    for bi, hb in enumerate(split[0]):
+        wbs = [wb[bi] if np.abs(wb[bi]).max() > 0 else None
+               for wb in split[1]]
+        eigs.append(np.linalg.eigvalsh(hb))
+        if any(wb is not None for wb in wbs):
+            blocks.append((hb, wbs))
+        else:
+            free.append(eigs[-1])
+    return DualProblem(blocks, np.concatenate([np.zeros(0)] + free),
+                       np.sort(np.concatenate(eigs)), (), (), [], n_wit)
+
+
+# ---------------------------------------------------------------------------
+# the dual objective
+
+def _log_tr_exp(w):
+    """ln sum_i exp(w_i) and its gradient softmax(w)."""
+    shift = w.max()
+    ew = np.exp(w - shift)
+    z = ew.sum()
+    return np.log(z) + shift, ew / z
+
+
+def _quarter_square_plus(w):
+    """1 + 1/4 sum_i (w_i)_+^2 and its gradient (w)_+ / 2."""
+    wp = np.maximum(w, 0.0)
+    return 0.25 * float(wp @ wp) + 1.0, 0.5 * wp
+
+
+class _BlockObjective:
+    """Value and gradient of the dual over the blocks of a problem.
+
+    The packed variables are (lam,) mu, nu_i, X_A; lam, the multiplier of
+    tr(rho) = 1, only for the linear entropy (ln tr exp normalizes by
+    itself).  Each block with witness support is diagonalized, M = v w v^+;
+    a witness-free block adds mu times its fixed spectrum.  With
+    G = v F'(w) v^+ per block, the gradient is tr(G A_k) - b_k in each
+    scalar and G^(T_A) in each X_A: for the von Neumann dual, the moments
+    and partial transposes of sigma = exp(M) / tr exp(M).
+    """
+
+    def __init__(self, problem: DualProblem, e: float, linear: bool = False):
+        self.problem = problem
+        self.e = e
+        self.linear = linear
+        self.spectral = _quarter_square_plus if linear else _log_tr_exp
+
+    def value_grad(self, vec):
+        p = self.problem
+        k = 2 if self.linear else 1  # leading free scalars
+        lam = vec[0] if self.linear else 0.0
+        mu, nus = vec[k - 1], vec[k:k + p.n_wit]
+        xs = _unpack_xs(vec, k + p.n_wit, p.x_dims)
+        exps = [mu * p.free + lam] if p.free.size else []
+        vecs = []
+        for hb, wbs in p.blocks:
+            m = mu * hb
+            if self.linear:
+                m.flat[::m.shape[0] + 1] += lam  # + lam I
+            for nu, wb in zip(nus, wbs):
+                if nu != 0.0 and wb is not None:
+                    m = m + nu * wb
+            for x, cut in zip(xs, p.cuts):
+                m = m + partial_transpose_matrix(x, p.dims, cut.subset_mask)
+            w, v = np.linalg.eigh((m + m.conj().T) / 2)
+            exps.append(w)
+            vecs.append(v)
+        f, weights = self.spectral(
+            np.concatenate(exps) if len(exps) > 1 else exps[0])
+        off = p.free.size
+        # tr G and tr(G A_k), the free blocks' share first
+        tr_g = float(weights[:off].sum()) if off else 0.0
+        h_g = float(weights[:off] @ p.free) if off else 0.0
+        w_g = [0.0] * p.n_wit
+        gxs = []
+        for (hb, wbs), v in zip(p.blocks, vecs):
+            wt = weights[off:off + v.shape[1]]
+            off += v.shape[1]
+            g = (v * wt) @ v.conj().T
+            h_g += float(np.real(np.sum(g.T * hb)))
+            if self.linear:
+                tr_g += float(np.real(np.trace(g)))
+            for i, wb in enumerate(wbs):
+                if wb is not None:
+                    w_g[i] += float(np.real(np.sum(g.T * wb)))
+            for cut in p.cuts:
+                gx = partial_transpose_matrix(g, p.dims, cut.subset_mask)
+                gxs.append(np.ascontiguousarray(gx).view(float).ravel())
+        grad = ([tr_g - 1.0] if self.linear else []) + [h_g - self.e] + w_g
+        return float(f - lam - mu * self.e), np.concatenate([grad] + gxs)
 
 
 # ---------------------------------------------------------------------------
@@ -227,32 +265,47 @@ def _pack(p: DualPoint) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _unpack(vec: np.ndarray, n_wit: int, x_dims) -> DualPoint:
-    mu = vec[0]
-    nus = vec[1:1 + n_wit].copy()
+def _unpack_xs(vec: np.ndarray, off: int, x_dims) -> list:
     xs = []
-    off = 1 + n_wit
     for d in x_dims:
         size = 2 * d * d
         xs.append(vec[off:off + size].copy().view(complex).reshape(d, d))
         off += size
-    return DualPoint(float(mu), nus, xs)
+    return xs
 
 
-def _project_vec(vec, n_wit, x_dims):
+def _unpack(vec: np.ndarray, n_wit: int, x_dims) -> DualPoint:
+    return DualPoint(float(vec[0]), vec[1:1 + n_wit].copy(),
+                     _unpack_xs(vec, 1 + n_wit, x_dims))
+
+
+def _project_vec(vec, n_free, n_wit, x_dims):
+    """Project packed variables (n_free free scalars, then nu_i, then X_A)
+    onto nu >= 0 and PSD X_A."""
     out = vec.copy()
-    out[1:1 + n_wit] = np.maximum(out[1:1 + n_wit], 0.0)
-    off = 1 + n_wit
-    for d in x_dims:
-        size = 2 * d * d
-        x = out[off:off + size].copy().view(complex).reshape(d, d)
-        x = psd_project_matrix(x)
-        out[off:off + size] = np.ascontiguousarray(x).view(float).ravel()
+    out[n_free:n_free + n_wit] = np.maximum(out[n_free:n_free + n_wit], 0.0)
+    off = n_free + n_wit
+    for x in _unpack_xs(vec, off, x_dims):
+        size = 2 * x.size
+        out[off:off + size] = np.ascontiguousarray(
+            psd_project_matrix(x)).view(float).ravel()
         off += size
     return out
 
 
-def _spg(fun_grad, x0, project, tol=1e-7, max_iter=2000, memory=10):
+def _projected_grad_norm(x, g, n_free, n_wit, x_dims) -> float:
+    """||P(x - g) - x|| at a feasible x, zero exactly at a minimizer.  The
+    scalars are stepped as -g and max(-g, -nu), so that g is not lost to
+    rounding where |x| >> |g| far out on an unbounded ray."""
+    step = _project_vec(x - g, n_free, n_wit, x_dims) - x
+    step[:n_free] = -g[:n_free]
+    nus = slice(n_free, n_free + n_wit)
+    step[nus] = np.maximum(-g[nus], -x[nus])
+    return float(np.linalg.norm(step))
+
+
+def _spg(fun_grad, x0, project, grad_norm, tol=1e-7, max_iter=2000,
+         memory=10):
     """Spectral projected gradient (Barzilai-Borwein steps, nonmonotone
     Armijo line search) for smooth convex objectives over a convex set."""
     x = project(x0)
@@ -263,7 +316,7 @@ def _spg(fun_grad, x0, project, tol=1e-7, max_iter=2000, memory=10):
     it = 0
     pg_norm = np.inf
     for it in range(1, max_iter + 1):
-        pg_norm = np.linalg.norm(project(x - g) - x)
+        pg_norm = grad_norm(x, g)
         if pg_norm <= tol:
             break
         d = project(x - alpha * g) - x
@@ -294,7 +347,7 @@ def _spg(fun_grad, x0, project, tol=1e-7, max_iter=2000, memory=10):
     if f > best_f:
         x, f = best_x, best_f
         _, g = fun_grad(x)
-        pg_norm = np.linalg.norm(project(x - g) - x)
+        pg_norm = grad_norm(x, g)
     return x, f, SolveInfo(pg_norm <= tol * 10, it, float(pg_norm))
 
 
@@ -305,117 +358,59 @@ class SolverOptions:
 
 
 def minimize_dual(h, cs: ConstraintSet, e: float, opts: SolverOptions = None,
-                  init: DualPoint = None, spectrum=None):
+                  init: DualPoint = None, problem: DualProblem = None):
     """Minimize the von Neumann dual; returns (s_upper, point, info).
 
     Starts from the Gibbs point (mu = -beta(E), nu = X = 0) so the initial
     value equals S_Gibbs(E) and descent only improves the certificate.
-    Witness-only constraint sets on magnetization-conserving Hamiltonians
-    are solved blockwise with scalar variables.
+    Scalar variables alone (no PPT cuts) are solved by L-BFGS-B, blockwise
+    where H and the witnesses split; matrix variables by SPG.  `problem` is
+    `prepare_dual(h, cs)`, to prepare once for many solves.
     """
     opts = opts or SolverOptions()
-    if spectrum is None:
-        hmat = _operator_matrix(h)
-        spectrum = np.linalg.eigvalsh(hmat)
-    mu0 = -beta_from_energy(spectrum, e)
-    n_wit = len(cs.witnesses)
+    problem = problem or prepare_dual(h, cs)
+    obj = _BlockObjective(problem, e)
+    n_wit, x_dims = problem.n_wit, problem.x_dims
 
-    blocks = _blocks_for(h, cs) if not cs.map_slots else None
-    if blocks is not None:
-        obj = _BlockObjective(blocks[0], blocks[1], e)
-        x0 = np.concatenate(([mu0], np.zeros(n_wit)))
-        if init is not None:
-            xi = np.concatenate(([init.mu], np.maximum(init.nus, 0.0)))
-            if obj.value_grad(xi)[0] < obj.value_grad(x0)[0]:
-                x0 = xi
-        bounds = [(None, None)] + [(0.0, None)] * n_wit
-        res = minimize(obj.value_grad, x0, jac=True, method="L-BFGS-B",
-                       bounds=bounds,
-                       options={"maxiter": opts.max_iter, "ftol": 1e-14,
-                                "gtol": opts.tol})
-        point = DualPoint(float(res.x[0]), np.maximum(res.x[1:], 0.0), [])
-        value = obj.value_grad(np.concatenate(([point.mu], point.nus)))[0]
-        info = SolveInfo(bool(res.success) or
-                         np.linalg.norm(res.jac) <= 10 * opts.tol,
-                         int(res.nit), float(np.linalg.norm(res.jac)))
-        return value, point, info
+    def project(vec):
+        return _project_vec(vec, 1, n_wit, x_dims)
 
-    hmat = _operator_matrix(h)
-    dims = _local_dims(h, hmat.shape[0])
-    x_dims = [hmat.shape[0]] * len(cs.map_slots)
+    def grad_norm(vec, g):
+        return _projected_grad_norm(vec, g, 1, n_wit, x_dims)
 
-    def fun_grad(vec):
-        p = _unpack(vec, n_wit, x_dims)
-        val, gmu, gnus, gxs = wcee_value_grad(h, cs, e, p)
-        gparts = [np.array([gmu]), gnus]
-        for gx in gxs:
-            gparts.append(np.ascontiguousarray(gx, dtype=complex)
-                          .view(float).ravel())
-        return val, np.concatenate(gparts)
-
-    start = DualPoint(mu0, np.zeros(n_wit),
-                      [np.zeros((d, d), dtype=complex) for d in x_dims])
-    x0 = _pack(start)
+    x0 = _pack(DualPoint(-beta_from_energy(problem.spectrum, e),
+                         np.zeros(n_wit),
+                         [np.zeros((d, d), dtype=complex) for d in x_dims]))
     if init is not None and len(init.xs) == len(x_dims):
-        xi = _project_vec(_pack(init), n_wit, x_dims)
-        if fun_grad(xi)[0] < fun_grad(x0)[0]:
+        xi = project(_pack(init))
+        if obj.value_grad(xi)[0] < obj.value_grad(x0)[0]:
             x0 = xi
-    x, f, info = _spg(fun_grad, x0,
-                      lambda v: _project_vec(v, n_wit, x_dims),
-                      tol=opts.tol, max_iter=opts.max_iter)
-    return f, _unpack(x, n_wit, x_dims), info
+    if x_dims:
+        x, f, info = _spg(obj.value_grad, x0, project, grad_norm,
+                          tol=opts.tol, max_iter=opts.max_iter)
+        return f, _unpack(x, n_wit, x_dims), info
+    res = minimize(obj.value_grad, x0, jac=True, method="L-BFGS-B",
+                   bounds=[(None, None)] + [(0.0, None)] * n_wit,
+                   options={"maxiter": opts.max_iter, "ftol": 1e-14,
+                            "gtol": opts.tol})
+    x = project(res.x)
+    f, g = obj.value_grad(x)
+    pg_norm = grad_norm(x, g)
+    return f, _unpack(x, n_wit, x_dims), \
+        SolveInfo(pg_norm <= 10 * opts.tol, int(res.nit), pg_norm)
 
 
 def entropy_gap(h, cs: ConstraintSet, e: float, opts: SolverOptions = None,
-                init: DualPoint = None, spectrum=None) -> float:
+                init: DualPoint = None) -> float:
     """S_Gibbs(E) minus the dual upper bound; > 0 certifies entanglement."""
-    if spectrum is None:
-        spectrum = np.linalg.eigvalsh(_operator_matrix(h))
-    beta = beta_from_energy(spectrum, e)
-    s_gibbs = gibbs_at(spectrum, beta)[2]
-    s_dual, _, _ = minimize_dual(h, cs, e, opts, init, spectrum=spectrum)
-    return s_gibbs - s_dual
+    problem = prepare_dual(h, cs)
+    s_gibbs = gibbs_at(problem.spectrum,
+                       beta_from_energy(problem.spectrum, e))[2]
+    return s_gibbs - minimize_dual(h, cs, e, opts, init, problem)[0]
 
 
 # ---------------------------------------------------------------------------
 # linear-entropy dual
-
-def _lin_value_grad(hmat, wmats, dims, cuts, e, vec):
-    """Value/gradient of the linear-entropy dual with X0 minimized out.
-
-    With C = lam*I + mu*H + sum nu_i W_i + sum X_A^(T_A), the optimal
-    slack X0 = (C)_- cancels the negative part, leaving
-    1/4 tr((C)_+^2) + 1 - lam - mu*E with gradient map G = (C)_+ / 2.
-    """
-    lam, mu = vec[0], vec[1]
-    n_wit = len(wmats)
-    nus = vec[2:2 + n_wit]
-    d = hmat.shape[0]
-    off = 2 + n_wit
-    size = 2 * d * d
-    xs = []
-    for _ in cuts:
-        xs.append(vec[off:off + size].copy().view(complex).reshape(d, d))
-        off += size
-    c = mu * hmat + np.diag(np.full(d, lam + 0j))
-    for nu, w in zip(nus, wmats):
-        c = c + nu * w
-    for x, cut in zip(xs, cuts):
-        c = c + partial_transpose_matrix(x, dims, cut.subset_mask)
-    c = (c + c.conj().T) / 2
-    w, v = np.linalg.eigh(c)
-    wp = np.maximum(w, 0.0)
-    value = 0.25 * float(wp @ wp) + 1.0 - lam - mu * e
-    g = 0.5 * ((v * wp) @ v.conj().T)
-    glam = float(np.real(np.trace(g))) - 1.0
-    gmu = float(np.real(np.sum(g.T * hmat))) - e
-    gnus = np.array([float(np.real(np.sum(g.T * wm))) for wm in wmats])
-    gparts = [np.array([glam, gmu]), gnus]
-    for cut in cuts:
-        gx = partial_transpose_matrix(g, dims, cut.subset_mask)
-        gparts.append(np.ascontiguousarray(gx).view(float).ravel())
-    return value, np.concatenate(gparts)
-
 
 def _fista(fun_grad, x0, project, tol=1e-9, max_iter=5000):
     """Accelerated projected gradient with backtracking and adaptive
@@ -453,40 +448,26 @@ def _fista(fun_grad, x0, project, tol=1e-9, max_iter=5000):
 
 
 def lin_dual_minimize(h, cs: ConstraintSet, e: float,
-                      opts: SolverOptions = None, init: np.ndarray = None):
+                      opts: SolverOptions = None, init: np.ndarray = None,
+                      problem: DualProblem = None):
     """Upper bound on the maximal constrained linear entropy (impurity).
 
     Minimizes 1/4 tr(lam*I + mu*H + sum nu_i W_i + X0 + sum X_A^(T_A))^2
     + 1 - lam - mu*E over lam, mu real, nu >= 0, X0 and X_A PSD; the slack
-    X0 is eliminated in closed form.  Returns (value, vec, info); pass the
-    vec back as `init` to warm-start a nearby solve."""
+    X0 = (.)_- is eliminated in closed form, leaving the positive part.
+    Returns (value, vec, info); pass the vec back as `init` to warm-start a
+    nearby solve, and `problem` as in `minimize_dual`."""
     opts = opts or SolverOptions(tol=1e-9, max_iter=5000)
-    hmat = _operator_matrix(h)
-    dims = _local_dims(h, hmat.shape[0])
-    d = hmat.shape[0]
-    wmats = [w.to_dense() for w in cs.witnesses]
-    cuts = list(cs.map_slots)
-    n_wit = len(wmats)
-
-    def fun_grad(vec):
-        return _lin_value_grad(hmat, wmats, dims, cuts, e, vec)
+    problem = problem or prepare_dual(h, cs)
+    obj = _BlockObjective(problem, e, linear=True)
+    n_wit, x_dims = problem.n_wit, problem.x_dims
 
     def project(vec):
-        out = vec.copy()
-        out[2:2 + n_wit] = np.maximum(out[2:2 + n_wit], 0.0)
-        off = 2 + n_wit
-        for _ in cuts:
-            size = 2 * d * d
-            x = out[off:off + size].copy().view(complex).reshape(d, d)
-            out[off:off + size] = np.ascontiguousarray(
-                psd_project_matrix(x)).view(float).ravel()
-            off += size
-        return out
+        return _project_vec(vec, 2, n_wit, x_dims)
 
     # start at the unconstrained impurity maximizer, rho* = (lam*I + mu*H)/2
-    x0 = np.zeros(2 + n_wit + len(cuts) * 2 * d * d)
-    from .thermo import _linear_entropy_weights
-    spec = np.linalg.eigvalsh(hmat)
+    spec = problem.spectrum
+    x0 = np.zeros(2 + n_wit + sum(2 * d * d for d in x_dims))
     p = _linear_entropy_weights(spec, float(np.clip(e, spec.min(),
                                                     spec.mean())))
     sup = p > 0
@@ -494,12 +475,12 @@ def lin_dual_minimize(h, cs: ConstraintSet, e: float,
         a = np.polyfit(spec[sup], p[sup], 1)
         x0[0], x0[1] = 2.0 * a[1], 2.0 * a[0]
     else:
-        x0[0] = 2.0 / d
+        x0[0] = 2.0 / spec.size
     if init is not None and init.size == x0.size:
         pi = project(init)
-        if fun_grad(pi)[0] < fun_grad(x0)[0]:
+        if obj.value_grad(pi)[0] < obj.value_grad(x0)[0]:
             x0 = pi
-    vec, f, info = _fista(fun_grad, x0, project, tol=opts.tol,
+    vec, f, info = _fista(obj.value_grad, x0, project, tol=opts.tol,
                           max_iter=opts.max_iter)
     return f, vec, info
 
@@ -524,20 +505,15 @@ class GridOptions:
 
 
 def gap_energy_scan(h, cs: ConstraintSet, grid: GridOptions = None,
-                    opts: SolverOptions = None,
-                    spectrum=None) -> GapScanResult:
+                    opts: SolverOptions = None) -> GapScanResult:
     """Scan the energy axis, record the entropy gap per point, and locate
-    the detection window edges by bisection on gap = gap_tolerance."""
+    the detection window edges by bisection on gap = gap_tolerance.  The
+    problem is prepared once and shared by every solve of the scan."""
     grid = grid or GridOptions()
     lin_opts = opts  # None lets lin_dual_minimize pick its tighter default
     opts = opts or SolverOptions()
-    if spectrum is None:
-        blocks = _blocks_for(h, cs)
-        if blocks is not None:
-            spectrum = np.sort(np.concatenate(
-                [np.linalg.eigvalsh(b) for b in blocks[0]]))
-        else:
-            spectrum = np.linalg.eigvalsh(_operator_matrix(h))
+    problem = prepare_dual(h, cs)
+    spectrum = problem.spectrum
     e0 = float(spectrum.min())
     e_top = float(spectrum.max())
     e_inf = float(spectrum.mean())
@@ -553,14 +529,15 @@ def gap_energy_scan(h, cs: ConstraintSet, grid: GridOptions = None,
         if linear:
             s_ref = linear_entropy_max(spectrum, e)
             s_dual, vec, info = lin_dual_minimize(h, cs, e, lin_opts,
-                                                  init=state["lin_init"])
+                                                  init=state["lin_init"],
+                                                  problem=problem)
             state["lin_init"] = vec
             conv = info.converged
         else:
             s_ref = gibbs_at(spectrum, beta_from_energy(spectrum, e))[2]
             s_dual, point, info = minimize_dual(h, cs, e, opts,
                                                 init=state["init"],
-                                                spectrum=spectrum)
+                                                problem=problem)
             state["init"] = point
             conv = info.converged
         return s_ref, s_dual, conv
@@ -762,13 +739,10 @@ def gap_lower_bound(h, cs: ConstraintSet, beta: float, p: DualPoint) -> float:
     for any feasible (nu >= 0, X PSD); no optimization involved."""
     if np.any(np.asarray(p.nus) < -1e-12):
         raise ValueError("witness multipliers must be nonnegative")
-    hmat = _operator_matrix(h)
-    dims = _local_dims(h, hmat.shape[0])
-    w0 = np.linalg.eigvalsh(hmat)
-    pt = DualPoint(-beta, np.asarray(p.nus, dtype=float), list(p.xs))
-    m = _build_exponent(hmat, cs, dims, pt)
-    w1 = np.linalg.eigvalsh(m)
-    return float(logsumexp(-beta * w0) - logsumexp(w1))
+    problem = prepare_dual(h, cs)
+    ln_tr = _BlockObjective(problem, 0.0).value_grad(
+        _pack(DualPoint(-beta, p.nus, p.xs)))[0]
+    return float(logsumexp(-beta * problem.spectrum) - ln_tr)
 
 
 def bell_gap_bound(beta: float, d: float, nu: float) -> float:

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 HERMITICITY_RTOL = 1e-12
 
@@ -153,7 +154,13 @@ def spectral_fn(m: SpectralDecomposition, f) -> HermitianOperator:
 def psd_project_matrix(m: np.ndarray) -> np.ndarray:
     """Nearest PSD matrix in Frobenius distance (eigenvalue clipping)."""
     m = (m + m.conj().T) / 2
-    w, v = np.linalg.eigh(m)
+    try:
+        w, v = np.linalg.eigh(m)
+    except np.linalg.LinAlgError:
+        # numpy's divide-and-conquer driver (zheevd) can fail to converge
+        # on a finite Hermitian matrix; the MRRR driver (zheevr) solves
+        # the one kept in tests/data
+        w, v = scipy.linalg.eigh(m, driver="evr")
     w = np.maximum(w, 0.0)
     out = (v * w) @ v.conj().T
     return (out + out.conj().T) / 2

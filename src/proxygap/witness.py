@@ -42,9 +42,6 @@ class Witness:
             return self.matrix[np.ix_(indices, indices)].toarray()
         return np.asarray(self.matrix)[np.ix_(indices, indices)]
 
-    def operator(self) -> HermitianOperator:
-        return HermitianOperator(self.to_dense(), (2,) * self.n_sites)
-
 
 @dataclass(frozen=True)
 class ConstraintSet:

@@ -8,8 +8,8 @@ from proxygap.dual import (GAP_TOLERANCE_LINEAR, DualPoint, GridOptions,
                            SolverOptions, bell_gap_bound, diagonal_dual,
                            entropy_gap, gap_energy_scan, gap_lower_bound,
                            lin_dual_minimize, minimize_dual, ppt_energy_min,
-                           perturbation_sensitivity, theorem3_check,
-                           wcee_value_grad)
+                           perturbation_sensitivity, prepare_dual,
+                           theorem3_check)
 from proxygap.linalg import (Bipartition, HermitianOperator,
                              partial_transpose_matrix, psd_project_matrix)
 from proxygap.models import (HeisenbergParams, bell_staircase, energy_extremes,
@@ -43,47 +43,64 @@ def _random_point(rng, n_wit, cuts, d):
                      np.abs(rng.standard_normal(n_wit)), xs)
 
 
+def _random_vec(rng, problem, linear):
+    """Packed dual variables: (lam,) mu, nu_i >= 0, PSD X_A."""
+    p = _random_point(rng, problem.n_wit, problem.cuts,
+                      problem.spectrum.size)
+    vec = dual_mod._pack(p)
+    return np.concatenate(([rng.standard_normal()], vec)) if linear else vec
+
+
+def _xxz_witness_case(rng):
+    # witness-only XXZ rings take the symmetry split: momentum blocks for
+    # prime n, magnetization blocks for n = 4
+    n = int(rng.integers(3, 6))
+    h = heisenberg_chain(HeisenbergParams(n, n, n, 1, -1))
+    return h, ConstraintSet((dicke_witness(n, n // 2),))
+
+
 def test_gradients_match_finite_differences(rng):
-    """Dual gradients vs central differences at >= 50 random points."""
+    """Gradients of both spectral duals vs central differences at >= 50
+    random points, on dense problems and on symmetry blocks."""
     checked = 0
-    while checked < 50:
-        n = int(rng.integers(2, 4))
-        h = random_hermitian(rng, (2,) * n)
-        cs = _random_constraints(rng, n)
-        d = 2 ** n
-        e = float(np.linalg.eigvalsh(h.entries).mean()
-                  - rng.random() * np.ptp(np.linalg.eigvalsh(h.entries)) / 4)
-        p = _random_point(rng, len(cs.witnesses), cs.map_slots, d)
-        val, gmu, gnus, gxs = wcee_value_grad(h, cs, e, p)
+    while checked < 60:
+        linear = checked % 2 == 1
+        if checked % 4 < 2:
+            n = int(rng.integers(2, 4))
+            h = random_hermitian(rng, (2,) * n)
+            cs = _random_constraints(rng, n)
+        else:
+            h, cs = _xxz_witness_case(rng)
+        problem = prepare_dual(h, cs)
+        if checked % 4 >= 2:
+            assert problem.free.size or len(problem.blocks) > 1
+        w = problem.spectrum
+        e = float(w.mean() - rng.random() * np.ptp(w) / 4)
+        obj = dual_mod._BlockObjective(problem, e, linear)
+        vec = _random_vec(rng, problem, linear)
+        val, grad = obj.value_grad(vec)
         eps = 1e-6
         scale = max(1.0, abs(val))
 
-        def value_at(point):
-            return wcee_value_grad(h, cs, e, point)[0]
+        def slope(direction):
+            return (obj.value_grad(vec + eps * direction)[0]
+                    - obj.value_grad(vec - eps * direction)[0]) / (2 * eps)
 
-        pm = p.copy()
-        pm.mu += eps
-        pp = p.copy()
-        pp.mu -= eps
-        fd = (value_at(pm) - value_at(pp)) / (2 * eps)
-        assert abs(fd - gmu) < 2e-6 * scale
-        for i in range(len(cs.witnesses)):
-            pm, pp = p.copy(), p.copy()
-            pm.nus[i] += eps
-            pp.nus[i] -= eps
-            fd = (value_at(pm) - value_at(pp)) / (2 * eps)
-            assert abs(fd - gnus[i]) < 2e-6 * scale
-        for a in range(len(cs.map_slots)):
+        n_scalar = vec.size - sum(2 * d * d for d in problem.x_dims)
+        for i in range(n_scalar):
+            direction = np.zeros(vec.size)
+            direction[i] = 1.0
+            assert abs(slope(direction) - grad[i]) < 2e-6 * scale
+        off = n_scalar
+        for d in problem.x_dims:
             # a random Hermitian direction for the matrix variable
             dm = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             dm = (dm + dm.conj().T) / 2
             dm /= np.linalg.norm(dm)
-            pm, pp = p.copy(), p.copy()
-            pm.xs[a] = pm.xs[a] + eps * dm
-            pp.xs[a] = pp.xs[a] - eps * dm
-            fd = (value_at(pm) - value_at(pp)) / (2 * eps)
-            directional = float(np.real(np.sum(gxs[a].conj() * dm)))
-            assert abs(fd - directional) < 2e-6 * scale
+            direction = np.zeros(vec.size)
+            direction[off:off + 2 * d * d] = dm.view(float).ravel()
+            off += 2 * d * d
+            assert abs(slope(direction) - grad @ direction) < 2e-6 * scale
         checked += 1
 
 
@@ -101,19 +118,18 @@ def test_empty_constraints_recover_gibbs(rng):
 
 
 def test_dual_convexity_midpoints(rng):
-    """l((p+q)/2) <= (l(p) + l(q))/2 on 100 random pairs."""
+    """l((p+q)/2) <= (l(p) + l(q))/2 on 100 random pairs, both duals."""
     h = heisenberg_chain(HeisenbergParams(3, -1, -1, -1))
     cs = ConstraintSet((dicke_witness(3, 1),), (even_odd_bipartition(3),))
+    problem = prepare_dual(h, cs)
     e = -1.5
-    d = 8
-    for _ in range(100):
-        p = _random_point(rng, 1, cs.map_slots, d)
-        q = _random_point(rng, 1, cs.map_slots, d)
-        mid = DualPoint(0.5 * (p.mu + q.mu), 0.5 * (p.nus + q.nus),
-                        [0.5 * (a + b) for a, b in zip(p.xs, q.xs)])
-        f_p = wcee_value_grad(h, cs, e, p)[0]
-        f_q = wcee_value_grad(h, cs, e, q)[0]
-        f_m = wcee_value_grad(h, cs, e, mid)[0]
+    for i in range(100):
+        obj = dual_mod._BlockObjective(problem, e, linear=i % 2 == 1)
+        p = _random_vec(rng, problem, obj.linear)
+        q = _random_vec(rng, problem, obj.linear)
+        f_p = obj.value_grad(p)[0]
+        f_q = obj.value_grad(q)[0]
+        f_m = obj.value_grad(0.5 * (p + q))[0]
         assert f_m <= 0.5 * (f_p + f_q) + 1e-9
 
 
@@ -147,10 +163,49 @@ def test_block_path_matches_dense_path(rng, monkeypatch):
     h = heisenberg_chain(HeisenbergParams(4, 2, 2, 1, -0.5))
     cs = ConstraintSet((dicke_witness(4, 2),))
     e = -6.0
+    assert len(prepare_dual(h, cs).blocks) > 1
     val_block, _, info_b = minimize_dual(h, cs, e)
+    # no split: the dense H is the one block
     monkeypatch.setattr(dual_mod, "_blocks_for", lambda *a, **k: None)
+    assert len(prepare_dual(h, cs).blocks) == 1
     val_dense, _, info_d = minimize_dual(h, cs, e)
     assert abs(val_block - val_dense) < 1e-5
+
+
+def test_block_path_reports_projected_gradient():
+    # at a high energy the Gibbs state satisfies the witness, so nu* = 0
+    # sits on its bound while d/dnu = tr(sigma W) > 0
+    h = heisenberg_chain(HeisenbergParams(5, 5, 5, 1, -1))
+    cs = ConstraintSet((dicke_witness(5, 2),))
+    w = np.linalg.eigvalsh(h.entries)
+    e = float(w.min() + 0.8 * (w.mean() - w.min()))
+    opts = SolverOptions()
+    val, point, info = minimize_dual(h, cs, e, opts)
+    assert point.nus[0] == 0.0
+    assert abs(val - gibbs_at(w, beta_from_energy(w, e))[2]) < 1e-9
+    assert info.grad_norm <= 10 * opts.tol
+    assert info.converged
+
+
+def test_scan_splits_once(monkeypatch):
+    calls = []
+    for name in ("sector_split_sparse", "momentum_sector_split"):
+        split = getattr(dual_mod, name)
+
+        def counted(*args, split=split, **kwargs):
+            calls.append(split)
+            return split(*args, **kwargs)
+
+        monkeypatch.setattr(dual_mod, name, counted)
+    h = heisenberg_chain(HeisenbergParams(5, 5, 5, 1, -1))
+    cs = ConstraintSet((dicke_witness(5, 2),))
+    counts = []
+    for n_points, bisect_iters in ((3, 2), (6, 5)):
+        calls.clear()
+        gap_energy_scan(h, cs, GridOptions(n_points=n_points,
+                                           bisect_iters=bisect_iters))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 def test_lin_dual_empty_equals_water_filling(rng):

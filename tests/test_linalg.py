@@ -1,5 +1,8 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.linalg import expm
 
 from conftest import random_hermitian, random_state
@@ -109,3 +112,13 @@ def test_psd_project_fixed_point(rng):
     p = psd_project(HermitianOperator(m.entries @ m.entries.conj().T))
     np.testing.assert_allclose(p.entries, m.entries @ m.entries.conj().T,
                                atol=1e-10)
+
+
+def test_psd_project_where_eigh_does_not_converge():
+    # a 32x32 Hermitian matrix from an SPG run on the n=5 AFM ring, on
+    # which numpy's eigh (zheevd) raises "Eigenvalues did not converge"
+    m = np.load(Path(__file__).parent / "data" / "psd_eigh_nonconvergent.npy")
+    p = psd_project_matrix(m)
+    np.testing.assert_array_equal(p, p.conj().T)
+    assert scipy.linalg.eigvalsh(p, driver="evr").min() >= -1e-12
+    np.testing.assert_allclose(psd_project_matrix(p), p, atol=1e-12)
