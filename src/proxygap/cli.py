@@ -1,7 +1,9 @@
 """Command-line driver: build models, run scans, emit CSV/JSON results.
 
 Exit codes: 0 ok, 2 config error, 3 solver non-convergence (results are
-still written, flagged), 4 invariant violation.
+still written, flagged), 4 invariant violation.  A gap-scan row below the
+lowest feasible energy is not a failure: its solve ends at a certificate of
+infeasibility, and the row writes S_dual = -inf and delta_S = inf.
 """
 from __future__ import annotations
 
@@ -159,6 +161,7 @@ def cmd_gap_scan(args) -> int:
         "detection_fraction": res.detection_fraction,
         "gap_tolerance": grid.resolved_gap_tolerance(),
         "rows_converged": all(r.converged for r in res.rows),
+        "rows_infeasible": sum(r.infeasible for r in res.rows),
         "wall_time_s": wall,
     }
     if cfg.get("ppt_emin"):

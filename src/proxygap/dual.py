@@ -13,7 +13,11 @@ reduced von Neumann dual has F = ln tr exp:
 and the linear-entropy dual has F = 1 + 1/4 tr (.)_+^2, a trace multiplier
 lam on the identity, and b.y = lam + mu E.  Any feasible point is a valid
 certificate (weak duality), so even a non-converged minimization yields a
-usable upper bound.
+usable upper bound.  A solve stops at the first feasible point with
+lam_max(M) < b.y, M the exponent: every state that met the constraints
+would have b.y <= tr(rho M) <= lam_max(M), so none exists, the dual is
+unbounded below and the solve returns -inf with that point as a Farkas
+certificate.
 """
 from __future__ import annotations
 
@@ -34,6 +38,9 @@ from .witness import ConstraintSet
 
 GAP_TOLERANCE = 1e-4       # nats; "detected" threshold, von Neumann path
 GAP_TOLERANCE_LINEAR = 1e-6  # the quadratic dual converges to ~1e-11
+# relative margin by which lam_max(M) must undercut b.y before a point counts
+# as a Farkas certificate: covers the rounding of eigh and of b.y
+FARKAS_MARGIN = 1e-9
 
 
 @dataclass
@@ -52,6 +59,9 @@ class SolveInfo:
     converged: bool
     iterations: int
     grad_norm: float  # norm of the projected gradient
+    # the returned point is a Farkas certificate: no state meets the
+    # constraints at this energy, and the bound is -inf
+    infeasible: bool = False
 
 
 @dataclass
@@ -63,6 +73,7 @@ class ScanRow:
     delta_s: float
     detected: bool
     converged: bool = True
+    infeasible: bool = False  # s_dual = -inf: every state here is entangled
 
 
 @dataclass
@@ -118,7 +129,7 @@ def _blocks_for(h, cs: ConstraintSet):
     try:
         sb = sector_split_sparse(hs, n)
         w_sb = [sector_split_sparse(ws, n) for ws in w_sparse]
-    except Exception:
+    except LinalgError:  # an operator does not conserve magnetization
         return None
     try:
         ops = [hs] + w_sparse
@@ -202,6 +213,10 @@ class _BlockObjective:
     G = v F'(w) v^+ per block, the gradient is tr(G A_k) - b_k in each
     scalar and G^(T_A) in each X_A: for the von Neumann dual, the moments
     and partial transposes of sigma = exp(M) / tr exp(M).
+
+    Each evaluation also records lam_max(M) - b.y, read by
+    `proves_infeasible`.  F(w) >= max(w) for both spectral functions, so a
+    negative dual value implies a negative slack.
     """
 
     def __init__(self, problem: DualProblem, e: float, linear: bool = False):
@@ -209,6 +224,14 @@ class _BlockObjective:
         self.e = e
         self.linear = linear
         self.spectral = _quarter_square_plus if linear else _log_tr_exp
+        self.slack = np.inf
+        self.margin = 0.0
+
+    def proves_infeasible(self) -> bool:
+        """Whether the point of the last `value_grad` call, if feasible
+        (nu >= 0, X_A PSD), has lam_max(M) < b.y beyond rounding: then no
+        state meets the constraints at energy e."""
+        return self.slack < -self.margin
 
     def value_grad(self, vec):
         p = self.problem
@@ -230,8 +253,13 @@ class _BlockObjective:
             w, v = np.linalg.eigh((m + m.conj().T) / 2)
             exps.append(w)
             vecs.append(v)
-        f, weights = self.spectral(
-            np.concatenate(exps) if len(exps) > 1 else exps[0])
+        w = np.concatenate(exps) if len(exps) > 1 else exps[0]
+        f, weights = self.spectral(w)
+        by = lam + mu * self.e
+        w_max = float(w.max())
+        self.slack = w_max - by
+        self.margin = FARKAS_MARGIN * (1.0 + abs(by)
+                                       + max(w_max, -float(w.min())))
         off = p.free.size
         # tr G and tr(G A_k), the free blocks' share first
         tr_g = float(weights[:off].sum()) if off else 0.0
@@ -304,10 +332,14 @@ def _projected_grad_norm(x, g, n_free, n_wit, x_dims) -> float:
     return float(np.linalg.norm(step))
 
 
-def _spg(fun_grad, x0, project, grad_norm, tol=1e-7, max_iter=2000,
-         memory=10):
+def _spg(fun_grad, x0, project, grad_norm, infeasible, tol=1e-7,
+         max_iter=2000, memory=10):
     """Spectral projected gradient (Barzilai-Borwein steps, nonmonotone
-    Armijo line search) for smooth convex objectives over a convex set."""
+    Armijo line search) for smooth convex objectives over a convex set.
+
+    Every trial point is a convex combination of feasible points; the
+    solve stops at the first one for which `infeasible()` holds after
+    `fun_grad`, and returns it with the value -inf."""
     x = project(x0)
     f, g = fun_grad(x)
     hist = [f]
@@ -332,6 +364,9 @@ def _spg(fun_grad, x0, project, grad_norm, tol=1e-7, max_iter=2000,
         while True:
             xn = x + lam * d
             fn, gn = fun_grad(xn)
+            if infeasible():
+                return xn, -np.inf, SolveInfo(True, it, grad_norm(xn, gn),
+                                              True)
             if fn <= fmax + 1e-4 * lam * dg or lam < 1e-12:
                 break
             lam *= 0.5
@@ -351,6 +386,14 @@ def _spg(fun_grad, x0, project, grad_norm, tol=1e-7, max_iter=2000,
     return x, f, SolveInfo(pg_norm <= tol * 10, it, float(pg_norm))
 
 
+class _Certificate(Exception):
+    """Raised out of scipy's minimizer at a Farkas certificate x."""
+
+    def __init__(self, x, g):
+        super().__init__()
+        self.x, self.g = x, g
+
+
 @dataclass
 class SolverOptions:
     tol: float = 1e-7
@@ -365,7 +408,9 @@ def minimize_dual(h, cs: ConstraintSet, e: float, opts: SolverOptions = None,
     value equals S_Gibbs(E) and descent only improves the certificate.
     Scalar variables alone (no PPT cuts) are solved by L-BFGS-B, blockwise
     where H and the witnesses split; matrix variables by SPG.  `problem` is
-    `prepare_dual(h, cs)`, to prepare once for many solves.
+    `prepare_dual(h, cs)`, to prepare once for many solves.  Where no state
+    meets the constraints at energy e, the solve stops at a Farkas
+    certificate and returns -inf with `info.infeasible` set.
     """
     opts = opts or SolverOptions()
     problem = problem or prepare_dual(h, cs)
@@ -387,12 +432,30 @@ def minimize_dual(h, cs: ConstraintSet, e: float, opts: SolverOptions = None,
             x0 = xi
     if x_dims:
         x, f, info = _spg(obj.value_grad, x0, project, grad_norm,
-                          tol=opts.tol, max_iter=opts.max_iter)
+                          obj.proves_infeasible, tol=opts.tol,
+                          max_iter=opts.max_iter)
         return f, _unpack(x, n_wit, x_dims), info
-    res = minimize(obj.value_grad, x0, jac=True, method="L-BFGS-B",
-                   bounds=[(None, None)] + [(0.0, None)] * n_wit,
-                   options={"maxiter": opts.max_iter, "ftol": 1e-14,
-                            "gtol": opts.tol})
+    iterations = 0
+
+    def count(_):
+        nonlocal iterations
+        iterations += 1
+
+    def fun(vec):  # L-BFGS-B evaluates only points within the bounds
+        f, g = obj.value_grad(vec)
+        if obj.proves_infeasible():
+            raise _Certificate(vec.copy(), g)
+        return f, g
+
+    try:
+        res = minimize(fun, x0, jac=True, method="L-BFGS-B",
+                       bounds=[(None, None)] + [(0.0, None)] * n_wit,
+                       callback=count,
+                       options={"maxiter": opts.max_iter, "ftol": 1e-14,
+                                "gtol": opts.tol})
+    except _Certificate as cert:
+        return -np.inf, _unpack(cert.x, n_wit, x_dims), SolveInfo(
+            True, iterations, grad_norm(cert.x, cert.g), True)
     x = project(res.x)
     f, g = obj.value_grad(x)
     pg_norm = grad_norm(x, g)
@@ -412,9 +475,13 @@ def entropy_gap(h, cs: ConstraintSet, e: float, opts: SolverOptions = None,
 # ---------------------------------------------------------------------------
 # linear-entropy dual
 
-def _fista(fun_grad, x0, project, tol=1e-9, max_iter=5000):
+def _fista(fun_grad, x0, project, infeasible, tol=1e-9, max_iter=5000):
     """Accelerated projected gradient with backtracking and adaptive
-    restart, for smooth convex objectives over a convex set."""
+    restart, for smooth convex objectives over a convex set.
+
+    The solve stops at the first projected point for which `infeasible()`
+    holds after `fun_grad` (never at an extrapolated one, which may lie
+    outside the set), and returns it with the value -inf."""
     x = project(x0)
     f, g = fun_grad(x)
     y, t = x, 1.0
@@ -428,6 +495,9 @@ def _fista(fun_grad, x0, project, tol=1e-9, max_iter=5000):
             xn = project(y - gy / lip)
             s = xn - y
             fn, gn = fun_grad(xn)
+            if infeasible():
+                return xn, -np.inf, SolveInfo(
+                    True, it, lip * float(np.linalg.norm(s)), True)
             if fn <= fy + float(gy @ s) + 0.5 * lip * float(s @ s) + 1e-15:
                 break
             lip *= 2.0
@@ -456,7 +526,8 @@ def lin_dual_minimize(h, cs: ConstraintSet, e: float,
     + 1 - lam - mu*E over lam, mu real, nu >= 0, X0 and X_A PSD; the slack
     X0 = (.)_- is eliminated in closed form, leaving the positive part.
     Returns (value, vec, info); pass the vec back as `init` to warm-start a
-    nearby solve, and `problem` as in `minimize_dual`."""
+    nearby solve, and `problem` as in `minimize_dual`.  The value is -inf
+    at a Farkas certificate, as in `minimize_dual`."""
     opts = opts or SolverOptions(tol=1e-9, max_iter=5000)
     problem = problem or prepare_dual(h, cs)
     obj = _BlockObjective(problem, e, linear=True)
@@ -480,7 +551,8 @@ def lin_dual_minimize(h, cs: ConstraintSet, e: float,
         pi = project(init)
         if obj.value_grad(pi)[0] < obj.value_grad(x0)[0]:
             x0 = pi
-    vec, f, info = _fista(obj.value_grad, x0, project, tol=opts.tol,
+    vec, f, info = _fista(obj.value_grad, x0, project,
+                          obj.proves_infeasible, tol=opts.tol,
                           max_iter=opts.max_iter)
     return f, vec, info
 
@@ -532,23 +604,22 @@ def gap_energy_scan(h, cs: ConstraintSet, grid: GridOptions = None,
                                                   init=state["lin_init"],
                                                   problem=problem)
             state["lin_init"] = vec
-            conv = info.converged
         else:
             s_ref = gibbs_at(spectrum, beta_from_energy(spectrum, e))[2]
             s_dual, point, info = minimize_dual(h, cs, e, opts,
                                                 init=state["init"],
                                                 problem=problem)
             state["init"] = point
-            conv = info.converged
-        return s_ref, s_dual, conv
+        return s_ref, s_dual, info
 
     rows = []
     for e in np.linspace(lo, hi, grid.n_points):
         beta = beta_from_energy(spectrum, e)
-        s_ref, s_dual, conv = gap_at(e)
+        s_ref, s_dual, info = gap_at(e)
         delta = s_ref - s_dual
         rows.append(ScanRow(float(e), float(beta), s_ref, s_dual, delta,
-                            delta > gap_tol, conv))
+                            delta > gap_tol, info.converged,
+                            info.infeasible))
 
     detected = [r.detected for r in rows]
     e_min_gap = e_max_gap = None

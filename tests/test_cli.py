@@ -23,6 +23,18 @@ def _gap_scan_cfg(**extra):
     return cfg
 
 
+def _assert_rows_consistent(rows, tol):
+    """delta_S = S_gibbs - S_dual and detected = delta_S > tol on every
+    row; an infeasible row has S_dual = -inf and delta_S = inf."""
+    for r in rows:
+        gap = float(r["S_gibbs"]) - float(r["S_dual"])
+        if float(r["S_dual"]) == float("-inf"):
+            assert float(r["delta_S"]) == float("inf")
+        else:
+            assert abs(gap - float(r["delta_S"])) < 1e-12
+        assert int(r["detected"]) == int(gap > tol)
+
+
 def test_gap_scan_outputs_and_consistency(tmp_path):
     cfg_path = _write_config(tmp_path, "cfg.json", _gap_scan_cfg())
     out = tmp_path / "run"
@@ -32,19 +44,38 @@ def test_gap_scan_outputs_and_consistency(tmp_path):
         rows = list(csv.DictReader(f))
     assert len(rows) == 8
     summary = json.loads((out / "gap_scan_summary.json").read_text())
-    tol = summary["gap_tolerance"]
-    n_detected = 0
-    for r in rows:
-        gap = float(r["S_gibbs"]) - float(r["S_dual"])
-        assert abs(gap - float(r["delta_S"])) < 1e-12
-        assert int(r["detected"]) == int(gap > tol)
-        n_detected += int(r["detected"])
-    assert n_detected > 0
+    _assert_rows_consistent(rows, summary["gap_tolerance"])
+    assert sum(int(r["detected"]) for r in rows) > 0
     # detection fraction = bisected window width over the energy range
     frac = ((summary["e_max_gap"] - summary["e0"])
             / (summary["e_max"] - summary["e0"]))
     assert summary["detection_fraction"] == pytest.approx(frac)
     assert summary["e_min_gap"] is not None
+    assert summary["rows_converged"] is True
+    assert summary["rows_infeasible"] == 0
+
+
+def test_gap_scan_rows_below_ppt_emin_are_infeasible(tmp_path):
+    # E_min,PPT = -4 on the 4-ring: the 4 grid rows below it hold no PPT
+    # state, so their solves end at a certificate, not at max_iter
+    cfg = _gap_scan_cfg()
+    cfg["model"]["n"] = 4
+    cfg_path = _write_config(tmp_path, "cfg.json", cfg)
+    out = tmp_path / "run"
+    assert main(["--out", str(out), "gap-scan", "--config", cfg_path]) == \
+        EXIT_OK
+    with open(out / "gap_scan.csv") as f:
+        rows = list(csv.DictReader(f))
+    summary = json.loads((out / "gap_scan_summary.json").read_text())
+    _assert_rows_consistent(rows, summary["gap_tolerance"])
+    below = [r for r in rows if float(r["E"]) < -4.0]
+    assert len(below) == 4
+    for r in below:
+        assert r["S_dual"] == "-inf" and r["delta_S"] == "inf"
+        assert r["detected"] == "1"
+    assert all(float(r["S_dual"]) > float("-inf") for r in rows
+               if float(r["E"]) >= -4.0)
+    assert summary["rows_infeasible"] == 4
     assert summary["rows_converged"] is True
 
 

@@ -12,8 +12,8 @@ from proxygap.dual import (GAP_TOLERANCE_LINEAR, DualPoint, GridOptions,
                            theorem3_check)
 from proxygap.linalg import (Bipartition, HermitianOperator,
                              partial_transpose_matrix, psd_project_matrix)
-from proxygap.models import (HeisenbergParams, bell_staircase, energy_extremes,
-                             heisenberg_chain)
+from proxygap.models import (HeisenbergParams, XYParams, bell_staircase,
+                             energy_extremes, heisenberg_chain, xy_chain)
 from proxygap.oracle import max_entropy_separable_lower
 from proxygap.thermo import (GibbsCurve, beta_from_energy, energy_range,
                              gibbs_at, linear_entropy_max,
@@ -187,6 +187,21 @@ def test_block_path_reports_projected_gradient():
     assert info.converged
 
 
+def test_split_falls_back_only_where_magnetization_is_not_conserved(
+        monkeypatch):
+    # the XY ring with r != 0 does not conserve total sigma_z: dense path
+    n = 4
+    cs = ConstraintSet((dicke_witness(n, 2),))
+    assert dual_mod._blocks_for(xy_chain(XYParams(n, 0.5, 0.3)), cs) is None
+    # any other fault in the split is raised, not taken for "no split"
+    def broken(*args, **kwargs):
+        raise RuntimeError("split failed")
+
+    monkeypatch.setattr(dual_mod, "sector_split_sparse", broken)
+    with pytest.raises(RuntimeError, match="split failed"):
+        prepare_dual(heisenberg_chain(HeisenbergParams(n, n, n, 1, -1)), cs)
+
+
 def test_scan_splits_once(monkeypatch):
     calls = []
     for name in ("sector_split_sparse", "momentum_sector_split"):
@@ -206,6 +221,75 @@ def test_scan_splits_once(monkeypatch):
                                            bisect_iters=bisect_iters))
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
+
+
+def _assert_farkas_certificate(h, cs, e, lam, mu, nus, xs):
+    """The point is feasible and the dense exponent
+    M = lam I + mu H + sum nu_i W_i + sum X_A^(T_A) has lam_max(M) < b.y,
+    so no state meets the constraints at energy e."""
+    assert np.all(np.asarray(nus) >= 0.0)
+    m = lam * np.eye(h.entries.shape[0]) + mu * h.entries
+    for nu, wit in zip(nus, cs.witnesses):
+        m = m + nu * wit.to_dense()
+    for x, cut in zip(xs, cs.map_slots):
+        assert np.linalg.eigvalsh(x).min() >= -1e-12 * np.abs(x).max()
+        m = m + partial_transpose_matrix(x, h.local_dims, cut.subset_mask)
+    assert np.linalg.eigvalsh((m + m.conj().T) / 2).max() < lam + mu * e
+
+
+def test_spg_stops_at_farkas_certificate():
+    # E/N = -1.2 lies below E_min,PPT/N = -1.0075 on the 5-ring
+    h = heisenberg_chain(HeisenbergParams(5, -1, -1, -1))
+    cs = ConstraintSet(map_slots=(even_odd_bipartition(5),))
+    e = -1.2 * 5
+    opts = SolverOptions()
+    val, point, info = minimize_dual(h, cs, e, opts)
+    assert info.infeasible and info.converged and val == -np.inf
+    assert info.iterations < opts.max_iter // 10
+    _assert_farkas_certificate(h, cs, e, 0.0, point.mu, point.nus, point.xs)
+
+
+def test_fista_stops_at_farkas_certificate():
+    # E/N = -1.2 lies below E_min,PPT/N = -1 on the 4-ring
+    h = heisenberg_chain(HeisenbergParams(4, -1, -1, -1))
+    cs = ConstraintSet(map_slots=(even_odd_bipartition(4),))
+    e = -1.2 * 4
+    opts = SolverOptions(tol=1e-9, max_iter=5000)
+    val, vec, info = lin_dual_minimize(h, cs, e, opts)
+    assert info.infeasible and info.converged and val == -np.inf
+    assert info.iterations < opts.max_iter // 10
+    x = dual_mod._unpack_xs(vec, 2, [h.entries.shape[0]])
+    _assert_farkas_certificate(h, cs, e, vec[0], vec[1], [], x)
+
+
+def test_lbfgs_stops_at_farkas_certificate():
+    # just above E0 every state violates the Dicke witness; the momentum
+    # split leaves witness-free blocks, which the certificate must count
+    h = heisenberg_chain(HeisenbergParams(5, 5, 5, 1, -1))
+    cs = ConstraintSet((dicke_witness(5, 2),))
+    problem = prepare_dual(h, cs)
+    assert problem.free.size > 0
+    w = problem.spectrum
+    e = float(w.min() + 1e-6 * (w.mean() - w.min()))
+    opts = SolverOptions()
+    val, point, info = minimize_dual(h, cs, e, opts, problem=problem)
+    assert info.infeasible and info.converged and val == -np.inf
+    assert info.iterations < opts.max_iter // 10
+    _assert_farkas_certificate(h, cs, e, 0.0, point.mu, point.nus, [])
+
+
+@pytest.fixture(scope="module")
+def ring4_ppt_emin():
+    h = heisenberg_chain(HeisenbergParams(4, -1, -1, -1))
+    cut = even_odd_bipartition(4)
+    return h, ConstraintSet(map_slots=(cut,)), ppt_energy_min(h, [cut]).value
+
+
+@pytest.mark.parametrize("above", [1e-3, 1e-2])
+def test_no_certificate_above_ppt_emin(ring4_ppt_emin, above):
+    h, cs, e_min = ring4_ppt_emin
+    assert not minimize_dual(h, cs, e_min + above)[2].infeasible
+    assert not lin_dual_minimize(h, cs, e_min + above)[2].infeasible
 
 
 def test_lin_dual_empty_equals_water_filling(rng):
