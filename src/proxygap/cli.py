@@ -155,7 +155,8 @@ def cmd_gap_scan(args) -> int:
                               _fmt(r.delta_s), str(int(r.detected))]) + "\n")
     summary = {
         "e0": res.e0, "e0_per_site": res.e0 / n, "e_max": res.e_max,
-        "e_min_gap": res.e_min_gap, "e_max_gap": res.e_max_gap,
+        "e_min_gap": res.e_min_gap, "e_min_gap_open": res.e_min_open,
+        "e_max_gap": res.e_max_gap,
         "e_max_gap_per_site":
             None if res.e_max_gap is None else res.e_max_gap / n,
         "detection_fraction": res.detection_fraction,

@@ -84,6 +84,9 @@ class GapScanResult:
     e_min_gap: float | None
     e_max_gap: float | None
     detection_fraction: float
+    # the first grid row is detected, so e_min_gap is that row's energy and
+    # the lower edge of the window was not located
+    e_min_open: bool
 
 
 def _operator_matrix(h) -> np.ndarray:
@@ -109,37 +112,37 @@ def _local_dims(h, dim: int):
 def _blocks_for(h, cs: ConstraintSet):
     """Express H and all witnesses as magnetization blocks, refined by
     momentum when all are translation invariant (Gatermann & Parrilo, JPAA
-    2004; Sandvik, arXiv:1101.3281 sec. 4).  Returns (h_blocks, w_blocks
-    per witness), or None when there are PPT cuts or no split applies."""
+    2004; Sandvik, arXiv:1101.3281 sec. 4).
+
+    Returns (path, fallback, h_blocks, w_blocks per witness).  path is
+    "momentum", "sector" or "dense", where there are no blocks; fallback
+    says why no finer path was taken, or is None."""
     if cs.map_slots:
-        return None
-    if isinstance(h, HermitianOperator):
-        if any(d != 2 for d in h.local_dims):
-            return None
-        n = h.n_sites
-        hs = sp.csr_matrix(h.entries)
-    elif sp.issparse(h):
-        n = int(round(np.log2(h.shape[0])))
-        if 2 ** n != h.shape[0]:
-            return None
-        hs = h.tocsr()
-    else:
-        return None
+        return "dense", "PPT cuts", None, None
+    if not (isinstance(h, HermitianOperator) or sp.issparse(h)):
+        return "dense", "array input", None, None
+    hs = h.sparse if isinstance(h, HermitianOperator) else h.tocsr()
+    dims = _local_dims(h, hs.shape[0])
+    if any(d != 2 for d in dims):
+        return "dense", "not qubits", None, None
+    n = len(dims)
     w_sparse = [w.matrix.tocsr() for w in cs.witnesses]
     try:
         sb = sector_split_sparse(hs, n)
         w_sb = [sector_split_sparse(ws, n) for ws in w_sparse]
-    except LinalgError:  # an operator does not conserve magnetization
-        return None
-    try:
-        ops = [hs] + w_sparse
-        if all(is_translation_invariant(o, n) for o in ops):
-            fine = momentum_sector_split(ops, n)
-            return ([bl[0] for bl in fine],
-                    [[bl[1 + i] for bl in fine] for i in range(len(w_sparse))])
     except LinalgError:
-        pass
-    return ([s.block for s in sb.sectors],
+        return "dense", "does not conserve magnetization", None, None
+    ops = [hs] + w_sparse
+    if all(is_translation_invariant(o, n) for o in ops):
+        try:
+            fine = momentum_sector_split(ops, n)
+            return ("momentum", None, [bl[0] for bl in fine],
+                    [[bl[1 + i] for bl in fine] for i in range(len(w_sparse))])
+        except LinalgError as exc:
+            fallback = str(exc)
+    else:
+        fallback = "not translation invariant"
+    return ("sector", fallback, [s.block for s in sb.sectors],
             [[s.block for s in wsb.sectors] for wsb in w_sb])
 
 
@@ -151,7 +154,8 @@ class DualProblem:
     vanishes]) for every symmetry block with witness support.  With PPT
     cuts, or when no split applies, the dense H is the only block.  `free`
     holds the fixed spectra of the witness-free blocks and `spectrum` the
-    sorted spectrum of H."""
+    sorted spectrum of H.  `path` is the split taken ("momentum", "sector"
+    or "dense") and `fallback` why no finer one was, or None."""
     blocks: list
     free: np.ndarray
     spectrum: np.ndarray
@@ -159,31 +163,34 @@ class DualProblem:
     cuts: tuple
     x_dims: list  # the dimension of each X_A
     n_wit: int
+    path: str
+    fallback: str | None
 
 
 def prepare_dual(h, cs: ConstraintSet) -> DualProblem:
     """Split H and the witnesses into symmetry blocks once; pass the result
     as `problem` to every solve on the same H and constraint set."""
     n_wit = len(cs.witnesses)
-    split = _blocks_for(h, cs)
-    if split is None:
+    path, fallback, h_blocks, w_blocks = _blocks_for(h, cs)
+    if h_blocks is None:
         hmat = _operator_matrix(h)
         d = hmat.shape[0]
         return DualProblem([(hmat, [w.to_dense() for w in cs.witnesses])],
                            np.zeros(0), np.linalg.eigvalsh(hmat),
                            _local_dims(h, d), cs.map_slots,
-                           [d] * len(cs.map_slots), n_wit)
+                           [d] * len(cs.map_slots), n_wit, path, fallback)
     blocks, free, eigs = [], [], []
-    for bi, hb in enumerate(split[0]):
+    for bi, hb in enumerate(h_blocks):
         wbs = [wb[bi] if np.abs(wb[bi]).max() > 0 else None
-               for wb in split[1]]
+               for wb in w_blocks]
         eigs.append(np.linalg.eigvalsh(hb))
         if any(wb is not None for wb in wbs):
             blocks.append((hb, wbs))
         else:
             free.append(eigs[-1])
     return DualProblem(blocks, np.concatenate([np.zeros(0)] + free),
-                       np.sort(np.concatenate(eigs)), (), (), [], n_wit)
+                       np.sort(np.concatenate(eigs)), (), (), [], n_wit,
+                       path, fallback)
 
 
 # ---------------------------------------------------------------------------
@@ -645,7 +652,8 @@ def gap_energy_scan(h, cs: ConstraintSet, grid: GridOptions = None,
         e_max_gap = rows[last].e if last == len(rows) - 1 else \
             bisect(rows[last + 1].e, rows[last].e)
     frac = 0.0 if e_max_gap is None else (e_max_gap - e0) / (e_top - e0)
-    return GapScanResult(rows, e0, e_top, e_min_gap, e_max_gap, float(frac))
+    return GapScanResult(rows, e0, e_top, e_min_gap, e_max_gap, float(frac),
+                         bool(detected and detected[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,37 +1,60 @@
-"""Dense Hermitian linear algebra on multipartite operators.
+"""Hermitian linear algebra on multipartite operators.
 
 Operators carry their tensor-factor structure (``local_dims``) so that
 partial transposition and bipartite cuts can be applied by index
-bookkeeping alone.  Everything is dense complex128; entropies elsewhere
-are in nats.
+bookkeeping alone.  An operator holds a dense complex128 matrix or a
+sparse CSR one; a sparse operator is densified only where a dense path
+asks for its `entries`, behind the `PROXYGAP_MAX_QUBITS` memory guard.
+Entropies elsewhere are in nats.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 
 HERMITICITY_RTOL = 1e-12
+DEFAULT_MAX_QUBITS = 14
 
 
 class LinalgError(ValueError):
     pass
 
 
-def _as_matrix(entries) -> np.ndarray:
-    m = np.asarray(entries, dtype=complex)
+def max_qubits() -> int:
+    return int(os.environ.get("PROXYGAP_MAX_QUBITS", DEFAULT_MAX_QUBITS))
+
+
+def check_dense_size(dim: int):
+    """Raise MemoryError before a dense dim x dim matrix beyond
+    2^PROXYGAP_MAX_QUBITS is formed."""
+    cap = max_qubits()
+    if dim > 2 ** cap:
+        raise MemoryError(
+            f"a dense {dim}x{dim} matrix exceeds the memory guard "
+            f"(2^{cap}); set PROXYGAP_MAX_QUBITS to override")
+
+
+def _as_matrix(entries):
+    m = entries.tocsr() if sp.issparse(entries) else \
+        np.asarray(entries, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise LinalgError(f"expected a square matrix, got shape {m.shape}")
     return m
 
 
-@dataclass(frozen=True)
 class HermitianOperator:
-    """A Hermitian matrix together with its subsystem structure."""
+    """A Hermitian matrix, dense or sparse, together with its subsystem
+    structure.
 
-    entries: np.ndarray
-    local_dims: tuple[int, ...]
+    `entries` is the dense matrix: a sparse operator is densified on first
+    access, behind the memory guard, and keeps the dense copy.  `sparse` is
+    the CSR matrix, converted from the dense one for a dense operator."""
+
+    __slots__ = ("local_dims", "_matrix", "_dense")
 
     def __init__(self, entries, local_dims=None):
         m = _as_matrix(entries)
@@ -43,15 +66,33 @@ class HermitianOperator:
         if int(np.prod(local_dims)) != m.shape[0]:
             raise LinalgError(
                 f"product of local_dims {local_dims} != dim {m.shape[0]}")
-        scale = max(np.abs(m).max(), 1.0)
-        if np.abs(m - m.conj().T).max() > HERMITICITY_RTOL * scale:
+        if sp.issparse(m):
+            scale = max(np.abs(m.data).max(initial=0.0), 1.0)
+            asym = np.abs((m - m.conj().T).data).max(initial=0.0)
+        else:
+            scale = max(np.abs(m).max(), 1.0)
+            asym = np.abs(m - m.conj().T).max()
+        if asym > HERMITICITY_RTOL * scale:
             raise LinalgError("matrix is not Hermitian")
-        object.__setattr__(self, "entries", m)
-        object.__setattr__(self, "local_dims", local_dims)
+        self.local_dims = local_dims
+        self._matrix = m
+        self._dense = None if sp.issparse(m) else m
+
+    @property
+    def entries(self) -> np.ndarray:
+        if self._dense is None:
+            check_dense_size(self.dim)
+            self._dense = np.asarray(self._matrix.toarray(), dtype=complex)
+        return self._dense
+
+    @property
+    def sparse(self) -> sp.csr_matrix:
+        m = self._matrix
+        return m if sp.issparse(m) else sp.csr_matrix(m)
 
     @property
     def dim(self) -> int:
-        return self.entries.shape[0]
+        return self._matrix.shape[0]
 
     @property
     def n_sites(self) -> int:

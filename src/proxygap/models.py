@@ -5,37 +5,25 @@ index's popcount is its excitation number m (total magnetization n - 2m).
 Site 0 is the most significant bit of the basis index.
 
 Hamiltonians are assembled as sparse matrices from bit arithmetic (a bond
-term touches at most one off-diagonal per row), then densified behind a
-memory guard where a dense operator is requested.
+term touches at most one off-diagonal per row) and stay sparse: a
+witness-only scan splits them into symmetry blocks without ever forming the
+2^n x 2^n matrix.  Only a dense path (PPT cuts, full diagonalization)
+densifies an operator, behind the memory guard.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from math import comb
 
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import HermitianOperator, SpectralDecomposition, LinalgError
+from .linalg import (HermitianOperator, LinalgError, SpectralDecomposition,
+                     check_dense_size)
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
-DEFAULT_MAX_QUBITS = 14
-
-
-def max_qubits() -> int:
-    return int(os.environ.get("PROXYGAP_MAX_QUBITS", DEFAULT_MAX_QUBITS))
-
-
-def _check_size(n: int):
-    cap = max_qubits()
-    if n > cap:
-        raise MemoryError(
-            f"{n} qubits exceeds the memory guard ({cap}); "
-            "set PROXYGAP_MAX_QUBITS to override")
 
 
 @dataclass(frozen=True)
@@ -130,8 +118,9 @@ def heisenberg_sparse(p: HeisenbergParams) -> sp.csr_matrix:
 
 
 def heisenberg_chain(p: HeisenbergParams) -> HermitianOperator:
-    _check_size(p.n)
-    return HermitianOperator(heisenberg_sparse(p).toarray(), (2,) * p.n)
+    """`heisenberg_sparse` as a sparse qubit operator; its `entries`
+    densify it behind the memory guard."""
+    return HermitianOperator(heisenberg_sparse(p), (2,) * p.n)
 
 
 def xy_params_as_heisenberg(p: XYParams) -> HeisenbergParams:
@@ -152,7 +141,7 @@ def bell_staircase(n: int) -> SpectralDecomposition:
     eigenvectors are the zero-phase maximally entangled states."""
     if n % 2 != 0:
         raise ValueError("qubit count must be even")
-    _check_size(n)
+    check_dense_size(2 ** n)
     d = 2 ** (n // 2)
     vecs = np.zeros((d * d, d * d), dtype=complex)
     omega = np.exp(2j * np.pi / d)
@@ -169,7 +158,6 @@ def dicke_state(n: int, m: int) -> np.ndarray:
     """Uniform superposition of all n-qubit states with m excitations."""
     if not 0 <= m <= n:
         raise ValueError("excitation number out of range")
-    _check_size(n)
     vec = np.zeros(2 ** n, dtype=complex)
     idx = excitation_sector_indices(n, m)
     vec[idx] = 1.0 / np.sqrt(comb(n, m))
@@ -269,9 +257,7 @@ def momentum_sector_split(ops, n: int, tol: float = 1e-10):
         if 0 < m < n:
             full = np.array([np.unique(orbit[:, r]).size == n for r in reps])
             if not full.all():
-                raise LinalgError(
-                    "translation orbit with partial period; momentum "
-                    "refinement unavailable")
+                raise LinalgError("translation orbit with partial period")
         else:
             # uniform states are their own orbit: keep the 1x1 block at k=0
             blocks.append(tuple(
@@ -299,10 +285,10 @@ def momentum_sector_split(ops, n: int, tol: float = 1e-10):
 
 
 def sector_split(h: HermitianOperator, tol: float = 1e-10) -> SectorBlocks:
-    """Dense-operator front end of `sector_split_sparse`."""
+    """Operator front end of `sector_split_sparse`."""
     if any(d != 2 for d in h.local_dims):
         raise LinalgError("sector split requires qubit subsystems")
-    return sector_split_sparse(sp.csr_matrix(h.entries), h.n_sites, tol)
+    return sector_split_sparse(h.sparse, h.n_sites, tol)
 
 
 def energy_extremes(h, degeneracy_rtol: float = 1e-9):

@@ -77,6 +77,28 @@ def test_gap_scan_rows_below_ppt_emin_are_infeasible(tmp_path):
                if float(r["E"]) >= -4.0)
     assert summary["rows_infeasible"] == 4
     assert summary["rows_converged"] is True
+    # the window reaches the grid floor: its lower edge is not located
+    assert summary["e_min_gap_open"] is True
+    assert summary["e_min_gap"] == float(rows[0]["E"])
+
+
+def test_gap_scan_locates_a_lower_edge_above_the_first_row(tmp_path):
+    # the easy-axis ferromagnet's low-T mixture of |0000> and |1111> is
+    # separable; the window over all cuts opens above the first grid row
+    cfg = _gap_scan_cfg(grid={"n_points": 10, "bisect_iters": 4})
+    cfg["model"] = {"type": "heisenberg", "n": 4, "jx": 1, "jy": 1,
+                    "jz": 1.2}
+    cfg["constraints"] = {"cuts": "all"}
+    cfg_path = _write_config(tmp_path, "cfg.json", cfg)
+    out = tmp_path / "run"
+    assert main(["--out", str(out), "gap-scan", "--config", cfg_path]) == \
+        EXIT_OK
+    with open(out / "gap_scan.csv") as f:
+        rows = list(csv.DictReader(f))
+    summary = json.loads((out / "gap_scan_summary.json").read_text())
+    assert rows[0]["detected"] == "0" and rows[1]["detected"] == "1"
+    assert summary["e_min_gap_open"] is False
+    assert float(rows[0]["E"]) < summary["e_min_gap"] < float(rows[1]["E"])
 
 
 def test_gap_scan_deterministic_bytes(tmp_path):

@@ -166,7 +166,8 @@ def test_block_path_matches_dense_path(rng, monkeypatch):
     assert len(prepare_dual(h, cs).blocks) > 1
     val_block, _, info_b = minimize_dual(h, cs, e)
     # no split: the dense H is the one block
-    monkeypatch.setattr(dual_mod, "_blocks_for", lambda *a, **k: None)
+    monkeypatch.setattr(dual_mod, "_blocks_for",
+                        lambda *a, **k: ("dense", None, None, None))
     assert len(prepare_dual(h, cs).blocks) == 1
     val_dense, _, info_d = minimize_dual(h, cs, e)
     assert abs(val_block - val_dense) < 1e-5
@@ -192,7 +193,9 @@ def test_split_falls_back_only_where_magnetization_is_not_conserved(
     # the XY ring with r != 0 does not conserve total sigma_z: dense path
     n = 4
     cs = ConstraintSet((dicke_witness(n, 2),))
-    assert dual_mod._blocks_for(xy_chain(XYParams(n, 0.5, 0.3)), cs) is None
+    problem = prepare_dual(xy_chain(XYParams(n, 0.5, 0.3)), cs)
+    assert problem.path == "dense" and len(problem.blocks) == 1
+    assert problem.fallback == "does not conserve magnetization"
     # any other fault in the split is raised, not taken for "no split"
     def broken(*args, **kwargs):
         raise RuntimeError("split failed")
@@ -200,6 +203,42 @@ def test_split_falls_back_only_where_magnetization_is_not_conserved(
     monkeypatch.setattr(dual_mod, "sector_split_sparse", broken)
     with pytest.raises(RuntimeError, match="split failed"):
         prepare_dual(heisenberg_chain(HeisenbergParams(n, n, n, 1, -1)), cs)
+
+
+def test_prepare_dual_records_its_path():
+    def xxz(n):
+        return heisenberg_chain(HeisenbergParams(n, n, n, 1, -1))
+
+    dicke11 = prepare_dual(xxz(11), ConstraintSet((dicke_witness(11, 5),)))
+    assert (dicke11.path, dicke11.fallback) == ("momentum", None)
+    assert len(dicke11.blocks) + dicke11.free.size > 11
+    # N=4 has states like 0101 with translation period 2
+    ring4 = prepare_dual(xxz(4), ConstraintSet((dicke_witness(4, 2),)))
+    assert (ring4.path, ring4.fallback) == (
+        "sector", "translation orbit with partial period")
+    assert sorted(hb.shape[0] for hb, _ in ring4.blocks) == [4, 4, 6]
+    ppt = prepare_dual(xxz(4), ConstraintSet(
+        (dicke_witness(4, 2),), (even_odd_bipartition(4),)))
+    assert (ppt.path, ppt.fallback) == ("dense", "PPT cuts")
+    assert [hb.shape for hb, _ in ppt.blocks] == [(16, 16)]
+
+
+@pytest.mark.parametrize("n", [5, 7])
+def test_sparse_and_dense_operators_prepare_the_same_problem(n):
+    h = heisenberg_chain(HeisenbergParams(n, n, n, 1, -1))
+    cs = ConstraintSet((dicke_witness(n, n // 2),))
+    a = prepare_dual(h, cs)
+    b = prepare_dual(HermitianOperator(h.entries, h.local_dims), cs)
+    assert a.path == b.path == "momentum"
+    assert len(a.blocks) == len(b.blocks)
+    for (ha, wa), (hb, wb) in zip(a.blocks, b.blocks):
+        np.testing.assert_array_equal(ha, hb)
+        for x, y in zip(wa, wb):
+            assert (x is None) == (y is None)
+            if x is not None:
+                np.testing.assert_array_equal(x, y)
+    np.testing.assert_array_equal(a.free, b.free)
+    np.testing.assert_array_equal(a.spectrum, b.spectrum)
 
 
 def test_scan_splits_once(monkeypatch):

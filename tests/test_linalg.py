@@ -3,6 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 from scipy.linalg import expm
 
 from conftest import random_hermitian, random_state
@@ -15,6 +16,24 @@ from proxygap.linalg import (Bipartition, HermitianOperator, LinalgError,
 def test_hermitian_operator_rejects_non_hermitian():
     with pytest.raises(LinalgError):
         HermitianOperator(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(LinalgError):
+        HermitianOperator(sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]])))
+    # the same relative rule on sparse data: 1e-13 of asymmetry passes
+    m = sp.csr_matrix(np.array([[2.0, 1j], [-1j + 1e-13, 0.0]]))
+    np.testing.assert_array_equal(HermitianOperator(m).entries, m.toarray())
+    with pytest.raises(LinalgError):
+        HermitianOperator(m + sp.csr_matrix(([1e-11], ([1], [0])),
+                                            shape=(2, 2)))
+
+
+def test_hermitian_operator_sparse_and_dense_views(rng):
+    a = random_hermitian(rng, (2, 2))
+    csr = a.sparse
+    np.testing.assert_array_equal(csr.toarray(), a.entries)
+    b = HermitianOperator(csr, a.local_dims)
+    assert b.sparse is csr  # kept as given, not converted
+    assert b.dim == 4 and b.n_sites == 2
+    np.testing.assert_array_equal(b.entries, a.entries)
 
 
 def test_hermitian_operator_rejects_bad_dims():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from proxygap.dual import GridOptions, gap_energy_scan, prepare_dual
 from proxygap.linalg import LinalgError
 from proxygap.models import (HeisenbergParams, XYParams, bell_staircase,
                              dicke_state, energy_extremes,
@@ -9,7 +10,7 @@ from proxygap.models import (HeisenbergParams, XYParams, bell_staircase,
                              momentum_sector_split, popcounts, sector_split,
                              sector_split_sparse, total_sz_diagonal,
                              translation_table, xy_chain)
-from proxygap.witness import dicke_witness
+from proxygap.witness import ConstraintSet, dicke_witness
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -52,6 +53,8 @@ def _kron_reference(p: HeisenbergParams) -> np.ndarray:
 def test_heisenberg_matches_kron_reference(params):
     built = heisenberg_sparse(params).toarray()
     np.testing.assert_allclose(built, _kron_reference(params), atol=1e-12)
+    # the sparse operator densifies to exactly the same matrix
+    np.testing.assert_array_equal(heisenberg_chain(params).entries, built)
 
 
 def test_ground_energies_per_site():
@@ -96,6 +99,15 @@ def test_sector_split_blocks():
     full = np.sort(np.linalg.eigvalsh(h.entries))
     np.testing.assert_allclose(sb.spectrum(), full, atol=1e-10)
     assert [s.block.shape[0] for s in sb.sectors] == [1, 4, 6, 4, 1]
+
+
+def test_sector_split_stays_sparse(monkeypatch):
+    # a guard below n makes any densification raise
+    p = HeisenbergParams(4, -1, -1, -1, 0.3)
+    monkeypatch.setenv("PROXYGAP_MAX_QUBITS", "3")
+    sb = sector_split(heisenberg_chain(p))
+    full = np.linalg.eigvalsh(heisenberg_sparse(p).toarray())
+    np.testing.assert_allclose(sb.spectrum(), full, atol=1e-10)
 
 
 def test_sector_split_rejects_non_conserving():
@@ -170,5 +182,20 @@ def test_energy_extremes_degeneracy():
 
 def test_memory_guard(monkeypatch):
     monkeypatch.setenv("PROXYGAP_MAX_QUBITS", "3")
+    h = heisenberg_chain(HeisenbergParams(4, 1, 1, 1))
     with pytest.raises(MemoryError):
-        heisenberg_chain(HeisenbergParams(4, 1, 1, 1))
+        h.entries
+
+
+def test_memory_guard_spares_the_block_path(monkeypatch):
+    # the guard applies where a dense 2^n x 2^n matrix is formed: a
+    # witness-only scan of an n=7 ring runs on momentum blocks beyond it
+    monkeypatch.setenv("PROXYGAP_MAX_QUBITS", "5")
+    n = 7
+    h = heisenberg_chain(HeisenbergParams(n, n, n, 1, -1))
+    cs = ConstraintSet((dicke_witness(n, 3),))
+    assert prepare_dual(h, cs).path == "momentum"
+    res = gap_energy_scan(h, cs, GridOptions(n_points=4, bisect_iters=3))
+    assert res.e_max_gap is not None
+    with pytest.raises(MemoryError):
+        h.entries
