@@ -37,7 +37,7 @@ from .thermo import (_linear_entropy_weights, beta_from_energy, gibbs_at,
 from .witness import ConstraintSet
 
 GAP_TOLERANCE = 1e-4       # nats; "detected" threshold, von Neumann path
-GAP_TOLERANCE_LINEAR = 1e-6  # the quadratic dual converges to ~1e-11
+GAP_TOLERANCE_LINEAR = 1e-6  # converged linear duals lie ~1e-12 above optimum
 # relative margin by which lam_max(M) must undercut b.y before a point counts
 # as a Farkas certificate: covers the rounding of eigh and of b.y
 FARKAS_MARGIN = 1e-9
@@ -231,8 +231,19 @@ class _BlockObjective:
         self.e = e
         self.linear = linear
         self.spectral = _quarter_square_plus if linear else _log_tr_exp
+        self.n_free = 2 if linear else 1  # leading free scalars
         self.slack = np.inf
         self.margin = 0.0
+
+    def project(self, vec):
+        """The nearest feasible point: nu >= 0 and PSD X_A."""
+        p = self.problem
+        return _project_vec(vec, self.n_free, p.n_wit, p.x_dims)
+
+    def grad_norm(self, vec, g) -> float:
+        """The projected gradient norm at a feasible point."""
+        p = self.problem
+        return _projected_grad_norm(vec, g, self.n_free, p.n_wit, p.x_dims)
 
     def proves_infeasible(self) -> bool:
         """Whether the point of the last `value_grad` call, if feasible
@@ -242,7 +253,7 @@ class _BlockObjective:
 
     def value_grad(self, vec):
         p = self.problem
-        k = 2 if self.linear else 1  # leading free scalars
+        k = self.n_free
         lam = vec[0] if self.linear else 0.0
         mu, nus = vec[k - 1], vec[k:k + p.n_wit]
         xs = _unpack_xs(vec, k + p.n_wit, p.x_dims)
@@ -339,14 +350,16 @@ def _projected_grad_norm(x, g, n_free, n_wit, x_dims) -> float:
     return float(np.linalg.norm(step))
 
 
-def _spg(fun_grad, x0, project, grad_norm, infeasible, tol=1e-7,
-         max_iter=2000, memory=10):
+def _spg(obj: _BlockObjective, x0, opts: SolverOptions, memory=10):
     """Spectral projected gradient (Barzilai-Borwein steps, nonmonotone
-    Armijo line search) for smooth convex objectives over a convex set.
+    Armijo line search; Birgin, Martinez & Raydan, SIAM J. Optim. 10, 1196
+    (2000)) for a dual objective over its feasible set.
 
     Every trial point is a convex combination of feasible points; the
-    solve stops at the first one for which `infeasible()` holds after
-    `fun_grad`, and returns it with the value -inf."""
+    solve stops at the first one that `obj.proves_infeasible()` after its
+    `value_grad`, and returns it with the value -inf."""
+    fun_grad, project, grad_norm = obj.value_grad, obj.project, obj.grad_norm
+    tol, max_iter = opts.tol, opts.max_iter
     x = project(x0)
     f, g = fun_grad(x)
     hist = [f]
@@ -371,7 +384,7 @@ def _spg(fun_grad, x0, project, grad_norm, infeasible, tol=1e-7,
         while True:
             xn = x + lam * d
             fn, gn = fun_grad(xn)
-            if infeasible():
+            if obj.proves_infeasible():
                 return xn, -np.inf, SolveInfo(True, it, grad_norm(xn, gn),
                                               True)
             if fn <= fmax + 1e-4 * lam * dg or lam < 1e-12:
@@ -386,6 +399,8 @@ def _spg(fun_grad, x0, project, grad_norm, infeasible, tol=1e-7,
         hist.append(f)
         if f < best_f:
             best_f, best_x = f, x.copy()
+    else:  # the last step moved x after its norm was taken
+        pg_norm = grad_norm(x, g)
     if f > best_f:
         x, f = best_x, best_f
         _, g = fun_grad(x)
@@ -423,24 +438,15 @@ def minimize_dual(h, cs: ConstraintSet, e: float, opts: SolverOptions = None,
     problem = problem or prepare_dual(h, cs)
     obj = _BlockObjective(problem, e)
     n_wit, x_dims = problem.n_wit, problem.x_dims
-
-    def project(vec):
-        return _project_vec(vec, 1, n_wit, x_dims)
-
-    def grad_norm(vec, g):
-        return _projected_grad_norm(vec, g, 1, n_wit, x_dims)
-
     x0 = _pack(DualPoint(-beta_from_energy(problem.spectrum, e),
                          np.zeros(n_wit),
                          [np.zeros((d, d), dtype=complex) for d in x_dims]))
     if init is not None and len(init.xs) == len(x_dims):
-        xi = project(_pack(init))
+        xi = obj.project(_pack(init))
         if obj.value_grad(xi)[0] < obj.value_grad(x0)[0]:
             x0 = xi
     if x_dims:
-        x, f, info = _spg(obj.value_grad, x0, project, grad_norm,
-                          obj.proves_infeasible, tol=opts.tol,
-                          max_iter=opts.max_iter)
+        x, f, info = _spg(obj, x0, opts)
         return f, _unpack(x, n_wit, x_dims), info
     iterations = 0
 
@@ -462,10 +468,10 @@ def minimize_dual(h, cs: ConstraintSet, e: float, opts: SolverOptions = None,
                                 "gtol": opts.tol})
     except _Certificate as cert:
         return -np.inf, _unpack(cert.x, n_wit, x_dims), SolveInfo(
-            True, iterations, grad_norm(cert.x, cert.g), True)
-    x = project(res.x)
+            True, iterations, obj.grad_norm(cert.x, cert.g), True)
+    x = obj.project(res.x)
     f, g = obj.value_grad(x)
-    pg_norm = grad_norm(x, g)
+    pg_norm = obj.grad_norm(x, g)
     return f, _unpack(x, n_wit, x_dims), \
         SolveInfo(pg_norm <= 10 * opts.tol, int(res.nit), pg_norm)
 
@@ -482,70 +488,25 @@ def entropy_gap(h, cs: ConstraintSet, e: float, opts: SolverOptions = None,
 # ---------------------------------------------------------------------------
 # linear-entropy dual
 
-def _fista(fun_grad, x0, project, infeasible, tol=1e-9, max_iter=5000):
-    """Accelerated projected gradient with backtracking and adaptive
-    restart, for smooth convex objectives over a convex set.
-
-    The solve stops at the first projected point for which `infeasible()`
-    holds after `fun_grad` (never at an extrapolated one, which may lie
-    outside the set), and returns it with the value -inf."""
-    x = project(x0)
-    f, g = fun_grad(x)
-    y, t = x, 1.0
-    lip = max(np.linalg.norm(g), 1.0)
-    best_x, best_f = x.copy(), f
-    fy, gy = f, g
-    pg_norm = np.inf
-    it = 0
-    for it in range(1, max_iter + 1):
-        while True:
-            xn = project(y - gy / lip)
-            s = xn - y
-            fn, gn = fun_grad(xn)
-            if infeasible():
-                return xn, -np.inf, SolveInfo(
-                    True, it, lip * float(np.linalg.norm(s)), True)
-            if fn <= fy + float(gy @ s) + 0.5 * lip * float(s @ s) + 1e-15:
-                break
-            lip *= 2.0
-        pg_norm = lip * np.linalg.norm(xn - y)
-        if fn < best_f:
-            best_f, best_x = fn, xn.copy()
-        if pg_norm <= tol and it > 1:
-            x = xn
-            break
-        tn = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        yn = xn + ((t - 1.0) / tn) * (xn - x)
-        if float((y - xn) @ (xn - x)) > 0.0:  # restart the momentum
-            yn, tn = xn, 1.0
-        x, y, t = xn, yn, tn
-        fy, gy = fun_grad(y)
-        lip *= 0.9
-    return best_x, best_f, SolveInfo(pg_norm <= tol * 10, it, float(pg_norm))
-
-
 def lin_dual_minimize(h, cs: ConstraintSet, e: float,
                       opts: SolverOptions = None, init: np.ndarray = None,
                       problem: DualProblem = None):
     """Upper bound on the maximal constrained linear entropy (impurity).
 
     Minimizes 1/4 tr(lam*I + mu*H + sum nu_i W_i + X0 + sum X_A^(T_A))^2
-    + 1 - lam - mu*E over lam, mu real, nu >= 0, X0 and X_A PSD; the slack
-    X0 = (.)_- is eliminated in closed form, leaving the positive part.
-    Returns (value, vec, info); pass the vec back as `init` to warm-start a
-    nearby solve, and `problem` as in `minimize_dual`.  The value is -inf
-    at a Farkas certificate, as in `minimize_dual`."""
-    opts = opts or SolverOptions(tol=1e-9, max_iter=5000)
+    + 1 - lam - mu*E over lam, mu real, nu >= 0, X0 and X_A PSD, by SPG;
+    the slack X0 = (.)_- is eliminated in closed form, leaving the positive
+    part.  Returns (value, vec, info); pass the vec back as `init` to
+    warm-start a nearby solve, and `problem` as in `minimize_dual`.  The
+    value is -inf at a Farkas certificate, as in `minimize_dual`."""
+    opts = opts or SolverOptions()
     problem = problem or prepare_dual(h, cs)
     obj = _BlockObjective(problem, e, linear=True)
-    n_wit, x_dims = problem.n_wit, problem.x_dims
-
-    def project(vec):
-        return _project_vec(vec, 2, n_wit, x_dims)
 
     # start at the unconstrained impurity maximizer, rho* = (lam*I + mu*H)/2
     spec = problem.spectrum
-    x0 = np.zeros(2 + n_wit + sum(2 * d * d for d in x_dims))
+    x0 = np.zeros(2 + problem.n_wit
+                  + sum(2 * d * d for d in problem.x_dims))
     p = _linear_entropy_weights(spec, float(np.clip(e, spec.min(),
                                                     spec.mean())))
     sup = p > 0
@@ -555,12 +516,10 @@ def lin_dual_minimize(h, cs: ConstraintSet, e: float,
     else:
         x0[0] = 2.0 / spec.size
     if init is not None and init.size == x0.size:
-        pi = project(init)
+        pi = obj.project(init)
         if obj.value_grad(pi)[0] < obj.value_grad(x0)[0]:
             x0 = pi
-    vec, f, info = _fista(obj.value_grad, x0, project,
-                          obj.proves_infeasible, tol=opts.tol,
-                          max_iter=opts.max_iter)
+    vec, f, info = _spg(obj, x0, opts)
     return f, vec, info
 
 
@@ -589,7 +548,6 @@ def gap_energy_scan(h, cs: ConstraintSet, grid: GridOptions = None,
     the detection window edges by bisection on gap = gap_tolerance.  The
     problem is prepared once and shared by every solve of the scan."""
     grid = grid or GridOptions()
-    lin_opts = opts  # None lets lin_dual_minimize pick its tighter default
     opts = opts or SolverOptions()
     problem = prepare_dual(h, cs)
     spectrum = problem.spectrum
@@ -607,7 +565,7 @@ def gap_energy_scan(h, cs: ConstraintSet, grid: GridOptions = None,
     def gap_at(e):
         if linear:
             s_ref = linear_entropy_max(spectrum, e)
-            s_dual, vec, info = lin_dual_minimize(h, cs, e, lin_opts,
+            s_dual, vec, info = lin_dual_minimize(h, cs, e, opts,
                                                   init=state["lin_init"],
                                                   problem=problem)
             state["lin_init"] = vec

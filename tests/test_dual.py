@@ -288,7 +288,7 @@ def test_spg_stops_at_farkas_certificate():
     _assert_farkas_certificate(h, cs, e, 0.0, point.mu, point.nus, point.xs)
 
 
-def test_fista_stops_at_farkas_certificate():
+def test_linear_dual_stops_at_farkas_certificate():
     # E/N = -1.2 lies below E_min,PPT/N = -1 on the 4-ring
     h = heisenberg_chain(HeisenbergParams(4, -1, -1, -1))
     cs = ConstraintSet(map_slots=(even_odd_bipartition(4),))
@@ -299,6 +299,22 @@ def test_fista_stops_at_farkas_certificate():
     assert info.iterations < opts.max_iter // 10
     x = dual_mod._unpack_xs(vec, 2, [h.entries.shape[0]])
     _assert_farkas_certificate(h, cs, e, vec[0], vec[1], [], x)
+
+
+def test_linear_dual_certifies_the_witness_only_dicke_ring():
+    # at E0 + 2 % of the spread lam_min(H - 0.241 W) = -59.985 > E =
+    # -60.037, so no state meets the Dicke witness; the dual must find it
+    h = heisenberg_chain(HeisenbergParams(7, 7, 7, 1, -1))
+    cs = ConstraintSet((dicke_witness(7, 3),))
+    problem = prepare_dual(h, cs)
+    assert problem.path == "momentum" and problem.free.size > 0
+    w = problem.spectrum
+    e = float(w.min() + 0.02 * (w.mean() - w.min()))
+    opts = SolverOptions()
+    val, vec, info = lin_dual_minimize(h, cs, e, opts, problem=problem)
+    assert info.infeasible and info.converged and val == -np.inf
+    assert info.iterations < opts.max_iter // 10
+    _assert_farkas_certificate(h, cs, e, vec[0], vec[1], vec[2:3], [])
 
 
 def test_lbfgs_stops_at_farkas_certificate():
@@ -315,6 +331,40 @@ def test_lbfgs_stops_at_farkas_certificate():
     assert info.infeasible and info.converged and val == -np.inf
     assert info.iterations < opts.max_iter // 10
     _assert_farkas_certificate(h, cs, e, 0.0, point.mu, point.nus, [])
+
+
+def _assert_projected_grad_norm(problem, e, linear, vec, info):
+    obj = dual_mod._BlockObjective(problem, e, linear)
+    g = obj.value_grad(vec)[1]
+    n_free = 2 if linear else 1
+    assert info.grad_norm == pytest.approx(dual_mod._projected_grad_norm(
+        vec, g, n_free, problem.n_wit, problem.x_dims), rel=1e-9)
+
+
+def test_solve_info_reports_the_projected_gradient_norm():
+    # every solver reports ||P(x - g) - x|| at the point it returns, also
+    # when SPG stops at its iteration cap
+    xxz = heisenberg_chain(HeisenbergParams(5, 5, 5, 1, -1))
+    cs = ConstraintSet((dicke_witness(5, 2),))
+    problem = prepare_dual(xxz, cs)
+    w = problem.spectrum
+    e = float(w.min() + 0.3 * (w.mean() - w.min()))
+    _, point, info = minimize_dual(xxz, cs, e, problem=problem)  # L-BFGS-B
+    assert not info.infeasible
+    _assert_projected_grad_norm(problem, e, False, dual_mod._pack(point),
+                                info)
+    ring = heisenberg_chain(HeisenbergParams(4, -1, -1, -1))
+    cs = ConstraintSet(map_slots=(even_odd_bipartition(4),))
+    problem = prepare_dual(ring, cs)
+    for e in (-3.2, -1.6):  # inside (E_min,PPT, mean) = (-4, 0)
+        for opts in (SolverOptions(), SolverOptions(max_iter=5)):
+            _, point, info = minimize_dual(ring, cs, e, opts, problem=problem)
+            _assert_projected_grad_norm(problem, e, False,
+                                        dual_mod._pack(point), info)
+            _, vec, info = lin_dual_minimize(ring, cs, e, opts,
+                                             problem=problem)
+            assert not info.infeasible
+            _assert_projected_grad_norm(problem, e, True, vec, info)
 
 
 @pytest.fixture(scope="module")
