@@ -98,17 +98,6 @@ class HermitianOperator:
     def n_sites(self) -> int:
         return len(self.local_dims)
 
-    def __add__(self, other: "HermitianOperator") -> "HermitianOperator":
-        return HermitianOperator(self.entries + other.entries, self.local_dims)
-
-    def __sub__(self, other: "HermitianOperator") -> "HermitianOperator":
-        return HermitianOperator(self.entries - other.entries, self.local_dims)
-
-    def __mul__(self, c: float) -> "HermitianOperator":
-        return HermitianOperator(self.entries * float(c), self.local_dims)
-
-    __rmul__ = __mul__
-
 
 @dataclass(frozen=True)
 class Bipartition:
@@ -170,28 +159,6 @@ def partial_transpose_matrix(m: np.ndarray, local_dims, subset) -> np.ndarray:
     return t.transpose(axes).reshape(d, d)
 
 
-def partial_transpose(m: HermitianOperator, cut: Bipartition) -> HermitianOperator:
-    if cut.n_sites != m.n_sites:
-        raise LinalgError("bipartition does not match operator structure")
-    out = partial_transpose_matrix(m.entries, m.local_dims, cut.subset_mask)
-    return HermitianOperator(out, m.local_dims)
-
-
-def eig_hermitian(m: HermitianOperator) -> SpectralDecomposition:
-    w, v = np.linalg.eigh(m.entries)
-    return SpectralDecomposition(w, v, m.local_dims)
-
-
-def spectral_fn(m: SpectralDecomposition, f) -> HermitianOperator:
-    fw = np.asarray([f(x) for x in m.eigenvalues], dtype=float)
-    if not np.all(np.isfinite(fw)):
-        raise LinalgError("scalar function not finite on the spectrum")
-    v = m.eigenvectors
-    out = (v * fw) @ v.conj().T
-    out = (out + out.conj().T) / 2
-    return HermitianOperator(out, m.local_dims)
-
-
 def psd_project_matrix(m: np.ndarray) -> np.ndarray:
     """Nearest PSD matrix in Frobenius distance (eigenvalue clipping)."""
     m = (m + m.conj().T) / 2
@@ -205,7 +172,3 @@ def psd_project_matrix(m: np.ndarray) -> np.ndarray:
     w = np.maximum(w, 0.0)
     out = (v * w) @ v.conj().T
     return (out + out.conj().T) / 2
-
-
-def psd_project(m: HermitianOperator) -> HermitianOperator:
-    return HermitianOperator(psd_project_matrix(m.entries), m.local_dims)

@@ -284,13 +284,6 @@ def momentum_sector_split(ops, n: int, tol: float = 1e-10):
     return blocks
 
 
-def sector_split(h: HermitianOperator, tol: float = 1e-10) -> SectorBlocks:
-    """Operator front end of `sector_split_sparse`."""
-    if any(d != 2 for d in h.local_dims):
-        raise LinalgError("sector split requires qubit subsystems")
-    return sector_split_sparse(h.sparse, h.n_sites, tol)
-
-
 def energy_extremes(h, degeneracy_rtol: float = 1e-9):
     """Return (E0, ground vectors as columns, E_max)."""
     m = h.entries if isinstance(h, HermitianOperator) else np.asarray(h)

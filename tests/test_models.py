@@ -7,7 +7,7 @@ from proxygap.models import (HeisenbergParams, XYParams, bell_staircase,
                              dicke_state, energy_extremes,
                              excitation_sector_indices, heisenberg_chain,
                              heisenberg_sparse, is_translation_invariant,
-                             momentum_sector_split, popcounts, sector_split,
+                             momentum_sector_split, popcounts,
                              sector_split_sparse, total_sz_diagonal,
                              translation_table, xy_chain)
 from proxygap.witness import ConstraintSet, dicke_witness
@@ -95,7 +95,7 @@ def test_dicke_state_support():
 
 def test_sector_split_blocks():
     h = heisenberg_chain(HeisenbergParams(4, -1, -1, -1, 0.3))
-    sb = sector_split(h)
+    sb = sector_split_sparse(h.sparse, h.n_sites)
     full = np.sort(np.linalg.eigvalsh(h.entries))
     np.testing.assert_allclose(sb.spectrum(), full, atol=1e-10)
     assert [s.block.shape[0] for s in sb.sectors] == [1, 4, 6, 4, 1]
@@ -105,7 +105,7 @@ def test_sector_split_stays_sparse(monkeypatch):
     # a guard below n makes any densification raise
     p = HeisenbergParams(4, -1, -1, -1, 0.3)
     monkeypatch.setenv("PROXYGAP_MAX_QUBITS", "3")
-    sb = sector_split(heisenberg_chain(p))
+    sb = sector_split_sparse(heisenberg_chain(p).sparse, p.n)
     full = np.linalg.eigvalsh(heisenberg_sparse(p).toarray())
     np.testing.assert_allclose(sb.spectrum(), full, atol=1e-10)
 
