@@ -803,25 +803,3 @@ def bell_gap_bound(beta: float, d: float, nu: float) -> float:
     ln_den = np.logaddexp(ln_first - nu * (1.0 - 1.0 / d),
                           ln_tail + nu / d)
     return float(ln_all - ln_den)
-
-
-# ---------------------------------------------------------------------------
-# sensitivity of the certificate to Hamiltonian perturbations
-
-def perturbation_sensitivity(h, p_op, eps: float, cs: ConstraintSet,
-                             e: float, opts: SolverOptions = None):
-    """Re-minimize the dual for H + eps*P and compare with the conservative
-    envelope 2 |mu*| eps ||P||_inf; returns (delta_value, bound)."""
-    hmat = _operator_matrix(h)
-    pmat = _operator_matrix(p_op)
-    v0, point, _ = minimize_dual(h, cs, e, opts)
-    hp = hmat + eps * pmat
-    v1, _, _ = minimize_dual(HermitianOperator(hp, _local_dims(h, hmat.shape[0])),
-                             cs, e, opts, init=point)
-    delta = abs(v1 - v0)
-    p_norm = float(np.abs(np.linalg.eigvalsh(pmat)).max())
-    bound = 2.0 * abs(point.mu) * abs(eps) * p_norm + 1e-9
-    if delta > bound:
-        raise AssertionError(
-            f"sensitivity {delta} exceeds envelope {bound}")
-    return float(delta), float(bound)

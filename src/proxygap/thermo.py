@@ -58,26 +58,6 @@ def beta_from_energy(spectrum, e: float, tol: float = 1e-12,
                         rtol=4 * np.finfo(float).eps, maxiter=200))
 
 
-class GibbsCurve:
-    """Cached beta -> (lnZ, E, S) map over a fixed spectrum."""
-
-    def __init__(self, spectrum):
-        self.spectrum = np.sort(np.asarray(spectrum, dtype=float))
-        self._cache = {}
-
-    def at(self, beta: float):
-        key = float(beta)
-        if key not in self._cache:
-            self._cache[key] = gibbs_at(self.spectrum, key)
-        return self._cache[key]
-
-    def beta(self, e: float) -> float:
-        return beta_from_energy(self.spectrum, e)
-
-    def entropy_at_energy(self, e: float) -> float:
-        return self.at(self.beta(e))[2]
-
-
 def _linear_entropy_weights(w: np.ndarray, e: float, tol: float = 1e-10,
                             max_iter: int = 200):
     """Maximize 1 - sum p_i^2 with sum p = 1, sum p w = e, p >= 0.

@@ -7,14 +7,12 @@ bipartitions on which partial transposition must leave the state PSD
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from math import comb
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import Bipartition, HermitianOperator, LinalgError
-from .models import dicke_state, excitation_sector_indices
+from .linalg import Bipartition, LinalgError
 
 ALL = "all"
 
@@ -35,12 +33,6 @@ class Witness:
         if sp.issparse(self.matrix):
             return self.matrix.toarray()
         return np.asarray(self.matrix)
-
-    def block(self, indices: np.ndarray) -> np.ndarray:
-        """Dense sub-block on the given basis indices."""
-        if sp.issparse(self.matrix):
-            return self.matrix[np.ix_(indices, indices)].toarray()
-        return np.asarray(self.matrix)[np.ix_(indices, indices)]
 
 
 @dataclass(frozen=True)
@@ -225,31 +217,3 @@ def dicke_field_range(n: int, m: int, delta_j: float):
     lo = -(n - 2 * m + 1) / (n - 1) * delta_j
     hi = -(n - 2 * m - 1) / (n - 1) * delta_j
     return lo, hi
-
-
-def witness_expectation(w: Witness, rho) -> float:
-    """tr(rho W), real part."""
-    r = rho.entries if isinstance(rho, HermitianOperator) else np.asarray(rho)
-    if sp.issparse(w.matrix):
-        return float(np.real(np.sum(w.matrix.multiply(r.T))))
-    return float(np.real(np.trace(np.asarray(w.matrix) @ r)))
-
-
-def dicke_witness_expectation_on_target(n: int, m: int) -> float:
-    """<D^n_m| W^n_m |D^n_m> (strictly negative by construction)."""
-    w = dicke_witness(n, m)
-    psi = dicke_state(n, m)
-    return float(np.real(psi.conj() @ (w.matrix @ psi)))
-
-
-def export_witness_csv(w: Witness, path: str):
-    """Dump the dense matrix as CSV rows: i, j, real, imag."""
-    mat = w.to_dense()
-    with open(path, "w") as f:
-        f.write(f"# {w.label}\n")
-        f.write("i,j,real,imag\n")
-        for i in range(mat.shape[0]):
-            for j in range(mat.shape[1]):
-                v = mat[i, j]
-                if v != 0:
-                    f.write(f"{i},{j},{v.real:.17g},{v.imag:.17g}\n")

@@ -8,16 +8,14 @@ from proxygap.dual import (GAP_TOLERANCE_LINEAR, DualPoint, GridOptions,
                            SolverOptions, bell_gap_bound, diagonal_dual,
                            entropy_gap, gap_energy_scan, gap_lower_bound,
                            lin_dual_minimize, minimize_dual, ppt_energy_min,
-                           perturbation_sensitivity, prepare_dual,
-                           theorem3_check)
+                           prepare_dual, theorem3_check)
 from proxygap.linalg import (Bipartition, HermitianOperator,
                              partial_transpose_matrix, psd_project_matrix)
 from proxygap.models import (HeisenbergParams, XYParams, bell_staircase,
                              energy_extremes, heisenberg_chain, xy_chain)
 from proxygap.oracle import max_entropy_separable_lower
-from proxygap.thermo import (GibbsCurve, beta_from_energy, energy_range,
-                             gibbs_at, linear_entropy_max,
-                             linear_entropy_max_weights)
+from proxygap.thermo import (beta_from_energy, energy_range, gibbs_at,
+                             linear_entropy_max, linear_entropy_max_weights)
 from proxygap.witness import (ALL, ConstraintSet, all_bipartitions,
                               dicke_witness, even_odd_bipartition,
                               projector_witness)
@@ -539,11 +537,3 @@ def test_bell_gap_bound_against_staircase_model():
     cs = ConstraintSet(map_slots=(cut,))
     s_dual, _, _ = minimize_dual(h, cs, e)
     assert s_gibbs - s_dual >= bell_gap_bound(beta, d, nu) - 1e-6
-
-
-def test_perturbation_sensitivity_bound(rng):
-    h = heisenberg_chain(HeisenbergParams(3, -1, -1, -1))
-    p_op = random_hermitian(rng, (2, 2, 2))
-    cs = ConstraintSet(map_slots=(even_odd_bipartition(3),))
-    delta, bound = perturbation_sensitivity(h, p_op, 1e-4, cs, -2.0)
-    assert delta <= bound

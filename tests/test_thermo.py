@@ -4,9 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proxygap.models import HeisenbergParams, heisenberg_chain
-from proxygap.thermo import (GibbsCurve, beta_from_energy, energy_range,
-                             gibbs_at, linear_entropy_max,
-                             linear_entropy_max_weights)
+from proxygap.thermo import (beta_from_energy, energy_range, gibbs_at,
+                             linear_entropy_max, linear_entropy_max_weights)
 
 spectra = st.lists(st.floats(-50, 50, allow_nan=False), min_size=2,
                    max_size=12).filter(lambda w: max(w) - min(w) > 1e-3)
@@ -63,29 +62,31 @@ def test_beta_from_energy_rejects_out_of_range():
         beta_from_energy(w, -0.5)
 
 
+def _entropy_at_energy(w, e):
+    return gibbs_at(w, beta_from_energy(w, e))[2]
+
+
 def test_entropy_slope_is_beta():
     h = heisenberg_chain(HeisenbergParams(3, -1, -1, -1))
-    curve = GibbsCurve(np.linalg.eigvalsh(h.entries))
-    e0, e_inf = energy_range(curve.spectrum)
+    w = np.linalg.eigvalsh(h.entries)
+    e0, e_inf = energy_range(w)
     for frac in (0.2, 0.4, 0.6, 0.8):
         e = e0 + frac * (e_inf - e0)
         de = 1e-5 * (e_inf - e0)
-        slope = (curve.entropy_at_energy(e + de)
-                 - curve.entropy_at_energy(e - de)) / (2 * de)
-        beta = curve.beta(e)
+        slope = (_entropy_at_energy(w, e + de)
+                 - _entropy_at_energy(w, e - de)) / (2 * de)
+        beta = beta_from_energy(w, e)
         assert abs(slope - beta) < 1e-4 * max(1.0, beta)
 
 
 def test_gibbs_entropy_concave_in_energy(rng):
     w = np.sort(rng.standard_normal(12) * 3)
-    curve = GibbsCurve(w)
     e0, e_inf = energy_range(w)
     for _ in range(25):
         a, b = np.sort(e0 + rng.random(2) * (e_inf - e0))
         mid = 0.5 * (a + b)
-        s_mid = curve.entropy_at_energy(mid)
-        s_avg = 0.5 * (curve.entropy_at_energy(a)
-                       + curve.entropy_at_energy(b))
+        s_mid = _entropy_at_energy(w, mid)
+        s_avg = 0.5 * (_entropy_at_energy(w, a) + _entropy_at_energy(w, b))
         assert s_mid >= s_avg - 1e-9
 
 

@@ -1,18 +1,15 @@
-import csv
-
 import numpy as np
 import pytest
 
 from conftest import (random_cut_product_states, random_product_states,
                       random_state)
 from proxygap.linalg import Bipartition, LinalgError
-from proxygap.models import dicke_state, excitation_sector_indices, popcounts
+from proxygap.models import (dicke_state, excitation_sector_indices,
+                             popcounts, sector_split_sparse)
 from proxygap.witness import (ALL, ConstraintSet, Witness, all_bipartitions,
                               dicke_field_range, dicke_witness,
-                              dicke_witness_expectation_on_target,
-                              even_odd_bipartition, export_witness_csv,
-                              max_schmidt_overlap, projector_witness,
-                              witness_expectation)
+                              even_odd_bipartition, max_schmidt_overlap,
+                              projector_witness)
 
 
 def test_all_bipartitions_count():
@@ -47,7 +44,8 @@ def test_dicke_witness_sector_structure():
 
 def test_dicke_witness_detects_target():
     for n, m in [(4, 2), (5, 2), (6, 3)]:
-        assert dicke_witness_expectation_on_target(n, m) < -1e-6
+        psi = dicke_state(n, m)
+        assert np.real(psi.conj() @ (dicke_witness(n, m).matrix @ psi)) < -1e-6
 
 
 def test_dicke_witness_nonnegative_on_product_states(rng):
@@ -111,39 +109,6 @@ def test_dicke_field_range_values():
         dicke_field_range(4, 2, -1.0)
 
 
-def test_witness_expectation_sanity(rng):
-    w = dicke_witness(4, 2)
-    d = 16
-    # identity / d
-    tr_w = witness_expectation(w, np.eye(d) / d)
-    assert abs(tr_w - np.real(np.trace(w.to_dense())) / d) < 1e-12
-    # pure state
-    psi = random_state(rng, d)
-    rho = np.outer(psi, psi.conj())
-    direct = float(np.real(psi.conj() @ w.to_dense() @ psi))
-    assert abs(witness_expectation(w, rho) - direct) < 1e-12
-    # linearity
-    rho2 = np.eye(d) / d
-    mix = 0.3 * rho + 0.7 * rho2
-    assert abs(witness_expectation(w, mix)
-               - 0.3 * witness_expectation(w, rho)
-               - 0.7 * witness_expectation(w, rho2)) < 1e-12
-
-
-def test_export_witness_csv(tmp_path):
-    w = dicke_witness(4, 2)
-    path = tmp_path / "w.csv"
-    export_witness_csv(w, str(path))
-    with open(path) as f:
-        assert f.readline().startswith("#")
-        rows = list(csv.DictReader(f))
-    dense = w.to_dense()
-    rebuilt = np.zeros(dense.shape, dtype=complex)
-    for r in rows:
-        rebuilt[int(r["i"]), int(r["j"])] = float(r["real"]) + 1j * float(r["imag"])
-    np.testing.assert_allclose(rebuilt, dense, atol=1e-12)
-
-
 def test_constraint_set_empty_flag():
     assert ConstraintSet().empty
     cs = ConstraintSet(map_slots=(even_odd_bipartition(4),))
@@ -151,7 +116,10 @@ def test_constraint_set_empty_flag():
 
 
 def test_witness_block_consistency():
+    # the magnetization blocks the dual reads are the dense sub-blocks
     w = dicke_witness(4, 2)
-    idx = excitation_sector_indices(4, 2)
-    np.testing.assert_allclose(w.block(idx),
-                               w.to_dense()[np.ix_(idx, idx)], atol=1e-14)
+    for sector in sector_split_sparse(w.matrix, 4).sectors:
+        idx = excitation_sector_indices(4, (4 - sector.magnetization) // 2)
+        np.testing.assert_array_equal(sector.indices, idx)
+        np.testing.assert_allclose(sector.block,
+                                   w.to_dense()[np.ix_(idx, idx)], atol=1e-14)
