@@ -8,12 +8,14 @@ eps(k) = sqrt((h - cos k)^2 + r^2 sin^2 k); per-site quantities are
     E0/N  -> -(c/pi) int_0^pi eps(k) dk
 
 with the overall factor c frozen to the value found by least-squares
-calibration against exact diagonalization (see `calibration_factor`).
-The product-overlap density ln(alpha)/N uses a conjectured closed form;
-results depending on it are conjecture-conditional.
+calibration against the exact finite-size spectrum (see
+`calibration_factor`).  The product-overlap density ln(alpha)/N uses a
+conjectured closed form; results depending on it are
+conjecture-conditional.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -21,11 +23,9 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import least_squares, minimize_scalar
 
-from .models import XYParams, xy_params_as_heisenberg, heisenberg_sparse, \
-    sector_split_sparse
 from .thermo import gibbs_at
 
-# frozen by calibration against N=12 exact diagonalization; the fit
+# frozen by calibration against the exact N=12 spectrum; the fit
 # returns 1 to three digits (the dispersion above is the single-particle
 # energy in the same units as the Hamiltonian)
 DISPERSION_FACTOR = 1.0
@@ -65,18 +65,46 @@ def xy_e0_density(r: float, h: float,
 
 @lru_cache(maxsize=32)
 def _finite_xy_spectrum(r: float, h: float, n: int) -> np.ndarray:
-    hp = xy_params_as_heisenberg(XYParams(n=n, r=r, h=h))
-    hs = heisenberg_sparse(hp)
-    if r == 0.0:  # conserves magnetization; diagonalize per sector
-        return sector_split_sparse(hs, n).spectrum()
-    return np.linalg.eigvalsh(hs.toarray())
+    """Sorted spectrum of the periodic XY ring of n >= 3 sites from its
+    free-fermion solution (Lieb, Schultz & Mattis, Ann. Phys. 16, 407
+    (1961)).
+
+    Even fermion parity takes the antiperiodic momenta k = (2m+1)pi/n,
+    odd parity the periodic ones k = 2 pi m/n.  With a = 2(h - cos k) and
+    eps = 2 sqrt((h - cos k)^2 + r^2 sin^2 k), a pair (k, -k) adds
+    a -+ eps at even occupation and a, a at odd; an unpaired k (0 or pi)
+    adds 0 empty and a filled.  The constant is -h n.
+    """
+    if n < 3:
+        raise ValueError("the free-fermion ring needs n >= 3 sites")
+    levels = []
+    for first in (1, 0):  # antiperiodic (even sector), then periodic
+        # energies of the modes so far at even / odd occupation;
+        # momentum k = pi j / n pairs j with 2n - j
+        even, odd = np.zeros(1), np.zeros(0)
+        for j in range(first, n + 1, 2):
+            k = np.pi * j / n
+            a = 2.0 * (h - np.cos(k))
+            if j == 0 or j == n:
+                add_even, add_odd = np.array([0.0]), np.array([a])
+            else:
+                eps = 2.0 * np.hypot(h - np.cos(k), r * np.sin(k))
+                add_even, add_odd = np.array([a - eps, a + eps]), \
+                    np.array([a, a])
+            even, odd = (
+                np.concatenate([np.add.outer(even, add_even).ravel(),
+                                np.add.outer(odd, add_odd).ravel()]),
+                np.concatenate([np.add.outer(even, add_odd).ravel(),
+                                np.add.outer(odd, add_even).ravel()]))
+        levels.append(even if first else odd)
+    return np.sort(np.concatenate(levels)) - h * n
 
 
 @lru_cache(maxsize=8)
 def calibration_factor(n: int = 12,
                        probes: tuple = CALIBRATION_PROBES) -> float:
-    """Least-squares fit of the dispersion factor against finite-size
-    exact diagonalization of lnZ/N and E0/N at the probe points."""
+    """Least-squares fit of the dispersion factor against lnZ/N and E0/N
+    of the exact finite-size spectrum at the probe points."""
     targets = []
     for (r, h, beta) in probes:
         spec = _finite_xy_spectrum(r, h, n)
@@ -104,20 +132,25 @@ def wei_alpha_density(r: float, h: float, xi_grid=None) -> float:
     if not 0.0 <= r <= 1.0:
         raise ValueError("anisotropy r must lie in [0, 1]")
 
-    def integrand(mu, xi):
-        th = 0.5 * np.arctan2(r * np.sin(2 * np.pi * mu),
-                              h - np.cos(2 * np.pi * mu))
-        arg = (np.cos(th) * np.cos(xi / 2) ** 2
-               + np.sin(th) * np.sin(xi / 2) ** 2 / np.tan(np.pi * mu))
-        return np.log(np.abs(arg))
+    # scalar math: quad calls this hundreds of thousands of times
+    def integrand(mu, c2, s2):
+        th = 0.5 * math.atan2(r * math.sin(2 * math.pi * mu),
+                              h - math.cos(2 * math.pi * mu))
+        arg = (math.cos(th) * c2
+               + math.sin(th) * s2 / math.tan(math.pi * mu))
+        return math.log(abs(arg)) if arg != 0.0 else -math.inf
 
     def value(xi):
-        val, _ = quad(integrand, 0.0, 0.5, args=(xi,), epsabs=QUAD_ABS_TOL,
-                      epsrel=1e-10, limit=400, points=[1e-3])
+        c2, s2 = math.cos(xi / 2) ** 2, math.sin(xi / 2) ** 2
+        val, _ = quad(integrand, 0.0, 0.5, args=(c2, s2),
+                      epsabs=QUAD_ABS_TOL, epsrel=1e-10, limit=400,
+                      points=[1e-3])
         return 2.0 * val
 
+    # value depends on xi only through cos^2(xi/2) and sin^2(xi/2), so
+    # value(xi) = value(2 pi - xi): search [0, pi] at step pi/360
     if xi_grid is None:
-        xi_grid = np.linspace(0.0, 2 * np.pi, 720, endpoint=False)
+        xi_grid = np.linspace(0.0, np.pi, 361)
     vals = np.array([value(xi) for xi in xi_grid])
     if not np.all(np.isfinite(vals)):
         raise FloatingPointError(

@@ -64,10 +64,6 @@ class SectorBlocks:
     n_sites: int
     sectors: tuple[Sector, ...]
 
-    def spectrum(self) -> np.ndarray:
-        ws = [np.linalg.eigvalsh(s.block) for s in self.sectors]
-        return np.sort(np.concatenate(ws))
-
 
 def _bonds(n: int, periodic: bool):
     bonds = [(i, i + 1) for i in range(n - 1)]

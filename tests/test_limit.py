@@ -3,10 +3,13 @@ import csv
 import numpy as np
 import pytest
 
+import proxygap.limit as limit
 from proxygap.limit import (calibration_factor, export_region_csv,
                             theorem3_expression, theorem3_region,
                             wei_alpha_density, xy_e0_density, xy_lnz_density,
                             _finite_xy_spectrum)
+from proxygap.models import XYParams, heisenberg_sparse, \
+    xy_params_as_heisenberg
 from proxygap.thermo import gibbs_at
 
 
@@ -35,16 +38,27 @@ def test_calibration_factor_near_unity():
     assert abs(calibration_factor(8) - 1.0) < 0.05
 
 
+@pytest.mark.parametrize("r,h", [(1.0, 0.0), (1.0, 1.0), (0.5, 0.5),
+                                 (0.0, 1.0), (1.0, 2.0), (0.3, 0.7),
+                                 (0.0, 0.0)])
+def test_free_fermion_spectrum_matches_dense(r, h):
+    for n in range(3, 11):
+        hs = heisenberg_sparse(xy_params_as_heisenberg(XYParams(n, r, h)))
+        dense = np.linalg.eigvalsh(hs.toarray())
+        np.testing.assert_allclose(_finite_xy_spectrum(r, h, n), dense,
+                                   rtol=0, atol=1e-12)
+
+
 def test_finite_size_lnz_converges_to_limit():
     beta = 1.0
-    # dense probe (r = 1, h = 1), modest sizes
+    # r = 1, h = 1
     target = xy_lnz_density(1.0, 1.0, beta)
     errs = []
     for n in (6, 8, 10):
         spec = _finite_xy_spectrum(1.0, 1.0, n)
         errs.append(abs(gibbs_at(spec, beta)[0] / n - target))
     assert errs[0] > errs[1] > errs[2]
-    # sector-split probe (r = 0, h = 1) reaches larger sizes
+    # r = 0, h = 1 at larger sizes
     target = xy_lnz_density(0.0, 1.0, beta)
     errs = []
     for n in (8, 10, 12, 14):
@@ -66,6 +80,19 @@ def test_overlap_density_xi_symmetry():
     a = wei_alpha_density(1.0, 0.5, xi_grid=grid)
     b = wei_alpha_density(1.0, 0.5, xi_grid=-grid)
     assert abs(a - b) < 1e-8
+
+
+@pytest.mark.parametrize("r,h", [(1.0, 1.0), (1.0, 1.4), (0.5, 0.8)])
+def test_overlap_density_half_period_grid_matches_full_period(r, h):
+    full = np.linspace(0.0, 2 * np.pi, 720, endpoint=False)
+    assert abs(wei_alpha_density(r, h)
+               - wei_alpha_density(r, h, xi_grid=full)) < 1e-14
+
+
+def test_overlap_density_rejects_non_finite_quadrature(monkeypatch):
+    monkeypatch.setattr(limit, "quad", lambda *a, **k: (np.nan, 0.0))
+    with pytest.raises(FloatingPointError):
+        wei_alpha_density(1.0, 0.5)
 
 
 def test_overlap_density_strong_field_vanishes():
