@@ -86,11 +86,10 @@ def _finite_xy_spectrum(r: float, h: float, n: int) -> np.ndarray:
             k = np.pi * j / n
             a = 2.0 * (h - np.cos(k))
             if j == 0 or j == n:
-                add_even, add_odd = np.array([0.0]), np.array([a])
+                add_even, add_odd = [0.0], [a]
             else:
                 eps = 2.0 * np.hypot(h - np.cos(k), r * np.sin(k))
-                add_even, add_odd = np.array([a - eps, a + eps]), \
-                    np.array([a, a])
+                add_even, add_odd = [a - eps, a + eps], [a, a]
             even, odd = (
                 np.concatenate([np.add.outer(even, add_even).ravel(),
                                 np.add.outer(odd, add_odd).ravel()]),

@@ -51,14 +51,12 @@ def test_free_fermion_spectrum_matches_dense(r, h):
 
 def test_finite_size_lnz_converges_to_limit():
     beta = 1.0
-    # r = 1, h = 1
     target = xy_lnz_density(1.0, 1.0, beta)
     errs = []
     for n in (6, 8, 10):
         spec = _finite_xy_spectrum(1.0, 1.0, n)
         errs.append(abs(gibbs_at(spec, beta)[0] / n - target))
     assert errs[0] > errs[1] > errs[2]
-    # r = 0, h = 1 at larger sizes
     target = xy_lnz_density(0.0, 1.0, beta)
     errs = []
     for n in (8, 10, 12, 14):
