@@ -3,7 +3,9 @@
 Exit codes: 0 ok, 2 config error, 3 solver non-convergence (results are
 still written, flagged), 4 invariant violation.  A gap-scan row below the
 lowest feasible energy is not a failure: its solve ends at a certificate of
-infeasibility, and the row writes S_dual = -inf and delta_S = inf.
+infeasibility (with one witness and no cuts, a row below the certified
+E_min,W is not solved at all), and the row writes S_dual = -inf and
+delta_S = inf.
 """
 from __future__ import annotations
 
@@ -163,6 +165,10 @@ def cmd_gap_scan(args) -> int:
         "gap_tolerance": grid.resolved_gap_tolerance(),
         "rows_converged": all(r.converged for r in res.rows),
         "rows_infeasible": sum(r.infeasible for r in res.rows),
+        "e_min_w": res.e_min_w,
+        "e_min_w_per_site": None if res.e_min_w is None else res.e_min_w / n,
+        "path": res.path, "fallback": res.fallback,
+        "block_sizes": res.block_sizes,
         "wall_time_s": wall,
     }
     if cfg.get("ppt_emin"):

@@ -13,17 +13,24 @@ reduced von Neumann dual has F = ln tr exp:
 and the linear-entropy dual has F = 1 + 1/4 tr (.)_+^2, a trace multiplier
 lam on the identity, and b.y = lam + mu E.  Any feasible point is a valid
 certificate (weak duality), so even a non-converged minimization yields a
-usable upper bound.  A solve stops at the first feasible point with
-lam_max(M) < b.y, M the exponent: every state that met the constraints
+usable upper bound.  A feasible point with lam_max(M) < b.y, M the
+exponent, is a Farkas certificate: every state that met the constraints
 would have b.y <= tr(rho M) <= lam_max(M), so none exists, the dual is
-unbounded below and the solve returns -inf with that point as a Farkas
-certificate.
+unbounded below and the solve returns -inf.
+
+Two solvers remain.  With at most one witness W and no cuts, the witness
+path writes (mu, nu) = (-beta, beta s): minimized over beta, the dual is
+the Gibbs entropy (or maximal impurity) of spec(H - sW) at E, a generalized
+grand canonical ensemble, and one bounded search over s >= 0 on eigenvalues
+alone solves it.  Everything else, PPT cuts or two or more witnesses, runs
+spectral projected gradient (SPG) on the full objective.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.optimize import minimize
 from scipy.special import logsumexp
@@ -58,10 +65,15 @@ class DualPoint:
 class SolveInfo:
     converged: bool
     iterations: int
-    grad_norm: float  # norm of the projected gradient
+    grad_norm: float  # norm of the projected gradient; nan if not evaluated
     # the returned point is a Farkas certificate: no state meets the
     # constraints at this energy, and the bound is -inf
     infeasible: bool = False
+    # spectrum passes on the witness path, objective calls in SPG
+    evaluations: int = 0
+    # "converged", "max_iter", "line_search", "certificate" or
+    # "gibbs_feasible" (the Gibbs state meets the witness: no search)
+    termination: str = "converged"
 
 
 @dataclass
@@ -87,6 +99,12 @@ class GapScanResult:
     # the first grid row is detected, so e_min_gap is that row's energy and
     # the lower edge of the window was not located
     e_min_open: bool
+    # the witness path's certified lowest feasible energy: no state below
+    # it meets the witness (None where none is computed)
+    e_min_w: float | None
+    path: str
+    fallback: str | None
+    block_sizes: list  # (dimension, multiplicity) per diagonalized block
 
 
 def _operator_matrix(h) -> np.ndarray:
@@ -114,36 +132,38 @@ def _blocks_for(h, cs: ConstraintSet):
     momentum when all are translation invariant (Gatermann & Parrilo, JPAA
     2004; Sandvik, arXiv:1101.3281 sec. 4).
 
-    Returns (path, fallback, h_blocks, w_blocks per witness).  path is
-    "momentum", "sector" or "dense", where there are no blocks; fallback
-    says why no finer path was taken, or is None."""
+    Returns (path, fallback, h_blocks, w_blocks per witness, multiplicity
+    per block).  path is "momentum", "sector" or "dense", where there are
+    no blocks; fallback says why no finer path was taken, or is None."""
     if cs.map_slots:
-        return "dense", "PPT cuts", None, None
+        return "dense", "PPT cuts", None, None, None
     if not (isinstance(h, HermitianOperator) or sp.issparse(h)):
-        return "dense", "array input", None, None
+        return "dense", "array input", None, None, None
     hs = h.sparse if isinstance(h, HermitianOperator) else h.tocsr()
     dims = _local_dims(h, hs.shape[0])
     if any(d != 2 for d in dims):
-        return "dense", "not qubits", None, None
+        return "dense", "not qubits", None, None, None
     n = len(dims)
     w_sparse = [w.matrix.tocsr() for w in cs.witnesses]
     try:
         sb = sector_split_sparse(hs, n)
         w_sb = [sector_split_sparse(ws, n) for ws in w_sparse]
     except LinalgError:
-        return "dense", "does not conserve magnetization", None, None
+        return "dense", "does not conserve magnetization", None, None, None
     ops = [hs] + w_sparse
     if all(is_translation_invariant(o, n) for o in ops):
         try:
-            fine = momentum_sector_split(ops, n)
+            fine, mult = momentum_sector_split(ops, n)
             return ("momentum", None, [bl[0] for bl in fine],
-                    [[bl[1 + i] for bl in fine] for i in range(len(w_sparse))])
+                    [[bl[1 + i] for bl in fine] for i in range(len(w_sparse))],
+                    mult)
         except LinalgError as exc:
             fallback = str(exc)
     else:
         fallback = "not translation invariant"
     return ("sector", fallback, [s.block for s in sb.sectors],
-            [[s.block for s in wsb.sectors] for wsb in w_sb])
+            [[s.block for s in wsb.sectors] for wsb in w_sb],
+            [1] * len(sb.sectors))
 
 
 @dataclass
@@ -151,12 +171,17 @@ class DualProblem:
     """H and a constraint set, prepared for any number of dual solves.
 
     `blocks` holds (H block, [witness block, or None where the witness
-    vanishes]) for every symmetry block with witness support.  With PPT
-    cuts, or when no split applies, the dense H is the only block.  `free`
-    holds the fixed spectra of the witness-free blocks and `spectrum` the
-    sorted spectrum of H.  `path` is the split taken ("momentum", "sector"
-    or "dense") and `fallback` why no finer one was, or None."""
+    vanishes]) for every symmetry block with witness support, and `mult`
+    how many blocks of the split each stands for (2 for a conjugate
+    momentum pair).  With PPT cuts, or when no split applies, the dense H
+    is the only block.  `free` holds the fixed spectra of the witness-free
+    blocks and `spectrum` the sorted spectrum of H, each eigenvalue as
+    often as it occurs.  `path` is the split taken ("momentum", "sector"
+    or "dense") and `fallback` why no finer one was, or None.  `envelope`
+    is the witness path, set when there is at most one witness and no
+    cut."""
     blocks: list
+    mult: list
     free: np.ndarray
     spectrum: np.ndarray
     dims: tuple   # local dimensions, for the partial transposes
@@ -165,49 +190,86 @@ class DualProblem:
     n_wit: int
     path: str
     fallback: str | None
+    envelope: "_Envelope | None" = None
+
+    @property
+    def block_sizes(self) -> list:
+        return [(hb.shape[0], m) for (hb, _), m in zip(self.blocks, self.mult)]
+
+
+def _witness_diagonal(hb, wb):
+    """The eigenvalues of H_b and <i|W_b|i> in its eigenbasis."""
+    ev, v = np.linalg.eigh(hb)
+    return ev, np.real(np.sum(v.conj() * (wb @ v), axis=0))
 
 
 def prepare_dual(h, cs: ConstraintSet) -> DualProblem:
     """Split H and the witnesses into symmetry blocks once; pass the result
     as `problem` to every solve on the same H and constraint set."""
     n_wit = len(cs.witnesses)
-    path, fallback, h_blocks, w_blocks = _blocks_for(h, cs)
+    witness_path = n_wit <= 1 and not cs.map_slots
+    path, fallback, h_blocks, w_blocks, mult = _blocks_for(h, cs)
     if h_blocks is None:
         hmat = _operator_matrix(h)
         d = hmat.shape[0]
-        return DualProblem([(hmat, [w.to_dense() for w in cs.witnesses])],
-                           np.zeros(0), np.linalg.eigvalsh(hmat),
-                           _local_dims(h, d), cs.map_slots,
-                           [d] * len(cs.map_slots), n_wit, path, fallback)
-    blocks, free, eigs = [], [], []
-    for bi, hb in enumerate(h_blocks):
-        wbs = [wb[bi] if np.abs(wb[bi]).max() > 0 else None
-               for wb in w_blocks]
-        eigs.append(np.linalg.eigvalsh(hb))
-        if any(wb is not None for wb in wbs):
-            blocks.append((hb, wbs))
+        wmats = [w.to_dense() for w in cs.witnesses]
+        if witness_path and n_wit:
+            ev, w_diag = _witness_diagonal(hmat, wmats[0])
         else:
-            free.append(eigs[-1])
-    return DualProblem(blocks, np.concatenate([np.zeros(0)] + free),
-                       np.sort(np.concatenate(eigs)), (), (), [], n_wit,
-                       path, fallback)
+            ev, w_diag = np.linalg.eigvalsh(hmat), np.zeros(d)
+        problem = DualProblem([(hmat, wmats)], [1], np.zeros(0), np.sort(ev),
+                              _local_dims(h, d), cs.map_slots,
+                              [d] * len(cs.map_slots), n_wit, path, fallback)
+    else:
+        blocks, kept, free, eigs, w_diags = [], [], [], [], []
+        for hb, m, *wbs in zip(h_blocks, mult, *w_blocks):
+            wbs = [wb if np.abs(wb).max() > 0 else None for wb in wbs]
+            if not any(wb is not None for wb in wbs):
+                free.extend([np.linalg.eigvalsh(hb)] * m)
+                continue
+            if witness_path:
+                ev, w_diag = _witness_diagonal(hb, wbs[0])
+                w_diags.extend([w_diag] * m)
+            else:
+                ev = np.linalg.eigvalsh(hb)
+            blocks.append((hb, wbs))
+            kept.append(m)
+            eigs.extend([ev] * m)
+        free = np.concatenate([np.zeros(0)] + free)
+        ev = np.concatenate([free] + eigs)
+        w_diag = np.concatenate([np.zeros(free.size)] + w_diags)
+        problem = DualProblem(blocks, kept, free, np.sort(ev), (), (), [],
+                              n_wit, path, fallback)
+    if witness_path:
+        problem.envelope = _Envelope(problem, ev, w_diag)
+    return problem
 
 
 # ---------------------------------------------------------------------------
 # the dual objective
 
-def _log_tr_exp(w):
-    """ln sum_i exp(w_i) and its gradient softmax(w)."""
+def _farkas_margin(by: float, w_max: float, w_min: float) -> float:
+    """How far lam_max(M) must undercut b.y, for M with eigenvalues in
+    [w_min, w_max], before the point counts as a Farkas certificate."""
+    return FARKAS_MARGIN * (1.0 + abs(by) + max(w_max, -w_min))
+
+
+def _log_tr_exp(w, c=None):
+    """ln sum_i c_i exp(w_i) and its gradient, c_i exp(w_i) / Z; c are
+    the multiplicities of the eigenvalues, all 1 when None."""
     shift = w.max()
     ew = np.exp(w - shift)
+    if c is not None:
+        ew *= c
     z = ew.sum()
     return np.log(z) + shift, ew / z
 
 
-def _quarter_square_plus(w):
-    """1 + 1/4 sum_i (w_i)_+^2 and its gradient (w)_+ / 2."""
+def _quarter_square_plus(w, c=None):
+    """1 + 1/4 sum_i c_i (w_i)_+^2 and its gradient c_i (w_i)_+ / 2."""
     wp = np.maximum(w, 0.0)
-    return 0.25 * float(wp @ wp) + 1.0, 0.5 * wp
+    cwp = wp if c is None else c * wp
+    return 0.25 * float(cwp @ wp) + 1.0, 0.5 * cwp
 
 
 class _BlockObjective:
@@ -219,7 +281,9 @@ class _BlockObjective:
     a witness-free block adds mu times its fixed spectrum.  With
     G = v F'(w) v^+ per block, the gradient is tr(G A_k) - b_k in each
     scalar and G^(T_A) in each X_A: for the von Neumann dual, the moments
-    and partial transposes of sigma = exp(M) / tr exp(M).
+    and partial transposes of sigma = exp(M) / tr exp(M).  A block that
+    stands for a conjugate pair counts its eigenvalues, and so its share
+    of every trace, twice.
 
     Each evaluation also records lam_max(M) - b.y, read by
     `proves_infeasible`.  F(w) >= max(w) for both spectral functions, so a
@@ -234,6 +298,11 @@ class _BlockObjective:
         self.n_free = 2 if linear else 1  # leading free scalars
         self.slack = np.inf
         self.margin = 0.0
+        p = problem
+        self.counts = None if all(m == 1 for m in p.mult) else np.concatenate(
+            [np.ones(p.free.size)]
+            + [np.full(hb.shape[0], float(m))
+               for (hb, _), m in zip(p.blocks, p.mult)])
 
     def project(self, vec):
         """The nearest feasible point: nu >= 0 and PSD X_A."""
@@ -272,12 +341,11 @@ class _BlockObjective:
             exps.append(w)
             vecs.append(v)
         w = np.concatenate(exps) if len(exps) > 1 else exps[0]
-        f, weights = self.spectral(w)
+        f, weights = self.spectral(w, self.counts)
         by = lam + mu * self.e
         w_max = float(w.max())
         self.slack = w_max - by
-        self.margin = FARKAS_MARGIN * (1.0 + abs(by)
-                                       + max(w_max, -float(w.min())))
+        self.margin = _farkas_margin(by, w_max, float(w.min()))
         off = p.free.size
         # tr G and tr(G A_k), the free blocks' share first
         tr_g = float(weights[:off].sum()) if off else 0.0
@@ -358,8 +426,15 @@ def _spg(obj: _BlockObjective, x0, opts: SolverOptions, memory=10):
     Every trial point is a convex combination of feasible points; the
     solve stops at the first one that `obj.proves_infeasible()` after its
     `value_grad`, and returns it with the value -inf."""
-    fun_grad, project, grad_norm = obj.value_grad, obj.project, obj.grad_norm
+    project, grad_norm = obj.project, obj.grad_norm
     tol, max_iter = opts.tol, opts.max_iter
+    calls = 0
+
+    def fun_grad(vec):
+        nonlocal calls
+        calls += 1
+        return obj.value_grad(vec)
+
     x = project(x0)
     f, g = fun_grad(x)
     hist = [f]
@@ -367,9 +442,11 @@ def _spg(obj: _BlockObjective, x0, opts: SolverOptions, memory=10):
     best_x, best_f = x.copy(), f
     it = 0
     pg_norm = np.inf
+    termination = "max_iter"
     for it in range(1, max_iter + 1):
         pg_norm = grad_norm(x, g)
         if pg_norm <= tol:
+            termination = "converged"
             break
         d = project(x - alpha * g) - x
         dg = float(np.dot(d, g))
@@ -378,6 +455,7 @@ def _spg(obj: _BlockObjective, x0, opts: SolverOptions, memory=10):
             d = project(x - alpha * g) - x
             dg = float(np.dot(d, g))
             if dg > -1e-18:
+                termination = "line_search"
                 break
         lam = 1.0
         fmax = max(hist[-memory:])
@@ -386,7 +464,7 @@ def _spg(obj: _BlockObjective, x0, opts: SolverOptions, memory=10):
             fn, gn = fun_grad(xn)
             if obj.proves_infeasible():
                 return xn, -np.inf, SolveInfo(True, it, grad_norm(xn, gn),
-                                              True)
+                                              True, calls, "certificate")
             if fn <= fmax + 1e-4 * lam * dg or lam < 1e-12:
                 break
             lam *= 0.5
@@ -405,15 +483,8 @@ def _spg(obj: _BlockObjective, x0, opts: SolverOptions, memory=10):
         x, f = best_x, best_f
         _, g = fun_grad(x)
         pg_norm = grad_norm(x, g)
-    return x, f, SolveInfo(pg_norm <= tol * 10, it, float(pg_norm))
-
-
-class _Certificate(Exception):
-    """Raised out of scipy's minimizer at a Farkas certificate x."""
-
-    def __init__(self, x, g):
-        super().__init__()
-        self.x, self.g = x, g
+    return x, f, SolveInfo(pg_norm <= tol * 10, it, float(pg_norm), False,
+                           calls, termination)
 
 
 @dataclass
@@ -422,22 +493,277 @@ class SolverOptions:
     max_iter: int = 2000
 
 
+# ---------------------------------------------------------------------------
+# the witness path: a one-parameter envelope of Gibbs spectra
+
+_SPECTRA_KEPT = 64  # spectra of H - sW cached per problem
+# the search over s stops at a step below _S_XTOL * s, or below the span of
+# its central differences once that span is down to _S_STEP * max(s, s_W),
+# the least on which rounding in the bound (~1e-15) stays far below the
+# slope it resolves
+_S_XTOL = 1e-6
+_S_STEP = 1e-4
+
+
+def _linear_multipliers(w: np.ndarray, e: float):
+    """(lam, mu) with (lam + mu w_i)_+ / 2 the impurity maximizer's weights
+    on the spectrum w at energy e, clipped to [min w, mean w]."""
+    p = _linear_entropy_weights(w, float(np.clip(e, w.min(), w.mean())))
+    sup = p > 0
+    if sup.sum() >= 2:
+        a = np.polyfit(w[sup], p[sup], 1)
+        return 2.0 * a[1], 2.0 * a[0]
+    return 2.0 / w.size, 0.0
+
+
+class _Envelope:
+    """The dual with at most one witness W and no cuts, as a one-parameter
+    family of Gibbs spectra (the generalized grand canonical ensemble).
+
+    For s >= 0 every state with tr(rho H) = E and tr(rho W) >= 0 has
+    tr(rho (H - sW)) <= E.  The maximal entropy under that one constraint,
+    the Gibbs entropy (or maximal impurity) of spec(H - sW) at E capped at
+    its mean, is therefore an upper bound: for the von Neumann entropy it
+    is the dual at (mu, nu) = (-beta, beta s) minimized over beta, for the
+    linear entropy the dual at the matching (lam, mu, nu).  It is
+    quasiconvex in s, so a bracketed 1-D search over eigenvalues alone
+    reaches the dual optimum.  Where E < lam_min(H - sW) no state is left
+    and (mu, nu) = (-1, s) is a Farkas certificate; the largest such E,
+    E_min,W = max_s lam_min(H - sW), is a concave maximization solved once.
+    Spectra are cached by s: a cached s bounds every energy.
+    """
+
+    def __init__(self, problem: DualProblem, energies, w_diag):
+        self.problem = problem
+        self.blocks = [(hb, wbs[0]) for hb, wbs in problem.blocks if wbs]
+        self.energies = energies  # spec(H) in the layout of `spectrum(s)`
+        self.w_diag = w_diag      # <i|W|i> in the eigenbasis of H
+        self.spectra = {}
+        self.passes = 0
+        self.s_last = None        # the last interior optimum
+        self.move = np.inf        # how far the last search moved from there
+        self._edge = None         # (lam_min(H - s_W W), s_W)
+
+    def spectrum(self, s: float) -> np.ndarray:
+        """spec(H - sW), each eigenvalue as often as it occurs."""
+        if s == 0.0:
+            return self.energies
+        w = self.spectra.get(s)
+        if w is None:
+            p = self.problem
+            parts = [p.free]
+            for (hb, wb), m in zip(self.blocks, p.mult):
+                parts.extend([np.linalg.eigvalsh(hb - s * wb)] * m)
+            w = np.concatenate(parts)
+            if len(self.spectra) >= _SPECTRA_KEPT:
+                del self.spectra[next(iter(self.spectra))]
+            self.spectra[s] = w
+            self.passes += 1
+        return w
+
+    def _scale(self) -> float:
+        """A natural size of s: the spread of H over the norm of W."""
+        spread = self.energies.mean() - self.energies.min()
+        w_norm = max((np.linalg.norm(wb) for _, wb in self.blocks),
+                     default=0.0)
+        return max(spread, 1e-12) / max(w_norm, 1e-300)
+
+    def _lowest(self, s: float):
+        """lam_min(H - sW) and its slope in s, -<v|W|v> for the lowest
+        eigenvector v (a supergradient where v is degenerate)."""
+        free = self.problem.free
+        best = (float(free.min()) if free.size else np.inf, 0.0)
+        self.passes += 1
+        for hb, wb in self.blocks:
+            w, v = sla.eigh(hb - s * wb, subset_by_index=[0, 0])
+            if w[0] < best[0]:
+                v = v[:, 0]
+                best = (float(w[0]), -float(np.real(v.conj() @ wb @ v)))
+        return best
+
+    def edge(self):
+        """(E_min,W, s_W): lam_min(H - sW) is concave in s.  Its slopes at
+        0 and at a doubled s bracket the maximum; the tangents at the two
+        ends meet above it, and their crossing is the next point, until
+        the crossing lies within rounding of the best value."""
+        if self._edge is None:
+            a, b = 0.0, self._scale()
+            (fa, ga), (fb, gb) = self._lowest(a), self._lowest(b)
+            for _ in range(64):
+                if ga <= 0.0 or gb < 0.0:
+                    break
+                a, fa, ga, b = b, fb, gb, 2.0 * b
+                fb, gb = self._lowest(b)
+            s_w = a
+            while ga > 0.0 > gb:
+                s = min(max((fb - fa + ga * a - gb * b) / (ga - gb), a), b)
+                if fa + ga * (s - a) - max(fa, fb) <= 1e-13 * (1 + abs(fa)):
+                    s_w = a if fa >= fb else b
+                    break
+                fs, gs = self._lowest(s)
+                if gs > 0.0:
+                    a, fa, ga = s, fs, gs
+                else:
+                    b, fb, gb = s, fs, gs
+                s_w = s
+            self._edge = (float(self.spectrum(s_w).min()), s_w)
+        return self._edge
+
+    def certifies(self, e: float, s: float) -> bool:
+        """Whether (mu, nu) = (-1, s) proves that no state with
+        tr(rho W) >= 0 has energy e: e < lam_min(H - sW), beyond rounding."""
+        w = self.spectrum(s)
+        lo = float(w.min())
+        return e - lo < -_farkas_margin(e, -lo, -float(w.max()))
+
+    def e_min_w(self) -> float:
+        """The certified lowest feasible energy: below it every state
+        violates the witness."""
+        lo, s_w = self.edge()
+        return lo - _farkas_margin(lo, -lo, -float(self.spectrum(s_w).max()))
+
+    def bound(self, s: float, e: float, linear: bool) -> float:
+        """The maximal entropy at tr(rho (H - sW)) <= e; -inf where (-1, s)
+        is a Farkas certificate."""
+        if self.certifies(e, s):
+            return -np.inf
+        w = self.spectrum(s)
+        e_s = min(max(e, float(w.min())), float(w.mean()))
+        if linear:
+            return linear_entropy_max(w, e_s)
+        beta = beta_from_energy(w, e_s)
+        return gibbs_at(w, beta)[0] + beta * e  # the dual at (-beta, beta s)
+
+    def point(self, s: float, e: float, linear: bool) -> np.ndarray:
+        """The packed dual point (lam,) mu, nu of the bound at s."""
+        w = self.spectrum(s)
+        if linear:
+            lam, mu = _linear_multipliers(w, e)
+            return np.array([lam, mu, -mu * s])
+        beta = beta_from_energy(w, min(max(e, float(w.min())),
+                                       float(w.mean())))
+        return np.array([-beta, beta * s])
+
+    def _farkas(self, k: int, s: float, iterations: int, passes: int):
+        """The solve's result at the certificate (mu, nu) = (-1, s)."""
+        vec = np.zeros(k + 1)
+        vec[k - 1:] = -1.0, s
+        return -np.inf, vec, SolveInfo(True, iterations, np.nan, True,
+                                       self.passes - passes, "certificate")
+
+    def _search(self, e: float, linear: bool, opts: SolverOptions):
+        """Minimize bound(s) over s > 0, where it decreases at s = 0.
+
+        From the last optimum, Newton's method on the central-difference
+        slope of the bound, then the secant method on that slope; a step
+        that leaves the bracket of s* which the slopes' signs give doubles
+        s or bisects the bracket instead.  Returns (s, evaluations, whether
+        the iteration cap stopped it); where a Farkas certificate turned
+        up, s is that point."""
+        seen = {}
+
+        def f(s):
+            if s not in seen:
+                seen[s] = self.bound(s, e, linear)
+            return seen[s]
+
+        s_w = self.edge()[1]
+        c = start = self.s_last or 0.5 * s_w or 0.5 * self._scale()
+
+        def span(c, want):  # stencil half-width: >= the floor, <= c / 20
+            floor = _S_STEP * max(c, s_w)
+            return min(max(want, floor), 0.05 * c), floor
+
+        h, floor = span(c, 0.5 * self.move)
+        lo, hi, prev = 0.0, np.inf, None
+        for _ in range(opts.max_iter):
+            fm, fp = f(c - h), f(c + h)
+            if min(fm, fp) == -np.inf:
+                return min(seen, key=seen.get), len(seen), False
+            d = (fp - fm) / (2.0 * h)
+            if d < 0.0:
+                lo = c
+            else:
+                hi = c
+            if prev is None:
+                curv = (fp - 2.0 * f(c) + fm) / (h * h)
+                step = -d / curv if curv > 0.0 else np.nan
+            else:
+                dd = d - prev[1]
+                step = -d * (c - prev[0]) / dd if dd != 0.0 else np.nan
+            if abs(step) <= (h if h <= floor else _S_XTOL * c):
+                f(c + step)
+                self.move = abs(c + step - start)
+                return c + step, len(seen), False
+            c_new = c + step
+            if not lo < c_new < hi:
+                c_new = 2.0 * c if hi == np.inf else 0.5 * (lo + hi)
+            prev = c, d
+            h, floor = span(c_new, 0.1 * abs(c_new - c))
+            c = c_new
+        return min(seen, key=seen.get), len(seen), True
+
+    def solve(self, e: float, opts: SolverOptions, linear: bool):
+        """The witness-path solve: (value, packed point, SolveInfo)."""
+        p = self.problem
+        obj = _BlockObjective(p, e, linear)
+        k, passes = obj.n_free, self.passes
+        if p.n_wit and self.certifies(e, self.edge()[1]):
+            return self._farkas(k, self.edge()[1], 0, passes)
+        # the entropy maximizer for H alone, in H's eigenbasis
+        spec, eps = p.spectrum, self.energies
+        if linear:
+            lam, mu = _linear_multipliers(spec, e)
+            weights = 0.5 * np.maximum(lam + mu * eps, 0.0)
+            value = linear_entropy_max(spec, e)
+            vec = np.array([lam, mu] + [0.0] * p.n_wit)
+            grad = [weights.sum() - 1.0, weights @ eps - e]
+        else:
+            beta = beta_from_energy(spec, e)
+            weights = np.exp(-beta * (eps - eps.min()))
+            weights /= weights.sum()
+            value = gibbs_at(spec, beta)[2]
+            vec = np.array([-beta] + [0.0] * p.n_wit)
+            grad = [weights @ eps - e]
+        w_mean = float(weights @ self.w_diag)
+        if w_mean >= 0.0:  # it meets the witness: no search
+            g = np.array(grad + [w_mean] * p.n_wit)
+            return value, vec, SolveInfo(True, 0, obj.grad_norm(vec, g),
+                                         False, self.passes - passes,
+                                         "gibbs_feasible")
+        s, iterations, capped = self._search(e, linear, opts)
+        if self.certifies(e, s):
+            return self._farkas(k, s, iterations, passes)
+        vec = self.point(s, e, linear)
+        self.s_last = s
+        f, g = obj.value_grad(vec)
+        pg_norm = obj.grad_norm(vec, g)
+        converged = pg_norm <= 10 * opts.tol
+        termination = ("max_iter" if capped else
+                       "converged" if converged else "line_search")
+        return f, vec, SolveInfo(converged, iterations, pg_norm, False,
+                                 self.passes - passes, termination)
+
+
 def minimize_dual(h, cs: ConstraintSet, e: float, opts: SolverOptions = None,
                   init: DualPoint = None, problem: DualProblem = None):
     """Minimize the von Neumann dual; returns (s_upper, point, info).
 
-    Starts from the Gibbs point (mu = -beta(E), nu = X = 0) so the initial
-    value equals S_Gibbs(E) and descent only improves the certificate.
-    Scalar variables alone (no PPT cuts) are solved by L-BFGS-B, blockwise
-    where H and the witnesses split; matrix variables by SPG.  `problem` is
+    With at most one witness and no cuts the witness path solves it (see
+    `_Envelope`; `init` is not used there).  Otherwise SPG starts from the
+    Gibbs point (mu = -beta(E), nu = X = 0), or from `init` where that is
+    lower, so the value never exceeds S_Gibbs(E).  `problem` is
     `prepare_dual(h, cs)`, to prepare once for many solves.  Where no state
-    meets the constraints at energy e, the solve stops at a Farkas
-    certificate and returns -inf with `info.infeasible` set.
+    meets the constraints at energy e, the solve returns -inf at a Farkas
+    certificate with `info.infeasible` set.
     """
     opts = opts or SolverOptions()
     problem = problem or prepare_dual(h, cs)
-    obj = _BlockObjective(problem, e)
     n_wit, x_dims = problem.n_wit, problem.x_dims
+    if problem.envelope is not None:
+        f, vec, info = problem.envelope.solve(e, opts, linear=False)
+        return f, _unpack(vec, n_wit, x_dims), info
+    obj = _BlockObjective(problem, e)
     x0 = _pack(DualPoint(-beta_from_energy(problem.spectrum, e),
                          np.zeros(n_wit),
                          [np.zeros((d, d), dtype=complex) for d in x_dims]))
@@ -445,35 +771,8 @@ def minimize_dual(h, cs: ConstraintSet, e: float, opts: SolverOptions = None,
         xi = obj.project(_pack(init))
         if obj.value_grad(xi)[0] < obj.value_grad(x0)[0]:
             x0 = xi
-    if x_dims:
-        x, f, info = _spg(obj, x0, opts)
-        return f, _unpack(x, n_wit, x_dims), info
-    iterations = 0
-
-    def count(_):
-        nonlocal iterations
-        iterations += 1
-
-    def fun(vec):  # L-BFGS-B evaluates only points within the bounds
-        f, g = obj.value_grad(vec)
-        if obj.proves_infeasible():
-            raise _Certificate(vec.copy(), g)
-        return f, g
-
-    try:
-        res = minimize(fun, x0, jac=True, method="L-BFGS-B",
-                       bounds=[(None, None)] + [(0.0, None)] * n_wit,
-                       callback=count,
-                       options={"maxiter": opts.max_iter, "ftol": 1e-14,
-                                "gtol": opts.tol})
-    except _Certificate as cert:
-        return -np.inf, _unpack(cert.x, n_wit, x_dims), SolveInfo(
-            True, iterations, obj.grad_norm(cert.x, cert.g), True)
-    x = obj.project(res.x)
-    f, g = obj.value_grad(x)
-    pg_norm = obj.grad_norm(x, g)
-    return f, _unpack(x, n_wit, x_dims), \
-        SolveInfo(pg_norm <= 10 * opts.tol, int(res.nit), pg_norm)
+    x, f, info = _spg(obj, x0, opts)
+    return f, _unpack(x, n_wit, x_dims), info
 
 
 def entropy_gap(h, cs: ConstraintSet, e: float, opts: SolverOptions = None,
@@ -497,24 +796,19 @@ def lin_dual_minimize(h, cs: ConstraintSet, e: float,
     + 1 - lam - mu*E over lam, mu real, nu >= 0, X0 and X_A PSD, by SPG;
     the slack X0 = (.)_- is eliminated in closed form, leaving the positive
     part.  Returns (value, vec, info); pass the vec back as `init` to
-    warm-start a nearby solve, and `problem` as in `minimize_dual`.  The
-    value is -inf at a Farkas certificate, as in `minimize_dual`."""
+    warm-start a nearby solve, and `problem` as in `minimize_dual`, whose
+    witness path this dual shares.  The value is -inf at a Farkas
+    certificate, as in `minimize_dual`."""
     opts = opts or SolverOptions()
     problem = problem or prepare_dual(h, cs)
+    if problem.envelope is not None:
+        return problem.envelope.solve(e, opts, linear=True)
     obj = _BlockObjective(problem, e, linear=True)
 
     # start at the unconstrained impurity maximizer, rho* = (lam*I + mu*H)/2
-    spec = problem.spectrum
     x0 = np.zeros(2 + problem.n_wit
                   + sum(2 * d * d for d in problem.x_dims))
-    p = _linear_entropy_weights(spec, float(np.clip(e, spec.min(),
-                                                    spec.mean())))
-    sup = p > 0
-    if sup.sum() >= 2:
-        a = np.polyfit(spec[sup], p[sup], 1)
-        x0[0], x0[1] = 2.0 * a[1], 2.0 * a[0]
-    else:
-        x0[0] = 2.0 / spec.size
+    x0[0], x0[1] = _linear_multipliers(problem.spectrum, e)
     if init is not None and init.size == x0.size:
         pi = obj.project(init)
         if obj.value_grad(pi)[0] < obj.value_grad(x0)[0]:
@@ -546,11 +840,15 @@ def gap_energy_scan(h, cs: ConstraintSet, grid: GridOptions = None,
                     opts: SolverOptions = None) -> GapScanResult:
     """Scan the energy axis, record the entropy gap per point, and locate
     the detection window edges by bisection on gap = gap_tolerance.  The
-    problem is prepared once and shared by every solve of the scan."""
+    problem is prepared once and shared by every solve of the scan.  On
+    the witness path E_min,W is certified first, and an energy below it is
+    infeasible without a solve."""
     grid = grid or GridOptions()
     opts = opts or SolverOptions()
     problem = prepare_dual(h, cs)
     spectrum = problem.spectrum
+    env = problem.envelope
+    e_min_w = env.e_min_w() if env is not None and problem.n_wit else None
     e0 = float(spectrum.min())
     e_top = float(spectrum.max())
     e_inf = float(spectrum.mean())
@@ -563,14 +861,17 @@ def gap_energy_scan(h, cs: ConstraintSet, grid: GridOptions = None,
     state = {"init": None, "lin_init": None}
 
     def gap_at(e):
+        s_ref = (linear_entropy_max(spectrum, e) if linear else
+                 gibbs_at(spectrum, beta_from_energy(spectrum, e))[2])
+        if e_min_w is not None and e < e_min_w:
+            return s_ref, -np.inf, SolveInfo(True, 0, np.nan, True, 0,
+                                             "certificate")
         if linear:
-            s_ref = linear_entropy_max(spectrum, e)
             s_dual, vec, info = lin_dual_minimize(h, cs, e, opts,
                                                   init=state["lin_init"],
                                                   problem=problem)
             state["lin_init"] = vec
         else:
-            s_ref = gibbs_at(spectrum, beta_from_energy(spectrum, e))[2]
             s_dual, point, info = minimize_dual(h, cs, e, opts,
                                                 init=state["init"],
                                                 problem=problem)
@@ -611,7 +912,8 @@ def gap_energy_scan(h, cs: ConstraintSet, grid: GridOptions = None,
             bisect(rows[last + 1].e, rows[last].e)
     frac = 0.0 if e_max_gap is None else (e_max_gap - e0) / (e_top - e0)
     return GapScanResult(rows, e0, e_top, e_min_gap, e_max_gap, float(frac),
-                         bool(detected and detected[0]))
+                         bool(detected and detected[0]), e_min_w,
+                         problem.path, problem.fallback, problem.block_sizes)
 
 
 # ---------------------------------------------------------------------------

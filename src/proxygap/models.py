@@ -225,11 +225,13 @@ def momentum_sector_split(ops, n: int, tol: float = 1e-10):
     translation-invariant qubit operators.
 
     `ops` is a list of sparse matrices, each conserving total sigma_z and
-    commuting with the ring translation.  Returns (blocks, spectra_basis)
-    where blocks is a list over (sector, momentum) of per-op dense
-    blocks.  Requires every translation orbit to have full period n
-    (always true for prime n away from the uniform states); raises
-    LinalgError otherwise.
+    commuting with the ring translation.  Returns (blocks, mult): blocks is
+    a list over (sector, momentum) of per-op dense blocks, and mult[i] the
+    number of momentum blocks that blocks[i] stands for.  When no op has
+    an imaginary entry, block n - k is the complex conjugate of block k, so
+    only k <= n/2 is built and k, n - k count twice.  Requires every
+    translation orbit to have full period n (always true for prime n away
+    from the uniform states); raises LinalgError otherwise.
     """
     d = 2 ** n
     perm = translation_table(n)
@@ -246,7 +248,10 @@ def momentum_sector_split(ops, n: int, tol: float = 1e-10):
     omega = np.exp(2j * np.pi / n)
     op_scale = max(max(np.abs(o.tocoo().data).max(initial=0.0)
                        for o in ops), 1.0)
-    blocks = []
+    real = all(not np.iscomplexobj(o) or not o.tocoo().data.imag.any()
+               for o in ops)
+    momenta = [k for k in range(n) if not real or 2 * k <= n]
+    blocks, mult = [], []
     for m in range(n + 1):
         sector = np.nonzero(counts == m)[0]
         reps = np.unique(rep[sector])
@@ -259,6 +264,7 @@ def momentum_sector_split(ops, n: int, tol: float = 1e-10):
             blocks.append(tuple(
                 o.tocsr()[np.ix_(reps, reps)].toarray().astype(complex)
                 for o in ops))
+            mult.append(1)
             continue
         pos = {r: i for i, r in enumerate(reps)}
         per_op = []
@@ -268,7 +274,7 @@ def momentum_sector_split(ops, n: int, tol: float = 1e-10):
             per_op.append((rows, cols.col, shift[cols.row],
                            np.asarray(cols.data, dtype=complex)))
         r_dim = len(reps)
-        for k in range(n):
+        for k in momenta:
             kblocks = []
             for (rows, colpos, shifts, amps) in per_op:
                 b = np.zeros((r_dim, r_dim), dtype=complex)
@@ -277,7 +283,8 @@ def momentum_sector_split(ops, n: int, tol: float = 1e-10):
                     raise LinalgError("momentum block not Hermitian")
                 kblocks.append((b + b.conj().T) / 2)
             blocks.append(tuple(kblocks))
-    return blocks
+            mult.append(2 if real and 0 < 2 * k < n else 1)
+    return blocks, mult
 
 
 def energy_extremes(h, degeneracy_rtol: float = 1e-9):

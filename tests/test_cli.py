@@ -82,6 +82,29 @@ def test_gap_scan_rows_below_ppt_emin_are_infeasible(tmp_path):
     assert summary["e_min_gap"] == float(rows[0]["E"])
 
 
+def test_gap_scan_summary_records_the_witness_path(tmp_path):
+    # XXZ 5-ring with a Dicke witness: momentum blocks, conjugate pairs
+    # counted twice, and the certified lowest energy that meets the witness
+    cfg = {"model": {"type": "heisenberg", "n": 5, "jx": 5, "jy": 5,
+                     "jz": 1, "b": -1},
+           "constraints": {"witnesses": [{"type": "dicke", "m": 2}]},
+           "grid": {"n_points": 6, "bisect_iters": 4}}
+    cfg_path = _write_config(tmp_path, "cfg.json", cfg)
+    out = tmp_path / "run"
+    assert main(["--out", str(out), "gap-scan", "--config", cfg_path]) == \
+        EXIT_OK
+    summary = json.loads((out / "gap_scan_summary.json").read_text())
+    assert (summary["path"], summary["fallback"]) == ("momentum", None)
+    assert {m for _, m in summary["block_sizes"]} == {1, 2}
+    assert summary["e_min_w_per_site"] == pytest.approx(-6.0460368, abs=1e-6)
+    with open(out / "gap_scan.csv") as f:
+        rows = list(csv.DictReader(f))
+    _assert_rows_consistent(rows, summary["gap_tolerance"])
+    below = [float(r["E"]) < summary["e_min_w"] for r in rows]
+    assert [float(r["S_dual"]) == float("-inf") for r in rows] == below
+    assert summary["rows_infeasible"] == sum(below) > 0
+
+
 def test_gap_scan_locates_a_lower_edge_above_the_first_row(tmp_path):
     # the easy-axis ferromagnet's low-T mixture of |0000> and |1111> is
     # separable; the window over all cuts opens above the first grid row

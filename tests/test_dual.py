@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.optimize import brentq
 
 import proxygap.dual as dual_mod
@@ -12,7 +13,8 @@ from proxygap.dual import (GAP_TOLERANCE_LINEAR, DualPoint, GridOptions,
 from proxygap.linalg import (Bipartition, HermitianOperator,
                              partial_transpose_matrix, psd_project_matrix)
 from proxygap.models import (HeisenbergParams, XYParams, bell_staircase,
-                             energy_extremes, heisenberg_chain, xy_chain)
+                             energy_extremes, heisenberg_chain,
+                             heisenberg_sparse, xy_chain)
 from proxygap.oracle import max_entropy_separable_lower
 from proxygap.thermo import (beta_from_energy, energy_range, gibbs_at,
                              linear_entropy_max, linear_entropy_max_weights)
@@ -165,7 +167,7 @@ def test_block_path_matches_dense_path(rng, monkeypatch):
     val_block, _, info_b = minimize_dual(h, cs, e)
     # no split: the dense H is the one block
     monkeypatch.setattr(dual_mod, "_blocks_for",
-                        lambda *a, **k: ("dense", None, None, None))
+                        lambda *a, **k: ("dense", None, None, None, None))
     assert len(prepare_dual(h, cs).blocks) == 1
     val_dense, _, info_d = minimize_dual(h, cs, e)
     assert abs(val_block - val_dense) < 1e-5
@@ -315,7 +317,7 @@ def test_linear_dual_certifies_the_witness_only_dicke_ring():
     _assert_farkas_certificate(h, cs, e, vec[0], vec[1], vec[2:3], [])
 
 
-def test_lbfgs_stops_at_farkas_certificate():
+def test_witness_path_stops_at_farkas_certificate():
     # just above E0 every state violates the Dicke witness; the momentum
     # split leaves witness-free blocks, which the certificate must count
     h = heisenberg_chain(HeisenbergParams(5, 5, 5, 1, -1))
@@ -329,6 +331,190 @@ def test_lbfgs_stops_at_farkas_certificate():
     assert info.infeasible and info.converged and val == -np.inf
     assert info.iterations < opts.max_iter // 10
     _assert_farkas_certificate(h, cs, e, 0.0, point.mu, point.nus, [])
+
+
+def _xxz(n):
+    return heisenberg_chain(HeisenbergParams(n, n, n, 1, -1))
+
+
+def _chiral_current(n):
+    """sum_i i(s+_i s-_{i+1} - s-_i s+_{i+1}) on the ring: Hermitian,
+    translation invariant, conserves magnetization, and has imaginary
+    entries, so a momentum split that holds it builds every momentum."""
+    plus = sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    out = sp.csr_matrix((2 ** n, 2 ** n), dtype=complex)
+    for i in range(n):
+        ops = [sp.identity(2, format="csr")] * n
+        ops[i], ops[(i + 1) % n] = plus, plus.T
+        term = ops[0]
+        for o in ops[1:]:
+            term = sp.kron(term, o, format="csr")
+        out = out + 1j * (term - term.T)
+    return out
+
+
+def test_conjugate_pairs_match_the_unpaired_problem(monkeypatch, rng):
+    # real H and W: momentum blocks k and n - k are conjugate, so one of
+    # each pair is kept with multiplicity 2
+    n = 7
+    h, cs = _xxz(n), ConstraintSet((dicke_witness(n, 3),))
+    paired = prepare_dual(h, cs)
+    assert sorted(set(paired.mult)) == [1, 2]
+    split = dual_mod.momentum_sector_split
+
+    def unpaired_split(ops, n):  # an imaginary op in the split: no pairs
+        blocks, mult = split(list(ops) + [_chiral_current(n)], n)
+        return [bl[:-1] for bl in blocks], mult
+
+    monkeypatch.setattr(dual_mod, "momentum_sector_split", unpaired_split)
+    unpaired = prepare_dual(h, cs)
+    assert set(unpaired.mult) == {1}
+    assert sum(m * hb.shape[0] for (hb, _), m in
+               zip(paired.blocks, paired.mult)) == \
+        sum(hb.shape[0] for hb, _ in unpaired.blocks)
+    assert len(paired.blocks) < len(unpaired.blocks)
+    np.testing.assert_allclose(paired.spectrum, unpaired.spectrum,
+                               rtol=0, atol=1e-12 * 50)
+    np.testing.assert_allclose(np.sort(paired.free), np.sort(unpaired.free),
+                               rtol=0, atol=1e-12 * 50)
+    for s in (0.1, 0.7):
+        np.testing.assert_allclose(
+            np.sort(paired.envelope.spectrum(s)),
+            np.sort(unpaired.envelope.spectrum(s)), rtol=0, atol=1e-12 * 50)
+    w = paired.spectrum
+    for linear in (False, True):
+        for _ in range(10):
+            e = float(w.mean() - rng.random() * np.ptp(w) / 4)
+            vec = _random_vec(rng, paired, linear)
+            va, ga = dual_mod._BlockObjective(paired, e, linear).value_grad(vec)
+            vb, gb = dual_mod._BlockObjective(unpaired, e,
+                                              linear).value_grad(vec)
+            assert abs(va - vb) <= 1e-12 * max(1.0, abs(va))
+            np.testing.assert_allclose(ga, gb, rtol=1e-12, atol=1e-12)
+
+
+def _witness_only_cases(rng):
+    for n in (3, 5, 7):
+        yield _xxz(n), ConstraintSet((dicke_witness(n, n // 2),))
+    for _ in range(3):
+        h = random_hermitian(rng, (2, 2, 2))
+        psi = energy_extremes(h)[1][:, 0]
+        yield h, ConstraintSet((projector_witness(psi, ALL, n_sites=3),))
+
+
+def test_witness_path_is_never_above_spg(rng):
+    """SPG on the same problem never beats the witness path by more than
+    1e-9, and agrees with it to 1e-6 wherever SPG converges."""
+    opts = SolverOptions()
+    agreed = 0
+    for h, cs in _witness_only_cases(rng):
+        problem = prepare_dual(h, cs)
+        assert problem.envelope is not None
+        w = problem.spectrum
+        for frac in (0.01, 0.1, 0.3, 0.6):
+            e = float(w.min() + frac * (w.mean() - w.min()))
+            for linear in (False, True):
+                solve = lin_dual_minimize if linear else minimize_dual
+                val, _, info = solve(h, cs, e, opts, problem=problem)
+                obj = dual_mod._BlockObjective(problem, e, linear)
+                x0 = np.zeros(obj.n_free + 1)
+                x0[obj.n_free - 1] = -beta_from_energy(w, e)
+                if linear:
+                    x0[:2] = dual_mod._linear_multipliers(w, e)
+                _, spg_val, spg = dual_mod._spg(obj, x0, opts)
+                if val == -np.inf:
+                    assert info.infeasible
+                    continue
+                assert spg_val >= val - 1e-9
+                if spg.converged and not spg.infeasible:
+                    assert abs(spg_val - val) <= 1e-6
+                    agreed += 1
+    assert agreed >= 20
+
+
+def test_two_witnesses_route_to_spg():
+    n = 5
+    h = _xxz(n)
+    wits = (dicke_witness(n, 2), dicke_witness(n, 3))
+    both = ConstraintSet(wits)
+    problem = prepare_dual(h, both)
+    assert problem.envelope is None and problem.x_dims == []
+    w = problem.spectrum
+    for frac in (0.2, 0.4):
+        e = float(w.min() + frac * (w.mean() - w.min()))
+        val, point, info = minimize_dual(h, both, e, problem=problem)
+        assert info.termination in ("converged", "max_iter", "line_search")
+        assert np.all(point.nus >= 0.0)
+        for wit in wits:
+            one = ConstraintSet((wit,))
+            assert prepare_dual(h, one).envelope is not None
+            assert val <= minimize_dual(h, one, e)[0] + 1e-6
+
+
+def test_gibbs_feasible_rows_skip_the_search():
+    # high up the Gibbs state meets the Dicke witness: the bound is
+    # S_Gibbs (the maximal impurity), at nu = 0, with no spectrum pass
+    h, cs = _xxz(5), ConstraintSet((dicke_witness(5, 2),))
+    problem = prepare_dual(h, cs)
+    problem.envelope.edge()  # E_min,W, computed once per problem
+    passes = problem.envelope.passes
+    w = problem.spectrum
+    e = float(w.min() + 0.8 * (w.mean() - w.min()))
+    val, point, info = minimize_dual(h, cs, e, problem=problem)
+    assert info.termination == "gibbs_feasible" and info.evaluations == 0
+    assert point.nus[0] == 0.0 and point.mu == -beta_from_energy(w, e)
+    assert val == gibbs_at(w, beta_from_energy(w, e))[2]
+    val, vec, info = lin_dual_minimize(h, cs, e, problem=problem)
+    assert info.termination == "gibbs_feasible" and info.evaluations == 0
+    assert vec[2] == 0.0 and val == linear_entropy_max(w, e)
+    assert problem.envelope.passes == passes
+
+
+@pytest.mark.parametrize("n, m, edge", [(11, 5, -13.642681),
+                                        (13, 6, -16.184062)])
+def test_witness_edge_matches_lanczos(n, m, edge):
+    # E_min,W = max_s lam_min(H - sW), from an independent Lanczos run
+    problem = prepare_dual(_xxz(n), ConstraintSet((dicke_witness(n, m),)))
+    e_min_w = problem.envelope.e_min_w()
+    assert e_min_w / n == pytest.approx(edge, abs=1e-6)
+    lo, s_w = problem.envelope.edge()
+    assert e_min_w < lo and s_w > 0.0
+
+
+def test_witness_edge_counts_the_witness_free_blocks():
+    # lower the all-up state of the XXZ 5-ring, which dicke_witness(5, 2)
+    # does not touch, to between E0 and max_s lam_min(H - sW) over the
+    # witness blocks (-30.230): it meets the witness, so it sets E_min,W,
+    # and energies above it are feasible
+    n = 5
+    hs = heisenberg_sparse(HeisenbergParams(n, n, n, 1, -1)).tocsr()
+    e_up = -30.885
+    h = HermitianOperator(
+        hs + sp.csr_matrix(([e_up - hs[0, 0]], ([0], [0])), shape=hs.shape),
+        (2,) * n)
+    cs = ConstraintSet((dicke_witness(n, 2),))
+    problem = prepare_dual(h, cs)
+    assert problem.free.min() == e_up
+    assert problem.envelope.e_min_w() == pytest.approx(e_up, abs=1e-6)
+    for solve in (minimize_dual, lin_dual_minimize):
+        val, _, info = solve(h, cs, -30.56, problem=problem)
+        assert not info.infeasible and val > -np.inf
+    val, point, info = minimize_dual(h, cs, e_up - 0.1, problem=problem)
+    assert info.infeasible and val == -np.inf
+    _assert_farkas_certificate(h, cs, e_up - 0.1, 0.0, point.mu, point.nus,
+                               [])
+
+
+def test_scan_rows_below_the_witness_edge_are_infeasible():
+    h, cs = _xxz(11), ConstraintSet((dicke_witness(11, 5),))
+    res = gap_energy_scan(h, cs, GridOptions(n_points=3, bisect_iters=2))
+    assert res.e_min_w / 11 == pytest.approx(-13.642681, abs=1e-6)
+    assert (res.path, res.fallback) == ("momentum", None)
+    assert sorted(set(m for _, m in res.block_sizes)) == [1, 2]
+    for r in res.rows:
+        assert r.infeasible == (r.e < res.e_min_w)
+        assert (r.s_dual == -np.inf) == r.infeasible
+    assert res.rows[0].infeasible
 
 
 def _assert_projected_grad_norm(problem, e, linear, vec, info):
@@ -346,17 +532,22 @@ def test_solve_info_reports_the_projected_gradient_norm():
     cs = ConstraintSet((dicke_witness(5, 2),))
     problem = prepare_dual(xxz, cs)
     w = problem.spectrum
-    e = float(w.min() + 0.3 * (w.mean() - w.min()))
-    _, point, info = minimize_dual(xxz, cs, e, problem=problem)  # L-BFGS-B
-    assert not info.infeasible
-    _assert_projected_grad_norm(problem, e, False, dual_mod._pack(point),
-                                info)
+    # the witness path: a Gibbs-feasible row, then a searched one
+    for frac, termination in ((0.3, "gibbs_feasible"), (0.15, "converged")):
+        e = float(w.min() + frac * (w.mean() - w.min()))
+        _, point, info = minimize_dual(xxz, cs, e, problem=problem)
+        assert not info.infeasible and info.termination == termination
+        _assert_projected_grad_norm(problem, e, False, dual_mod._pack(point),
+                                    info)
     ring = heisenberg_chain(HeisenbergParams(4, -1, -1, -1))
     cs = ConstraintSet(map_slots=(even_odd_bipartition(4),))
     problem = prepare_dual(ring, cs)
     for e in (-3.2, -1.6):  # inside (E_min,PPT, mean) = (-4, 0)
         for opts in (SolverOptions(), SolverOptions(max_iter=5)):
             _, point, info = minimize_dual(ring, cs, e, opts, problem=problem)
+            assert info.termination == ("converged" if info.grad_norm <=
+                                        opts.tol else "max_iter")
+            assert info.evaluations >= info.iterations
             _assert_projected_grad_norm(problem, e, False,
                                         dual_mod._pack(point), info)
             _, vec, info = lin_dual_minimize(ring, cs, e, opts,

@@ -142,11 +142,12 @@ def test_momentum_split_matches_dense_spectra():
     n = 5
     hs = heisenberg_sparse(HeisenbergParams(n, 3, 3, 1, -0.7))
     w = dicke_witness(n, 2).matrix.tocsr()
-    fine = momentum_sector_split([hs, w], n)
+    fine, mult = momentum_sector_split([hs, w], n)
     for x in (0.0, 0.37, 2.1):
         dense = np.sort(np.linalg.eigvalsh((hs + x * w).toarray()))
         mom = np.sort(np.concatenate(
-            [np.linalg.eigvalsh(b[0] + x * b[1]) for b in fine]))
+            [np.tile(np.linalg.eigvalsh(b[0] + x * b[1]), m)
+             for b, m in zip(fine, mult)]))
         np.testing.assert_allclose(mom, dense, atol=1e-10)
 
 
