@@ -561,13 +561,6 @@ class _Envelope:
             self.passes += 1
         return w
 
-    def _scale(self) -> float:
-        """A natural size of s: the spread of H over the norm of W."""
-        spread = self.energies.mean() - self.energies.min()
-        w_norm = max((np.linalg.norm(wb) for _, wb in self.blocks),
-                     default=0.0)
-        return max(spread, 1e-12) / max(w_norm, 1e-300)
-
     def _lowest(self, s: float):
         """lam_min(H - sW) and its slope in s, -<v|W|v> for the lowest
         eigenvector v (a supergradient where v is degenerate)."""
@@ -583,11 +576,11 @@ class _Envelope:
 
     def edge(self):
         """(E_min,W, s_W): lam_min(H - sW) is concave in s.  Its slopes at
-        0 and at a doubled s bracket the maximum; the tangents at the two
-        ends meet above it, and their crossing is the next point, until
-        the crossing lies within rounding of the best value."""
+        0 and at s = 1, doubled until it falls, bracket the maximum; the
+        tangents at the two ends meet above it, and their crossing is the
+        next point, until it lies within rounding of the best value."""
         if self._edge is None:
-            a, b = 0.0, self._scale()
+            a, b = 0.0, 1.0
             (fa, ga), (fb, gb) = self._lowest(a), self._lowest(b)
             for _ in range(64):
                 if ga <= 0.0 or gb < 0.0:
@@ -668,7 +661,7 @@ class _Envelope:
             return seen[s]
 
         s_w = self.edge()[1]
-        c = start = self.s_last or 0.5 * s_w or 0.5 * self._scale()
+        c = start = self.s_last or 0.5 * s_w or 1.0
 
         def span(c, want):  # stencil half-width: >= the floor, <= c / 20
             floor = _S_STEP * max(c, s_w)
