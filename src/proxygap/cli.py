@@ -14,7 +14,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -40,14 +39,6 @@ def _jsonable(obj):
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
-def _pmap(fn, items, jobs: int):
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
 
 
 def _load_config(path: str) -> dict:
@@ -217,15 +208,7 @@ def cmd_thermo_limit(args) -> int:
         t_grid = np.asarray(cfg["t_grid"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad thermo-limit config: {exc}")
-
-    def one(h):
-        return limit.theorem3_region(r, [h], t_grid)
-
-    regions = _pmap(one, h_grid, args.jobs)
-    region = limit.Theorem3Region(
-        r, h_grid, t_grid,
-        np.vstack([reg.expression for reg in regions]),
-        np.concatenate([reg.t_max for reg in regions]))
+    region = limit.theorem3_region(r, h_grid, t_grid)
     limit.export_region_csv(region, os.path.join(args.out,
                                                  "theorem3_region.csv"))
     with open(os.path.join(args.out, "t_max.csv"), "w") as f:
@@ -267,6 +250,7 @@ def cmd_oracle(args) -> int:
         raise ConfigError("oracle config needs an 'energies' list")
     if cfg.get("per_site"):
         energies = [e * h.n_sites for e in energies]
+    problem = dual.prepare_dual(h, cs)
 
     def one(e):
         try:
@@ -275,11 +259,11 @@ def cmd_oracle(args) -> int:
                 ensemble_size=int(cfg.get("ensemble_size", 64)))
         except ValueError as exc:
             return {"E": e, "infeasible": str(exc)}
-        upper, _, info = dual.minimize_dual(h, cs, e)
+        upper, _, info = dual.minimize_dual(h, cs, e, problem=problem)
         return {"E": e, "oracle_lower": lower, "dual_upper": upper,
                 "margin": upper - lower, "dual_converged": info.converged}
 
-    rows = _pmap(one, [float(e) for e in energies], args.jobs)
+    rows = [one(float(e)) for e in energies]
     out = {"kind": "heuristic sandwich (oracle lower / dual upper)",
            "seed": args.seed, "rows": rows}
     with open(os.path.join(args.out, "oracle_sandwich.json"), "w") as f:
@@ -311,8 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="proxygap",
         description="Certified entropy-gap entanglement detection for "
                     "spin chains")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker threads for independent grid points")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for oracle restarts")
     p.add_argument("--out", default=".", help="output directory")

@@ -23,7 +23,9 @@ path writes (mu, nu) = (-beta, beta s): minimized over beta, the dual is
 the Gibbs entropy (or maximal impurity) of spec(H - sW) at E, a generalized
 grand canonical ensemble, and one bounded search over s >= 0 on eigenvalues
 alone solves it.  Everything else, PPT cuts or two or more witnesses, runs
-spectral projected gradient (SPG) on the full objective.
+spectral projected gradient (SPG) on the full objective.  Both solvers
+take and return the variables as one packed vector, (lam,) mu, nu_i and
+the real and imaginary parts of each X_A.
 """
 from __future__ import annotations
 
@@ -48,17 +50,6 @@ GAP_TOLERANCE_LINEAR = 1e-6  # converged linear duals lie ~1e-12 above optimum
 # relative margin by which lam_max(M) must undercut b.y before a point counts
 # as a Farkas certificate: covers the rounding of eigh and of b.y
 FARKAS_MARGIN = 1e-9
-
-
-@dataclass
-class DualPoint:
-    mu: float
-    nus: np.ndarray
-    xs: list  # PSD matrices aligned with cs.map_slots
-
-    def copy(self) -> "DualPoint":
-        return DualPoint(self.mu, np.array(self.nus, dtype=float),
-                         [np.array(x) for x in self.xs])
 
 
 @dataclass
@@ -127,29 +118,36 @@ def _local_dims(h, dim: int):
 # ---------------------------------------------------------------------------
 # the dual problem, prepared once per scan
 
+def _dense_blocks(h, cs: ConstraintSet, fallback: str | None):
+    """`_blocks_for`'s result where no split applies."""
+    return ("dense", fallback, [_operator_matrix(h)],
+            [[w.to_dense()] for w in cs.witnesses], [1])
+
+
 def _blocks_for(h, cs: ConstraintSet):
     """Express H and all witnesses as magnetization blocks, refined by
     momentum when all are translation invariant (Gatermann & Parrilo, JPAA
     2004; Sandvik, arXiv:1101.3281 sec. 4).
 
     Returns (path, fallback, h_blocks, w_blocks per witness, multiplicity
-    per block).  path is "momentum", "sector" or "dense", where there are
-    no blocks; fallback says why no finer path was taken, or is None."""
+    per block).  path is "momentum", "sector" or "dense", where the dense H
+    and witnesses are the one block; fallback says why no finer path was
+    taken, or is None."""
     if cs.map_slots:
-        return "dense", "PPT cuts", None, None, None
+        return _dense_blocks(h, cs, "PPT cuts")
     if not (isinstance(h, HermitianOperator) or sp.issparse(h)):
-        return "dense", "array input", None, None, None
+        return _dense_blocks(h, cs, "array input")
     hs = h.sparse if isinstance(h, HermitianOperator) else h.tocsr()
     dims = _local_dims(h, hs.shape[0])
     if any(d != 2 for d in dims):
-        return "dense", "not qubits", None, None, None
+        return _dense_blocks(h, cs, "not qubits")
     n = len(dims)
     w_sparse = [w.matrix.tocsr() for w in cs.witnesses]
     try:
         sb = sector_split_sparse(hs, n)
         w_sb = [sector_split_sparse(ws, n) for ws in w_sparse]
     except LinalgError:
-        return "dense", "does not conserve magnetization", None, None, None
+        return _dense_blocks(h, cs, "does not conserve magnetization")
     ops = [hs] + w_sparse
     if all(is_translation_invariant(o, n) for o in ops):
         try:
@@ -171,15 +169,15 @@ class DualProblem:
     """H and a constraint set, prepared for any number of dual solves.
 
     `blocks` holds (H block, [witness block, or None where the witness
-    vanishes]) for every symmetry block with witness support, and `mult`
-    how many blocks of the split each stands for (2 for a conjugate
-    momentum pair).  With PPT cuts, or when no split applies, the dense H
-    is the only block.  `free` holds the fixed spectra of the witness-free
-    blocks and `spectrum` the sorted spectrum of H, each eigenvalue as
-    often as it occurs.  `path` is the split taken ("momentum", "sector"
-    or "dense") and `fallback` why no finer one was, or None.  `envelope`
-    is the witness path, set when there is at most one witness and no
-    cut."""
+    vanishes]) for every symmetry block with witness support, or every
+    block where there are cuts, and `mult` how many blocks of the split
+    each stands for (2 for a conjugate momentum pair).  With PPT cuts, or
+    when no split applies, the dense H is the one block of the split.
+    `free` holds the fixed spectra of the witness-free blocks and
+    `spectrum` the sorted spectrum of H, each eigenvalue as often as it
+    occurs.  `path` is the split taken ("momentum", "sector" or "dense")
+    and `fallback` why no finer one was, or None.  `envelope` is the
+    witness path, set when there is at most one witness and no cut."""
     blocks: list
     mult: list
     free: np.ndarray
@@ -209,38 +207,28 @@ def prepare_dual(h, cs: ConstraintSet) -> DualProblem:
     n_wit = len(cs.witnesses)
     witness_path = n_wit <= 1 and not cs.map_slots
     path, fallback, h_blocks, w_blocks, mult = _blocks_for(h, cs)
-    if h_blocks is None:
-        hmat = _operator_matrix(h)
-        d = hmat.shape[0]
-        wmats = [w.to_dense() for w in cs.witnesses]
-        if witness_path and n_wit:
-            ev, w_diag = _witness_diagonal(hmat, wmats[0])
+    blocks, kept, free, eigs, w_diags = [], [], [], [], []
+    for hb, m, *wbs in zip(h_blocks, mult, *w_blocks):
+        wbs = [wb if np.abs(wb).max() > 0 else None for wb in wbs]
+        if not cs.map_slots and all(wb is None for wb in wbs):
+            free.extend([np.linalg.eigvalsh(hb)] * m)
+            continue
+        if witness_path:
+            ev, w_diag = _witness_diagonal(hb, wbs[0])
+            w_diags.extend([w_diag] * m)
         else:
-            ev, w_diag = np.linalg.eigvalsh(hmat), np.zeros(d)
-        problem = DualProblem([(hmat, wmats)], [1], np.zeros(0), np.sort(ev),
-                              _local_dims(h, d), cs.map_slots,
-                              [d] * len(cs.map_slots), n_wit, path, fallback)
-    else:
-        blocks, kept, free, eigs, w_diags = [], [], [], [], []
-        for hb, m, *wbs in zip(h_blocks, mult, *w_blocks):
-            wbs = [wb if np.abs(wb).max() > 0 else None for wb in wbs]
-            if not any(wb is not None for wb in wbs):
-                free.extend([np.linalg.eigvalsh(hb)] * m)
-                continue
-            if witness_path:
-                ev, w_diag = _witness_diagonal(hb, wbs[0])
-                w_diags.extend([w_diag] * m)
-            else:
-                ev = np.linalg.eigvalsh(hb)
-            blocks.append((hb, wbs))
-            kept.append(m)
-            eigs.extend([ev] * m)
-        free = np.concatenate([np.zeros(0)] + free)
-        ev = np.concatenate([free] + eigs)
-        w_diag = np.concatenate([np.zeros(free.size)] + w_diags)
-        problem = DualProblem(blocks, kept, free, np.sort(ev), (), (), [],
-                              n_wit, path, fallback)
+            ev = np.linalg.eigvalsh(hb)
+        blocks.append((hb, wbs))
+        kept.append(m)
+        eigs.extend([ev] * m)
+    free = np.concatenate([np.zeros(0)] + free)
+    ev = np.concatenate([free] + eigs)
+    d = ev.size
+    problem = DualProblem(blocks, kept, free, np.sort(ev), _local_dims(h, d),
+                          cs.map_slots, [d] * len(cs.map_slots), n_wit, path,
+                          fallback)
     if witness_path:
+        w_diag = np.concatenate([np.zeros(free.size)] + w_diags)
         problem.envelope = _Envelope(problem, ev, w_diag)
     return problem
 
@@ -372,13 +360,6 @@ class _BlockObjective:
 # ---------------------------------------------------------------------------
 # projected minimization
 
-def _pack(p: DualPoint) -> np.ndarray:
-    parts = [np.array([p.mu]), np.asarray(p.nus, dtype=float)]
-    for x in p.xs:
-        parts.append(np.ascontiguousarray(x, dtype=complex).view(float).ravel())
-    return np.concatenate(parts)
-
-
 def _unpack_xs(vec: np.ndarray, off: int, x_dims) -> list:
     xs = []
     for d in x_dims:
@@ -386,11 +367,6 @@ def _unpack_xs(vec: np.ndarray, off: int, x_dims) -> list:
         xs.append(vec[off:off + size].copy().view(complex).reshape(d, d))
         off += size
     return xs
-
-
-def _unpack(vec: np.ndarray, n_wit: int, x_dims) -> DualPoint:
-    return DualPoint(float(vec[0]), vec[1:1 + n_wit].copy(),
-                     _unpack_xs(vec, 1 + n_wit, x_dims))
 
 
 def _project_vec(vec, n_free, n_wit, x_dims):
@@ -738,43 +714,44 @@ class _Envelope:
                                  self.passes - passes, termination)
 
 
+def _minimize(h, cs: ConstraintSet, e: float, opts: SolverOptions,
+              init: np.ndarray, problem: DualProblem, linear: bool):
+    """The solve behind `minimize_dual` and `lin_dual_minimize`."""
+    opts = opts or SolverOptions()
+    problem = problem or prepare_dual(h, cs)
+    if problem.envelope is not None:
+        return problem.envelope.solve(e, opts, linear)
+    obj = _BlockObjective(problem, e, linear)
+    # start at the entropy maximizer for H alone: the Gibbs point
+    # mu = -beta(E), or the impurity maximizer rho* = (lam I + mu H) / 2
+    x0 = np.zeros(obj.n_free + problem.n_wit
+                  + sum(2 * d * d for d in problem.x_dims))
+    if linear:
+        x0[0], x0[1] = _linear_multipliers(problem.spectrum, e)
+    else:
+        x0[0] = -beta_from_energy(problem.spectrum, e)
+    if init is not None and init.size == x0.size:
+        xi = obj.project(init)
+        if obj.value_grad(xi)[0] < obj.value_grad(x0)[0]:
+            x0 = xi
+    vec, f, info = _spg(obj, x0, opts)
+    return f, vec, info
+
+
 def minimize_dual(h, cs: ConstraintSet, e: float, opts: SolverOptions = None,
-                  init: DualPoint = None, problem: DualProblem = None):
-    """Minimize the von Neumann dual; returns (s_upper, point, info).
+                  init: np.ndarray = None, problem: DualProblem = None):
+    """Minimize the von Neumann dual; returns (s_upper, vec, info), vec the
+    packed point mu, nu_i, X_A.
 
     With at most one witness and no cuts the witness path solves it (see
     `_Envelope`; `init` is not used there).  Otherwise SPG starts from the
-    Gibbs point (mu = -beta(E), nu = X = 0), or from `init` where that is
-    lower, so the value never exceeds S_Gibbs(E).  `problem` is
-    `prepare_dual(h, cs)`, to prepare once for many solves.  Where no state
-    meets the constraints at energy e, the solve returns -inf at a Farkas
-    certificate with `info.infeasible` set.
+    Gibbs point (mu = -beta(E), nu = X = 0), or from `init`, a vec of an
+    earlier solve, where that is lower, so the value never exceeds
+    S_Gibbs(E).  `problem` is `prepare_dual(h, cs)`, to prepare once for
+    many solves.  Where no state meets the constraints at energy e, the
+    solve returns -inf at a Farkas certificate with `info.infeasible` set.
     """
-    opts = opts or SolverOptions()
-    problem = problem or prepare_dual(h, cs)
-    n_wit, x_dims = problem.n_wit, problem.x_dims
-    if problem.envelope is not None:
-        f, vec, info = problem.envelope.solve(e, opts, linear=False)
-        return f, _unpack(vec, n_wit, x_dims), info
-    obj = _BlockObjective(problem, e)
-    x0 = _pack(DualPoint(-beta_from_energy(problem.spectrum, e),
-                         np.zeros(n_wit),
-                         [np.zeros((d, d), dtype=complex) for d in x_dims]))
-    if init is not None and len(init.xs) == len(x_dims):
-        xi = obj.project(_pack(init))
-        if obj.value_grad(xi)[0] < obj.value_grad(x0)[0]:
-            x0 = xi
-    x, f, info = _spg(obj, x0, opts)
-    return f, _unpack(x, n_wit, x_dims), info
-
-
-def entropy_gap(h, cs: ConstraintSet, e: float, opts: SolverOptions = None,
-                init: DualPoint = None) -> float:
-    """S_Gibbs(E) minus the dual upper bound; > 0 certifies entanglement."""
-    problem = prepare_dual(h, cs)
-    s_gibbs = gibbs_at(problem.spectrum,
-                       beta_from_energy(problem.spectrum, e))[2]
-    return s_gibbs - minimize_dual(h, cs, e, opts, init, problem)[0]
+    return _minimize(h, cs, e, opts, init, problem, False)
 
 
 # ---------------------------------------------------------------------------
@@ -788,26 +765,12 @@ def lin_dual_minimize(h, cs: ConstraintSet, e: float,
     Minimizes 1/4 tr(lam*I + mu*H + sum nu_i W_i + X0 + sum X_A^(T_A))^2
     + 1 - lam - mu*E over lam, mu real, nu >= 0, X0 and X_A PSD, by SPG;
     the slack X0 = (.)_- is eliminated in closed form, leaving the positive
-    part.  Returns (value, vec, info); pass the vec back as `init` to
-    warm-start a nearby solve, and `problem` as in `minimize_dual`, whose
-    witness path this dual shares.  The value is -inf at a Farkas
-    certificate, as in `minimize_dual`."""
-    opts = opts or SolverOptions()
-    problem = problem or prepare_dual(h, cs)
-    if problem.envelope is not None:
-        return problem.envelope.solve(e, opts, linear=True)
-    obj = _BlockObjective(problem, e, linear=True)
-
-    # start at the unconstrained impurity maximizer, rho* = (lam*I + mu*H)/2
-    x0 = np.zeros(2 + problem.n_wit
-                  + sum(2 * d * d for d in problem.x_dims))
-    x0[0], x0[1] = _linear_multipliers(problem.spectrum, e)
-    if init is not None and init.size == x0.size:
-        pi = obj.project(init)
-        if obj.value_grad(pi)[0] < obj.value_grad(x0)[0]:
-            x0 = pi
-    vec, f, info = _spg(obj, x0, opts)
-    return f, vec, info
+    part.  Returns (value, vec, info), vec the packed point lam, mu, nu_i,
+    X_A; `init` and `problem` are as in `minimize_dual`, whose witness path
+    this dual shares, and SPG starts from the impurity maximizer
+    (lam, mu, 0, 0).  The value is -inf at a Farkas certificate, as in
+    `minimize_dual`."""
+    return _minimize(h, cs, e, opts, init, problem, True)
 
 
 # ---------------------------------------------------------------------------
@@ -851,24 +814,17 @@ def gap_energy_scan(h, cs: ConstraintSet, grid: GridOptions = None,
     linear = grid.entropy.startswith("lin")
     gap_tol = grid.resolved_gap_tolerance()
 
-    state = {"init": None, "lin_init": None}
+    solve = lin_dual_minimize if linear else minimize_dual
+    init = None  # each solve warm-starts from the last one's point
 
     def gap_at(e):
+        nonlocal init
         s_ref = (linear_entropy_max(spectrum, e) if linear else
                  gibbs_at(spectrum, beta_from_energy(spectrum, e))[2])
         if e_min_w is not None and e < e_min_w:
             return s_ref, -np.inf, SolveInfo(True, 0, np.nan, True, 0,
                                              "certificate")
-        if linear:
-            s_dual, vec, info = lin_dual_minimize(h, cs, e, opts,
-                                                  init=state["lin_init"],
-                                                  problem=problem)
-            state["lin_init"] = vec
-        else:
-            s_dual, point, info = minimize_dual(h, cs, e, opts,
-                                                init=state["init"],
-                                                problem=problem)
-            state["init"] = point
+        s_dual, init, info = solve(h, cs, e, opts, init, problem)
         return s_ref, s_dual, info
 
     rows = []
@@ -1066,14 +1022,17 @@ def theorem3_check(alpha: float, beta: float, spectrum) -> bool:
 # ---------------------------------------------------------------------------
 # entropy-gap lower bounds
 
-def gap_lower_bound(h, cs: ConstraintSet, beta: float, p: DualPoint) -> float:
+def gap_lower_bound(h, cs: ConstraintSet, beta: float,
+                    vec: np.ndarray) -> float:
     """ln [tr exp(-beta H) / tr exp(-beta H + sum nu_i W_i + sum X^(T_A))]
-    for any feasible (nu >= 0, X PSD); no optimization involved."""
-    if np.any(np.asarray(p.nus) < -1e-12):
+    for any feasible packed point (mu, nu_i >= 0, PSD X_A) of the von
+    Neumann dual, mu ignored; no optimization involved."""
+    vec = np.array(vec, dtype=float)
+    if np.any(vec[1:1 + len(cs.witnesses)] < -1e-12):
         raise ValueError("witness multipliers must be nonnegative")
+    vec[0] = -beta
     problem = prepare_dual(h, cs)
-    ln_tr = _BlockObjective(problem, 0.0).value_grad(
-        _pack(DualPoint(-beta, p.nus, p.xs)))[0]
+    ln_tr = _BlockObjective(problem, 0.0).value_grad(vec)[0]
     return float(logsumexp(-beta * problem.spectrum) - ln_tr)
 
 

@@ -21,11 +21,6 @@ import scipy.sparse as sp
 from .linalg import (HermitianOperator, LinalgError, SpectralDecomposition,
                      check_dense_size)
 
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
-
 @dataclass(frozen=True)
 class HeisenbergParams:
     n: int
@@ -171,11 +166,6 @@ def popcounts(n: int) -> np.ndarray:
     for bit in range(n):
         counts += (idx >> bit) & 1
     return counts
-
-
-def total_sz_diagonal(n: int) -> np.ndarray:
-    """Diagonal of sum_i sigma_z_i in the computational basis."""
-    return (n - 2 * popcounts(n)).astype(float)
 
 
 def sector_split_sparse(h: sp.spmatrix, n: int,

@@ -25,8 +25,6 @@ class Witness:
 
     matrix: sp.csr_matrix
     n_sites: int
-    label: str
-    detects: str
     alpha: float | None = None
 
     def to_dense(self) -> np.ndarray:
@@ -43,10 +41,6 @@ class ConstraintSet:
     def __post_init__(self):
         object.__setattr__(self, "witnesses", tuple(self.witnesses))
         object.__setattr__(self, "map_slots", tuple(self.map_slots))
-
-    @property
-    def empty(self) -> bool:
-        return not self.witnesses and not self.map_slots
 
 
 def all_bipartitions(n: int) -> list[Bipartition]:
@@ -102,8 +96,7 @@ def dicke_witness(n: int, m: int) -> Witness:
     d = 2 ** n
     w = sp.csr_matrix((vals, (rows, cols)), shape=(d, d))
     w.sum_duplicates()
-    return Witness(w, n, f"dicke({n},{m})",
-                   f"entanglement of the Dicke state |D^{n}_{m}>")
+    return Witness(w, n)
 
 
 def max_schmidt_overlap(psi: np.ndarray, cut: Bipartition) -> float:
@@ -203,10 +196,7 @@ def projector_witness(states, cuts, n_sites: int | None = None,
     p = states.T @ states.conj()
     d = states.shape[1]
     w = alpha * np.eye(d) - p
-    labels = ",".join(sorted(str(sorted(c.subset_mask)) for c in cuts))
-    return Witness(sp.csr_matrix(w), n_sites,
-                   f"projector(alpha={alpha:.6g})",
-                   f"entanglement across cuts {labels}", alpha=float(alpha))
+    return Witness(sp.csr_matrix(w), n_sites, alpha=float(alpha))
 
 
 def dicke_field_range(n: int, m: int, delta_j: float):

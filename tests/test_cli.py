@@ -1,9 +1,14 @@
 import csv
 import json
+import math
+from pathlib import Path
 
 import pytest
 
+import proxygap.dual as dual_mod
 from proxygap.cli import (EXIT_CONFIG, EXIT_OK, main)
+
+DATA = Path(__file__).parent / "data"
 
 
 def _write_config(tmp_path, name, cfg):
@@ -150,6 +155,59 @@ def test_gap_scan_empty_constraints_no_detection(tmp_path):
     assert summary["detection_fraction"] == 0.0
 
 
+# the gap-scan configs of the benchmark workloads, without their ppt_emin
+GOLDEN_SCANS = {
+    "dicke-block": {
+        "model": {"type": "heisenberg", "n": 11, "jx": 11, "jy": 11,
+                  "jz": 1, "b": -1},
+        "constraints": {"witnesses": [{"type": "dicke", "m": 5}]},
+        "entropy": "von-neumann",
+        "grid": {"n_points": 7, "bisect_iters": 12}},
+    "ppt-ring": {
+        "model": {"type": "heisenberg", "n": 5, "jx": -1, "jy": -1,
+                  "jz": -1},
+        "constraints": {"cuts": "even-odd"},
+        "entropy": "von-neumann",
+        "grid": {"n_points": 5, "e_lo": -1.2, "per_site": True,
+                 "bisect_iters": 10}},
+    "linear-ring": {
+        "model": {"type": "heisenberg", "n": 4, "jx": -1, "jy": -1,
+                  "jz": -1},
+        "constraints": {"cuts": "even-odd"},
+        "entropy": "linear",
+        "grid": {"n_points": 4, "e_lo": -1.2, "per_site": True,
+                 "bisect_iters": 12}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SCANS))
+def test_gap_scan_rows_match_the_golden_csv(tmp_path, name):
+    # tests/data/gap_scan_<name>.csv holds the rows of an earlier, checked
+    # version of the solvers.  Flags and infinities must match exactly and
+    # every other float to 1e-10 relative; delta_S, a difference that can
+    # sit at 1e-13, is held to 1e-10 of S_gibbs.
+    cfg_path = _write_config(tmp_path, "cfg.json", GOLDEN_SCANS[name])
+    out = tmp_path / "run"
+    assert main(["--out", str(out), "gap-scan", "--config", cfg_path]) == \
+        EXIT_OK
+    with open(out / "gap_scan.csv") as f:
+        rows = list(csv.DictReader(f))
+    with open(DATA / f"gap_scan_{name}.csv") as f:
+        golden = list(csv.DictReader(f))
+    assert len(rows) == len(golden)
+    for row, ref in zip(rows, golden):
+        assert row.keys() == ref.keys()
+        assert row["detected"] == ref["detected"]
+        for key in ref.keys() - {"detected"}:
+            a, b = float(row[key]), float(ref[key])
+            if not math.isfinite(b):
+                assert a == b, (key, row, ref)
+                continue
+            scale = abs(float(ref["S_gibbs"])) if key == "delta_S" else 0.0
+            assert math.isclose(a, b, rel_tol=1e-10,
+                                abs_tol=1e-10 * scale), (key, row, ref)
+
+
 def test_gap_scan_with_ppt_block(tmp_path):
     cfg = _gap_scan_cfg(ppt_emin="all")
     cfg_path = _write_config(tmp_path, "cfg.json", cfg)
@@ -229,6 +287,32 @@ def test_oracle_command_margin_nonnegative(tmp_path, capsys):
     assert "infeasible" in by_e[-0.8 * 3]
 
 
+def test_oracle_prepares_the_dual_once(tmp_path, monkeypatch):
+    # the split and every block eigh are shared by all the run's energies
+    calls = []
+    prepare = dual_mod.prepare_dual
+
+    def counted(h, cs):
+        calls.append(cs)
+        return prepare(h, cs)
+
+    monkeypatch.setattr(dual_mod, "prepare_dual", counted)
+    cfg_path = _write_config(tmp_path, "cfg.json", {
+        "model": {"type": "heisenberg", "n": 3, "jx": -1, "jy": -1,
+                  "jz": -1},
+        "constraints": {"cuts": "all"},
+        "energies": [-0.45, -0.3],
+        "per_site": True,
+        "ensemble_size": 8,
+    })
+    out = tmp_path / "run"
+    assert main(["--out", str(out), "oracle", "--config", cfg_path]) == \
+        EXIT_OK
+    rows = json.loads((out / "oracle_sandwich.json").read_text())["rows"]
+    assert [("dual_upper" in row) for row in rows] == [True, True]
+    assert len(calls) == 1
+
+
 def test_dicke_range_command(tmp_path):
     cfg_path = _write_config(tmp_path, "cfg.json",
                              {"n": 11, "m": 5, "delta_j": 10.0})
@@ -247,7 +331,7 @@ def test_thermo_limit_command(tmp_path):
     cfg_path = _write_config(tmp_path, "cfg.json", {
         "r": 1.0, "h_grid": [0.5, 1.0], "t_grid": [0.01, 0.1, 1.0]})
     out = tmp_path / "run"
-    assert main(["--jobs", "2", "--out", str(out), "thermo-limit",
+    assert main(["--out", str(out), "thermo-limit",
                  "--config", cfg_path]) == EXIT_OK
     with open(out / "theorem3_region.csv") as f:
         assert f.readline().startswith("#")

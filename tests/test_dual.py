@@ -5,9 +5,9 @@ from scipy.optimize import brentq
 
 import proxygap.dual as dual_mod
 from conftest import random_hermitian
-from proxygap.dual import (GAP_TOLERANCE_LINEAR, DualPoint, GridOptions,
+from proxygap.dual import (GAP_TOLERANCE_LINEAR, GridOptions,
                            SolverOptions, bell_gap_bound, diagonal_dual,
-                           entropy_gap, gap_energy_scan, gap_lower_bound,
+                           gap_energy_scan, gap_lower_bound,
                            lin_dual_minimize, minimize_dual, ppt_energy_min,
                            prepare_dual, theorem3_check)
 from proxygap.linalg import (Bipartition, HermitianOperator,
@@ -34,20 +34,19 @@ def _random_constraints(rng, n):
     return ConstraintSet(tuple(wits), tuple(cuts))
 
 
-def _random_point(rng, n_wit, cuts, d):
-    xs = []
-    for _ in cuts:
-        m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        xs.append(psd_project_matrix(m @ m.conj().T / d))
-    return DualPoint(float(rng.standard_normal()),
-                     np.abs(rng.standard_normal(n_wit)), xs)
+def _packed(x) -> np.ndarray:
+    return np.ascontiguousarray(x, dtype=complex).view(float).ravel()
 
 
 def _random_vec(rng, problem, linear):
     """Packed dual variables: (lam,) mu, nu_i >= 0, PSD X_A."""
-    p = _random_point(rng, problem.n_wit, problem.cuts,
-                      problem.spectrum.size)
-    vec = dual_mod._pack(p)
+    d = problem.spectrum.size
+    xs = []
+    for _ in problem.cuts:
+        m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        xs.append(_packed(psd_project_matrix(m @ m.conj().T / d)))
+    vec = np.concatenate([[rng.standard_normal()],
+                          np.abs(rng.standard_normal(problem.n_wit))] + xs)
     return np.concatenate(([rng.standard_normal()], vec)) if linear else vec
 
 
@@ -155,7 +154,9 @@ def test_weak_duality_sandwich_small_chains(rng):
 def test_dual_is_upper_bound_in_detection_window():
     h = heisenberg_chain(HeisenbergParams(3, -1, -1, -1))
     cs = ConstraintSet(map_slots=(even_odd_bipartition(3),))
-    gap = entropy_gap(h, cs, -2.4)
+    w = prepare_dual(h, cs).spectrum
+    s_gibbs = gibbs_at(w, beta_from_energy(w, -2.4))[2]
+    gap = s_gibbs - minimize_dual(h, cs, -2.4)[0]
     assert gap > 0.1  # deep inside the detection window
 
 
@@ -167,7 +168,7 @@ def test_block_path_matches_dense_path(rng, monkeypatch):
     val_block, _, info_b = minimize_dual(h, cs, e)
     # no split: the dense H is the one block
     monkeypatch.setattr(dual_mod, "_blocks_for",
-                        lambda *a, **k: ("dense", None, None, None, None))
+                        lambda h, cs: dual_mod._dense_blocks(h, cs, None))
     assert len(prepare_dual(h, cs).blocks) == 1
     val_dense, _, info_d = minimize_dual(h, cs, e)
     assert abs(val_block - val_dense) < 1e-5
@@ -181,8 +182,8 @@ def test_block_path_reports_projected_gradient():
     w = np.linalg.eigvalsh(h.entries)
     e = float(w.min() + 0.8 * (w.mean() - w.min()))
     opts = SolverOptions()
-    val, point, info = minimize_dual(h, cs, e, opts)
-    assert point.nus[0] == 0.0
+    val, vec, info = minimize_dual(h, cs, e, opts)
+    assert vec[1] == 0.0
     assert abs(val - gibbs_at(w, beta_from_energy(w, e))[2]) < 1e-9
     assert info.grad_norm <= 10 * opts.tol
     assert info.converged
@@ -262,11 +263,16 @@ def test_scan_splits_once(monkeypatch):
     assert counts[0] == counts[1] > 0
 
 
-def _assert_farkas_certificate(h, cs, e, lam, mu, nus, xs):
-    """The point is feasible and the dense exponent
-    M = lam I + mu H + sum nu_i W_i + sum X_A^(T_A) has lam_max(M) < b.y,
-    so no state meets the constraints at energy e."""
-    assert np.all(np.asarray(nus) >= 0.0)
+def _assert_farkas_certificate(h, cs, e, vec, linear=False):
+    """The packed point vec = (lam,) mu, nu_i, X_A is feasible and the
+    dense exponent M = lam I + mu H + sum nu_i W_i + sum X_A^(T_A) has
+    lam_max(M) < b.y, so no state meets the constraints at energy e."""
+    k, n_wit = (2 if linear else 1), len(cs.witnesses)
+    lam, mu, nus = (vec[0] if linear else 0.0), vec[k - 1], vec[k:k + n_wit]
+    xs = dual_mod._unpack_xs(vec, k + n_wit,
+                             [h.entries.shape[0]] * len(cs.map_slots))
+    assert vec.size == k + n_wit + sum(2 * x.size for x in xs)
+    assert np.all(nus >= 0.0)
     m = lam * np.eye(h.entries.shape[0]) + mu * h.entries
     for nu, wit in zip(nus, cs.witnesses):
         m = m + nu * wit.to_dense()
@@ -282,10 +288,10 @@ def test_spg_stops_at_farkas_certificate():
     cs = ConstraintSet(map_slots=(even_odd_bipartition(5),))
     e = -1.2 * 5
     opts = SolverOptions()
-    val, point, info = minimize_dual(h, cs, e, opts)
+    val, vec, info = minimize_dual(h, cs, e, opts)
     assert info.infeasible and info.converged and val == -np.inf
     assert info.iterations < opts.max_iter // 10
-    _assert_farkas_certificate(h, cs, e, 0.0, point.mu, point.nus, point.xs)
+    _assert_farkas_certificate(h, cs, e, vec)
 
 
 def test_linear_dual_stops_at_farkas_certificate():
@@ -297,8 +303,7 @@ def test_linear_dual_stops_at_farkas_certificate():
     val, vec, info = lin_dual_minimize(h, cs, e, opts)
     assert info.infeasible and info.converged and val == -np.inf
     assert info.iterations < opts.max_iter // 10
-    x = dual_mod._unpack_xs(vec, 2, [h.entries.shape[0]])
-    _assert_farkas_certificate(h, cs, e, vec[0], vec[1], [], x)
+    _assert_farkas_certificate(h, cs, e, vec, linear=True)
 
 
 def test_linear_dual_certifies_the_witness_only_dicke_ring():
@@ -314,7 +319,7 @@ def test_linear_dual_certifies_the_witness_only_dicke_ring():
     val, vec, info = lin_dual_minimize(h, cs, e, opts, problem=problem)
     assert info.infeasible and info.converged and val == -np.inf
     assert info.iterations < opts.max_iter // 10
-    _assert_farkas_certificate(h, cs, e, vec[0], vec[1], vec[2:3], [])
+    _assert_farkas_certificate(h, cs, e, vec, linear=True)
 
 
 def test_witness_path_stops_at_farkas_certificate():
@@ -327,10 +332,10 @@ def test_witness_path_stops_at_farkas_certificate():
     w = problem.spectrum
     e = float(w.min() + 1e-6 * (w.mean() - w.min()))
     opts = SolverOptions()
-    val, point, info = minimize_dual(h, cs, e, opts, problem=problem)
+    val, vec, info = minimize_dual(h, cs, e, opts, problem=problem)
     assert info.infeasible and info.converged and val == -np.inf
     assert info.iterations < opts.max_iter // 10
-    _assert_farkas_certificate(h, cs, e, 0.0, point.mu, point.nus, [])
+    _assert_farkas_certificate(h, cs, e, vec)
 
 
 def _xxz(n):
@@ -442,9 +447,9 @@ def test_two_witnesses_route_to_spg():
     w = problem.spectrum
     for frac in (0.2, 0.4):
         e = float(w.min() + frac * (w.mean() - w.min()))
-        val, point, info = minimize_dual(h, both, e, problem=problem)
+        val, vec, info = minimize_dual(h, both, e, problem=problem)
         assert info.termination in ("converged", "max_iter", "line_search")
-        assert np.all(point.nus >= 0.0)
+        assert vec.size == 3 and np.all(vec[1:] >= 0.0)
         for wit in wits:
             one = ConstraintSet((wit,))
             assert prepare_dual(h, one).envelope is not None
@@ -460,9 +465,9 @@ def test_gibbs_feasible_rows_skip_the_search():
     passes = problem.envelope.passes
     w = problem.spectrum
     e = float(w.min() + 0.8 * (w.mean() - w.min()))
-    val, point, info = minimize_dual(h, cs, e, problem=problem)
+    val, vec, info = minimize_dual(h, cs, e, problem=problem)
     assert info.termination == "gibbs_feasible" and info.evaluations == 0
-    assert point.nus[0] == 0.0 and point.mu == -beta_from_energy(w, e)
+    assert vec[1] == 0.0 and vec[0] == -beta_from_energy(w, e)
     assert val == gibbs_at(w, beta_from_energy(w, e))[2]
     val, vec, info = lin_dual_minimize(h, cs, e, problem=problem)
     assert info.termination == "gibbs_feasible" and info.evaluations == 0
@@ -499,10 +504,9 @@ def test_witness_edge_counts_the_witness_free_blocks():
     for solve in (minimize_dual, lin_dual_minimize):
         val, _, info = solve(h, cs, -30.56, problem=problem)
         assert not info.infeasible and val > -np.inf
-    val, point, info = minimize_dual(h, cs, e_up - 0.1, problem=problem)
+    val, vec, info = minimize_dual(h, cs, e_up - 0.1, problem=problem)
     assert info.infeasible and val == -np.inf
-    _assert_farkas_certificate(h, cs, e_up - 0.1, 0.0, point.mu, point.nus,
-                               [])
+    _assert_farkas_certificate(h, cs, e_up - 0.1, vec)
 
 
 def test_scan_rows_below_the_witness_edge_are_infeasible():
@@ -535,25 +539,39 @@ def test_solve_info_reports_the_projected_gradient_norm():
     # the witness path: a Gibbs-feasible row, then a searched one
     for frac, termination in ((0.3, "gibbs_feasible"), (0.15, "converged")):
         e = float(w.min() + frac * (w.mean() - w.min()))
-        _, point, info = minimize_dual(xxz, cs, e, problem=problem)
+        _, vec, info = minimize_dual(xxz, cs, e, problem=problem)
         assert not info.infeasible and info.termination == termination
-        _assert_projected_grad_norm(problem, e, False, dual_mod._pack(point),
-                                    info)
+        _assert_projected_grad_norm(problem, e, False, vec, info)
     ring = heisenberg_chain(HeisenbergParams(4, -1, -1, -1))
     cs = ConstraintSet(map_slots=(even_odd_bipartition(4),))
     problem = prepare_dual(ring, cs)
     for e in (-3.2, -1.6):  # inside (E_min,PPT, mean) = (-4, 0)
         for opts in (SolverOptions(), SolverOptions(max_iter=5)):
-            _, point, info = minimize_dual(ring, cs, e, opts, problem=problem)
+            _, vec, info = minimize_dual(ring, cs, e, opts, problem=problem)
             assert info.termination == ("converged" if info.grad_norm <=
                                         opts.tol else "max_iter")
             assert info.evaluations >= info.iterations
-            _assert_projected_grad_norm(problem, e, False,
-                                        dual_mod._pack(point), info)
+            _assert_projected_grad_norm(problem, e, False, vec, info)
             _, vec, info = lin_dual_minimize(ring, cs, e, opts,
                                              problem=problem)
             assert not info.infeasible
             _assert_projected_grad_norm(problem, e, True, vec, info)
+
+
+def test_spg_warm_starts_from_the_vector_it_returns():
+    # both duals on the SPG path: a solve started from the packed point of
+    # a converged solve at the same energy stops at its first iteration
+    ring = heisenberg_chain(HeisenbergParams(4, -1, -1, -1))
+    cs = ConstraintSet(map_slots=(even_odd_bipartition(4),))
+    problem = prepare_dual(ring, cs)
+    e = -3.2  # inside (E_min,PPT, mean) = (-4, 0)
+    for solve in (minimize_dual, lin_dual_minimize):
+        val, vec, info = solve(ring, cs, e, problem=problem)
+        assert info.converged and info.iterations > 1
+        again, vec2, info2 = solve(ring, cs, e, init=vec, problem=problem)
+        assert info2.converged and info2.iterations <= 1
+        assert vec2.size == vec.size
+        assert abs(again - val) <= 1e-12
 
 
 @pytest.fixture(scope="module")
@@ -666,7 +684,7 @@ def test_diagonal_dual_matches_full_dual(rng):
         alpha = wit.alpha
         e = float(w.mean() - (0.3 + 0.4 * rng.random()) * (w.mean() - w[0]))
         s_diag, mu, nu = diagonal_dual(w, alpha, vecs.shape[1], e)
-        s_full, point, info = minimize_dual(h, ConstraintSet((wit,)), e)
+        s_full, _, info = minimize_dual(h, ConstraintSet((wit,)), e)
         assert abs(s_diag - s_full) < 1e-6
         assert nu >= -1e-12
 
@@ -697,13 +715,15 @@ def test_gap_lower_bound_certifies():
     w = np.linalg.eigvalsh(h.entries)
     beta = beta_from_energy(w, e)
     s_gibbs = gibbs_at(w, beta)[2]
-    val, point, _ = minimize_dual(h, cs, e)
-    feas = DualPoint(point.mu, point.nus,
-                     [psd_project_matrix(x) for x in point.xs])
+    val, vec, _ = minimize_dual(h, cs, e)
+    assert vec.size == 1 + 2 * 8 * 8
+    feas = np.concatenate([vec[:1], _packed(psd_project_matrix(
+        dual_mod._unpack_xs(vec, 1, [8])[0]))])
     bound = gap_lower_bound(h, cs, beta, feas)
     assert bound <= (s_gibbs - val) + 1e-8
-    # the trivial point certifies nothing
-    zero = DualPoint(0.0, np.zeros(0), [np.zeros((8, 8), dtype=complex)])
+    # the trivial point certifies nothing, whatever its mu
+    zero = np.zeros(1 + 2 * 8 * 8)
+    zero[0] = 3.0
     assert abs(gap_lower_bound(h, cs, beta, zero)) < 1e-12
 
 

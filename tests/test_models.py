@@ -8,8 +8,7 @@ from proxygap.models import (HeisenbergParams, XYParams, bell_staircase,
                              excitation_sector_indices, heisenberg_chain,
                              heisenberg_sparse, is_translation_invariant,
                              momentum_sector_split, popcounts,
-                             sector_split_sparse, total_sz_diagonal,
-                             translation_table, xy_chain)
+                             sector_split_sparse, translation_table, xy_chain)
 from proxygap.witness import ConstraintSet, dicke_witness
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -80,7 +79,6 @@ def test_popcounts_and_sectors():
     assert counts[0] == 0 and counts[-1] == n
     sizes = [excitation_sector_indices(n, m).size for m in range(n + 1)]
     assert sizes == [1, 4, 6, 4, 1]
-    np.testing.assert_allclose(total_sz_diagonal(n), n - 2 * counts)
 
 
 def test_dicke_state_support():

@@ -6,7 +6,7 @@ from conftest import (random_cut_product_states, random_product_states,
 from proxygap.linalg import Bipartition, LinalgError
 from proxygap.models import (dicke_state, excitation_sector_indices,
                              popcounts, sector_split_sparse)
-from proxygap.witness import (ALL, ConstraintSet, Witness, all_bipartitions,
+from proxygap.witness import (ALL, Witness, all_bipartitions,
                               dicke_field_range, dicke_witness,
                               even_odd_bipartition, max_schmidt_overlap,
                               projector_witness)
@@ -107,12 +107,6 @@ def test_dicke_field_range_values():
     assert abs(lo - (-2.0)) < 1e-12 and abs(hi - 0.0) < 1e-12
     with pytest.raises(ValueError):
         dicke_field_range(4, 2, -1.0)
-
-
-def test_constraint_set_empty_flag():
-    assert ConstraintSet().empty
-    cs = ConstraintSet(map_slots=(even_odd_bipartition(4),))
-    assert not cs.empty
 
 
 def test_witness_block_consistency():
