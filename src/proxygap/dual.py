@@ -26,6 +26,15 @@ alone solves it.  Everything else, PPT cuts or two or more witnesses, runs
 spectral projected gradient (SPG) on the full objective.  Both solvers
 take and return the variables as one packed vector, (lam,) mu, nu_i and
 the real and imaginary parts of each X_A.
+
+With cuts, when H and every witness conserve total S_z on qubits, the
+exponent lives in the magnetization sectors and each X_A in the blocks of
+the twisted charge S_z^B - S_z^A (Vollbrecht & Werner, PRA 64, 062307
+(2001): twirling by the product unitaries exp(i phi S_z) keeps every cut
+PPT, so the restriction loses nothing).  X_A^(T_A) is then an index
+permutation, and every eigendecomposition runs on stacks of equal-size
+blocks; otherwise each is one dense block.  `ppt_energy_min` runs in the
+same layouts.
 """
 from __future__ import annotations
 
@@ -37,10 +46,9 @@ import scipy.sparse as sp
 from scipy.optimize import minimize
 from scipy.special import logsumexp
 
-from .linalg import (HermitianOperator, LinalgError,
-                     partial_transpose_matrix, psd_project_matrix)
+from .linalg import BlockLayout, HermitianOperator, LinalgError, pt_permutation
 from .models import (is_translation_invariant, momentum_sector_split,
-                     sector_split_sparse)
+                     popcounts, sector_split_sparse)
 from .thermo import (_linear_entropy_weights, beta_from_energy, gibbs_at,
                      linear_entropy_max)
 from .witness import ConstraintSet
@@ -121,20 +129,20 @@ def _local_dims(h, dim: int):
 def _dense_blocks(h, cs: ConstraintSet, fallback: str | None):
     """`_blocks_for`'s result where no split applies."""
     return ("dense", fallback, [_operator_matrix(h)],
-            [[w.to_dense()] for w in cs.witnesses], [1])
+            [[w.to_dense()] for w in cs.witnesses], [1], None)
 
 
 def _blocks_for(h, cs: ConstraintSet):
     """Express H and all witnesses as magnetization blocks, refined by
-    momentum when all are translation invariant (Gatermann & Parrilo, JPAA
-    2004; Sandvik, arXiv:1101.3281 sec. 4).
+    momentum when all are translation invariant and there is no cut
+    (Gatermann & Parrilo, JPAA 2004; Sandvik, arXiv:1101.3281 sec. 4).
 
     Returns (path, fallback, h_blocks, w_blocks per witness, multiplicity
-    per block).  path is "momentum", "sector" or "dense", where the dense H
-    and witnesses are the one block; fallback says why no finer path was
-    taken, or is None."""
-    if cs.map_slots:
-        return _dense_blocks(h, cs, "PPT cuts")
+    per block, magnetization).  path is "momentum", "sector" or "dense",
+    where the dense H and witnesses are the one block; fallback says why no
+    finer path was taken, or is None.  magnetization, the excitation count
+    of each basis state, is given where the blocks are its sectors and
+    there are cuts, else None."""
     if not (isinstance(h, HermitianOperator) or sp.issparse(h)):
         return _dense_blocks(h, cs, "array input")
     hs = h.sparse if isinstance(h, HermitianOperator) else h.tocsr()
@@ -149,19 +157,47 @@ def _blocks_for(h, cs: ConstraintSet):
     except LinalgError:
         return _dense_blocks(h, cs, "does not conserve magnetization")
     ops = [hs] + w_sparse
-    if all(is_translation_invariant(o, n) for o in ops):
+    mag = None
+    if cs.map_slots:
+        # a product unitary u^(x n) keeps every cut PPT, so the twirl over
+        # exp(i phi S_z) loses nothing; momentum blocks do not survive T_A
+        fallback, mag = "PPT cuts", popcounts(n)
+    elif all(is_translation_invariant(o, n) for o in ops):
         try:
             fine, mult = momentum_sector_split(ops, n)
             return ("momentum", None, [bl[0] for bl in fine],
                     [[bl[1 + i] for bl in fine] for i in range(len(w_sparse))],
-                    mult)
+                    mult, None)
         except LinalgError as exc:
             fallback = str(exc)
     else:
         fallback = "not translation invariant"
     return ("sector", fallback, [s.block for s in sb.sectors],
             [[s.block for s in wsb.sectors] for wsb in w_sb],
-            [1] * len(sb.sectors))
+            [1] * len(sb.sectors), mag)
+
+
+def _cut_layouts(mag, cuts, dims):
+    """(layout, x_layouts, pt) with cuts: the layout of the exponent and
+    the state, the magnetization sectors; that of each X_A, the blocks of
+    the twisted charge m_B - m_A = m - 2 m_A, which the partial transpose
+    on A exchanges with them; and per cut the index permutations
+    (to_m, to_x) of that partial transpose between the two.  One block
+    each where `mag` is None."""
+    if mag is None:
+        layout = BlockLayout([int(np.prod(dims))])
+        x_layouts = [layout] * len(cuts)
+    else:
+        n = len(dims)
+        idx = np.arange(2 ** n)
+        layout = BlockLayout.of_charge(mag)
+        x_layouts = [BlockLayout.of_charge(
+            mag - 2 * sum((idx >> (n - 1 - i)) & 1 for i in cut.subset_mask))
+            for cut in cuts]
+    pt = [(pt_permutation(xl, layout, dims, cut.subset_mask),
+           pt_permutation(layout, xl, dims, cut.subset_mask))
+          for xl, cut in zip(x_layouts, cuts)]
+    return layout, x_layouts, pt
 
 
 @dataclass
@@ -171,20 +207,27 @@ class DualProblem:
     `blocks` holds (H block, [witness block, or None where the witness
     vanishes]) for every symmetry block with witness support, or every
     block where there are cuts, and `mult` how many blocks of the split
-    each stands for (2 for a conjugate momentum pair).  With PPT cuts, or
-    when no split applies, the dense H is the one block of the split.
-    `free` holds the fixed spectra of the witness-free blocks and
-    `spectrum` the sorted spectrum of H, each eigenvalue as often as it
-    occurs.  `path` is the split taken ("momentum", "sector" or "dense")
-    and `fallback` why no finer one was, or None.  `envelope` is the
-    witness path, set when there is at most one witness and no cut."""
+    each stands for (2 for a conjugate momentum pair).  With PPT cuts the
+    blocks are the magnetization sectors; when no split applies, the dense
+    H is the one block.  `layout` packs the kept blocks (see
+    `BlockLayout`), and `h_packed` and `w_packed` are H and each witness
+    (None where it vanishes) in it.  Each X_A lives in the blocks of
+    `x_layouts[A]`; `pt[A]` = (to_m, to_x) are the index permutations of
+    its partial transpose into `layout` and back.  `free` holds the fixed
+    spectra of the witness-free blocks and `spectrum` the sorted spectrum
+    of H, each eigenvalue as often as it occurs.  `path` is the split taken
+    ("momentum", "sector" or "dense") and `fallback` why no finer one was,
+    or None.  `envelope` is the witness path, set when there is at most
+    one witness and no cut."""
     blocks: list
     mult: list
     free: np.ndarray
     spectrum: np.ndarray
-    dims: tuple   # local dimensions, for the partial transposes
-    cuts: tuple
-    x_dims: list  # the dimension of each X_A
+    layout: BlockLayout
+    h_packed: np.ndarray
+    w_packed: list
+    x_layouts: list
+    pt: list
     n_wit: int
     path: str
     fallback: str | None
@@ -206,7 +249,7 @@ def prepare_dual(h, cs: ConstraintSet) -> DualProblem:
     as `problem` to every solve on the same H and constraint set."""
     n_wit = len(cs.witnesses)
     witness_path = n_wit <= 1 and not cs.map_slots
-    path, fallback, h_blocks, w_blocks, mult = _blocks_for(h, cs)
+    path, fallback, h_blocks, w_blocks, mult, mag = _blocks_for(h, cs)
     blocks, kept, free, eigs, w_diags = [], [], [], [], []
     for hb, m, *wbs in zip(h_blocks, mult, *w_blocks):
         wbs = [wb if np.abs(wb).max() > 0 else None for wb in wbs]
@@ -223,10 +266,24 @@ def prepare_dual(h, cs: ConstraintSet) -> DualProblem:
         eigs.extend([ev] * m)
     free = np.concatenate([np.zeros(0)] + free)
     ev = np.concatenate([free] + eigs)
-    d = ev.size
-    problem = DualProblem(blocks, kept, free, np.sort(ev), _local_dims(h, d),
-                          cs.map_slots, [d] * len(cs.map_slots), n_wit, path,
-                          fallback)
+    if mag is not None:
+        # the spectrum of the dense H, which scans with cuts have always
+        # placed their grid on: on a traceless H its mean, the grid's top
+        # energy, is rounding, and the sector blocks round it differently
+        ev = np.linalg.eigvalsh(_operator_matrix(h))
+    if cs.map_slots:
+        layout, x_layouts, pt = _cut_layouts(mag, cs.map_slots,
+                                             _local_dims(h, ev.size))
+    else:
+        layout = BlockLayout([hb.shape[0] for hb, _ in blocks])
+        x_layouts, pt = [], []
+    w_packed = [None if all(wbs[i] is None for _, wbs in blocks) else
+                layout.pack([np.zeros_like(hb) if wbs[i] is None else wbs[i]
+                             for hb, wbs in blocks])
+                for i in range(n_wit)]
+    problem = DualProblem(blocks, kept, free, np.sort(ev), layout,
+                          layout.pack([hb for hb, _ in blocks]), w_packed,
+                          x_layouts, pt, n_wit, path, fallback)
     if witness_path:
         w_diag = np.concatenate([np.zeros(free.size)] + w_diags)
         problem.envelope = _Envelope(problem, ev, w_diag)
@@ -265,13 +322,15 @@ class _BlockObjective:
 
     The packed variables are (lam,) mu, nu_i, X_A; lam, the multiplier of
     tr(rho) = 1, only for the linear entropy (ln tr exp normalizes by
-    itself).  Each block with witness support is diagonalized, M = v w v^+;
-    a witness-free block adds mu times its fixed spectrum.  With
-    G = v F'(w) v^+ per block, the gradient is tr(G A_k) - b_k in each
-    scalar and G^(T_A) in each X_A: for the von Neumann dual, the moments
-    and partial transposes of sigma = exp(M) / tr exp(M).  A block that
-    stands for a conjugate pair counts its eigenvalues, and so its share
-    of every trace, twice.
+    itself), and each X_A the packed blocks of its `x_layouts` entry.  The
+    exponent M is built in the problem's `layout`, where each X_A^(T_A) is
+    an index permutation of X_A, and diagonalized, M = v w v^+, one stack
+    of equal-size blocks at a time; a witness-free block adds mu times its
+    fixed spectrum.  With G = v F'(w) v^+, the gradient is tr(G A_k) - b_k
+    in each scalar and G^(T_A) in each X_A: for the von Neumann dual, the
+    moments and partial transposes of sigma = exp(M) / tr exp(M).  A block
+    that stands for a conjugate pair counts its eigenvalues, and so its
+    share of every trace, twice.
 
     Each evaluation also records lam_max(M) - b.y, read by
     `proves_infeasible`.  F(w) >= max(w) for both spectral functions, so a
@@ -287,20 +346,20 @@ class _BlockObjective:
         self.slack = np.inf
         self.margin = 0.0
         p = problem
+        mult = np.asarray(p.mult, dtype=float)
         self.counts = None if all(m == 1 for m in p.mult) else np.concatenate(
             [np.ones(p.free.size)]
-            + [np.full(hb.shape[0], float(m))
-               for (hb, _), m in zip(p.blocks, p.mult)])
+            + [np.repeat(mult[ids], b) for b, ids in p.layout.groups])
 
     def project(self, vec):
         """The nearest feasible point: nu >= 0 and PSD X_A."""
         p = self.problem
-        return _project_vec(vec, self.n_free, p.n_wit, p.x_dims)
+        return _project_vec(vec, self.n_free, p.n_wit, p.x_layouts)
 
     def grad_norm(self, vec, g) -> float:
         """The projected gradient norm at a feasible point."""
         p = self.problem
-        return _projected_grad_norm(vec, g, self.n_free, p.n_wit, p.x_dims)
+        return _projected_grad_norm(vec, g, self.n_free, p.n_wit, p.x_layouts)
 
     def proves_infeasible(self) -> bool:
         """Whether the point of the last `value_grad` call, if feasible
@@ -313,81 +372,65 @@ class _BlockObjective:
         k = self.n_free
         lam = vec[0] if self.linear else 0.0
         mu, nus = vec[k - 1], vec[k:k + p.n_wit]
-        xs = _unpack_xs(vec, k + p.n_wit, p.x_dims)
-        exps = [mu * p.free + lam] if p.free.size else []
-        vecs = []
-        for hb, wbs in p.blocks:
-            m = mu * hb
-            if self.linear:
-                m.flat[::m.shape[0] + 1] += lam  # + lam I
-            for nu, wb in zip(nus, wbs):
-                if nu != 0.0 and wb is not None:
-                    m = m + nu * wb
-            for x, cut in zip(xs, p.cuts):
-                m = m + partial_transpose_matrix(x, p.dims, cut.subset_mask)
-            w, v = np.linalg.eigh((m + m.conj().T) / 2)
-            exps.append(w)
-            vecs.append(v)
-        w = np.concatenate(exps) if len(exps) > 1 else exps[0]
+        m = mu * p.h_packed
+        if self.linear:
+            m[p.layout.diagonal] += lam  # + lam I
+        for nu, wp in zip(nus, p.w_packed):
+            if nu != 0.0 and wp is not None:
+                m += nu * wp
+        for x, (to_m, _) in zip(_unpack_xs(vec, k + p.n_wit, p.x_layouts),
+                                p.pt):
+            m += x[to_m]
+        w, vecs = p.layout.eigh(p.layout.hermitian(m))
+        if p.free.size:
+            w = np.concatenate([mu * p.free + lam, w])
         f, weights = self.spectral(w, self.counts)
         by = lam + mu * self.e
         w_max = float(w.max())
         self.slack = w_max - by
         self.margin = _farkas_margin(by, w_max, float(w.min()))
         off = p.free.size
-        # tr G and tr(G A_k), the free blocks' share first
-        tr_g = float(weights[:off].sum()) if off else 0.0
-        h_g = float(weights[:off] @ p.free) if off else 0.0
-        w_g = [0.0] * p.n_wit
-        gxs = []
-        for (hb, wbs), v in zip(p.blocks, vecs):
-            wt = weights[off:off + v.shape[1]]
-            off += v.shape[1]
-            g = (v * wt) @ v.conj().T
-            h_g += float(np.real(np.sum(g.T * hb)))
-            if self.linear:
-                tr_g += float(np.real(np.trace(g)))
-            for i, wb in enumerate(wbs):
-                if wb is not None:
-                    w_g[i] += float(np.real(np.sum(g.T * wb)))
-            for cut in p.cuts:
-                gx = partial_transpose_matrix(g, p.dims, cut.subset_mask)
-                gxs.append(np.ascontiguousarray(gx).view(float).ravel())
-        grad = ([tr_g - 1.0] if self.linear else []) + [h_g - self.e] + w_g
+        # tr(G A_k) = Re <G, A_k> for Hermitian G, the free blocks' share
+        # first; tr G is the sum of the weights
+        g = p.layout.compose(vecs, weights[off:])
+        h_g = float(weights[:off] @ p.free) + float(np.vdot(g, p.h_packed).real)
+        w_g = [0.0 if wp is None else float(np.vdot(g, wp).real)
+               for wp in p.w_packed]
+        gxs = [g[to_x].view(float) for _, to_x in p.pt]
+        grad = ([weights.sum() - 1.0] if self.linear else []) + \
+            [h_g - self.e] + w_g
         return float(f - lam - mu * self.e), np.concatenate([grad] + gxs)
 
 
 # ---------------------------------------------------------------------------
 # projected minimization
 
-def _unpack_xs(vec: np.ndarray, off: int, x_dims) -> list:
+def _unpack_xs(vec: np.ndarray, off: int, x_layouts) -> list:
+    """The packed complex blocks of each X_A, from offset `off` of vec."""
     xs = []
-    for d in x_dims:
-        size = 2 * d * d
-        xs.append(vec[off:off + size].copy().view(complex).reshape(d, d))
-        off += size
+    for layout in x_layouts:
+        xs.append(vec[off:off + 2 * layout.size].copy().view(complex))
+        off += 2 * layout.size
     return xs
 
 
-def _project_vec(vec, n_free, n_wit, x_dims):
+def _project_vec(vec, n_free, n_wit, x_layouts):
     """Project packed variables (n_free free scalars, then nu_i, then X_A)
     onto nu >= 0 and PSD X_A."""
     out = vec.copy()
     out[n_free:n_free + n_wit] = np.maximum(out[n_free:n_free + n_wit], 0.0)
     off = n_free + n_wit
-    for x in _unpack_xs(vec, off, x_dims):
-        size = 2 * x.size
-        out[off:off + size] = np.ascontiguousarray(
-            psd_project_matrix(x)).view(float).ravel()
-        off += size
+    for x, layout in zip(_unpack_xs(vec, off, x_layouts), x_layouts):
+        out[off:off + 2 * x.size] = layout.psd_project(x).view(float)
+        off += 2 * x.size
     return out
 
 
-def _projected_grad_norm(x, g, n_free, n_wit, x_dims) -> float:
+def _projected_grad_norm(x, g, n_free, n_wit, x_layouts) -> float:
     """||P(x - g) - x|| at a feasible x, zero exactly at a minimizer.  The
     scalars are stepped as -g and max(-g, -nu), so that g is not lost to
     rounding where |x| >> |g| far out on an unbounded ray."""
-    step = _project_vec(x - g, n_free, n_wit, x_dims) - x
+    step = _project_vec(x - g, n_free, n_wit, x_layouts) - x
     step[:n_free] = -g[:n_free]
     nus = slice(n_free, n_free + n_wit)
     step[nus] = np.maximum(-g[nus], -x[nus])
@@ -725,7 +768,7 @@ def _minimize(h, cs: ConstraintSet, e: float, opts: SolverOptions,
     # start at the entropy maximizer for H alone: the Gibbs point
     # mu = -beta(E), or the impurity maximizer rho* = (lam I + mu H) / 2
     x0 = np.zeros(obj.n_free + problem.n_wit
-                  + sum(2 * d * d for d in problem.x_dims))
+                  + sum(2 * xl.size for xl in problem.x_layouts))
     if linear:
         x0[0], x0[1] = _linear_multipliers(problem.spectrum, e)
     else:
@@ -875,6 +918,7 @@ class PPTResult:
     residual: float         # primal-dual gap
     converged: bool
     rho: np.ndarray
+    iterations: int = 0     # ADMM iterations run
 
 
 def _simplex_project(w: np.ndarray) -> np.ndarray:
@@ -888,68 +932,72 @@ def _simplex_project(w: np.ndarray) -> np.ndarray:
     return np.maximum(w - theta, 0.0)
 
 
-def _density_project(m: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh((m + m.conj().T) / 2)
-    return (v * _simplex_project(w)) @ v.conj().T
-
-
 def ppt_energy_min(h, cuts, sigma: float = None, tol: float = 1e-9,
                    cert_tol: float = 1e-5, max_iter: int = 20000) -> PPTResult:
     """min tr(rho H) over states PSD under partial transposition on every
     cut, by first-order operator splitting (consensus ADMM: alternating
     projections onto the density and PT-PSD sets), certified by a dual
-    feasibility bound with gap <= cert_tol."""
-    hmat = _operator_matrix(h)
-    dims = _local_dims(h, hmat.shape[0])
-    cuts = list(cuts)
-    d = hmat.shape[0]
+    feasibility bound with gap <= cert_tol.
+
+    rho and its copy z0 live in the magnetization sectors, and each copy
+    z_A of rho^(T_A) in the blocks of the cut's twisted charge (see
+    `_cut_layouts`); from the start I / d every iterate stays in them.
+    Where H does not conserve magnetization, or the sites are not qubits,
+    each is one dense block."""
+    cuts = tuple(cuts)
+    if not cuts:
+        raise ValueError("need at least one cut")
+    _, _, h_blocks, _, _, mag = _blocks_for(h, ConstraintSet(map_slots=cuts))
+    d = sum(hb.shape[0] for hb in h_blocks)
+    lay, x_layouts, pt = _cut_layouts(mag, cuts, _local_dims(h, d))
+    hp = lay.pack(h_blocks)
     n_c = len(cuts)
-    scale = max(np.abs(hmat).max(), 1.0)
+    scale = max(np.abs(hp).max(), 1.0)
     sigma = sigma if sigma is not None else float(scale)
-    z0 = np.eye(d, dtype=complex) / d
-    za = [z0.copy() for _ in cuts]
-    u0 = np.zeros((d, d), dtype=complex)
-    ua = [np.zeros((d, d), dtype=complex) for _ in cuts]
-    rho = z0.copy()
+    z0 = np.zeros(lay.size, dtype=complex)
+    z0[lay.diagonal] = 1.0 / d
+    za = [z0[to_x] for _, to_x in pt]
+    u0 = np.zeros(lay.size, dtype=complex)
+    ua = [np.zeros(xl.size, dtype=complex) for xl in x_layouts]
     best = None
     for it in range(1, max_iter + 1):
-        acc = (z0 - u0) - hmat / sigma
-        for zi, ui, cut in zip(za, ua, cuts):
-            acc = acc + partial_transpose_matrix(zi - ui, dims,
-                                                 cut.subset_mask)
+        acc = (z0 - u0) - hp / sigma
+        for zi, ui, (to_m, _) in zip(za, ua, pt):
+            acc = acc + (zi - ui)[to_m]
         rho = acc / (1.0 + n_c)
-        z0_new = _density_project(rho + u0)
-        za_new = [psd_project_matrix(
-            partial_transpose_matrix(rho, dims, c.subset_mask) + ui)
-            for ui, c in zip(ua, cuts)]
+        w, vecs = lay.eigh(lay.hermitian(rho + u0))
+        z0_new = lay.compose(vecs, _simplex_project(w))
+        rho_a = [rho[to_x] for _, to_x in pt]
+        za_new = [xl.psd_project(ra + ui)
+                  for ra, ui, xl in zip(rho_a, ua, x_layouts)]
         u0 = u0 + rho - z0_new
-        ua = [ui + partial_transpose_matrix(rho, dims, c.subset_mask) - zi
-              for ui, zi, c in zip(ua, za_new, cuts)]
+        ua = [ui + ra - zi for ui, ra, zi in zip(ua, rho_a, za_new)]
         r_prim = np.linalg.norm(rho - z0_new)
-        for zi, c in zip(za_new, cuts):
-            r_prim = max(r_prim, np.linalg.norm(
-                partial_transpose_matrix(rho, dims, c.subset_mask) - zi))
+        for ra, zi in zip(rho_a, za_new):
+            r_prim = max(r_prim, np.linalg.norm(ra - zi))
         z0, za = z0_new, za_new
         if it % 50 == 0 or r_prim < tol:
             # z0 is a state by construction; its PT-PSD violation plus the
             # primal-dual gap form the certificate residual
-            primal = float(np.real(np.sum(z0.T * hmat)))
+            primal = float(np.vdot(z0, hp).real)
             viol = 0.0
-            for c in cuts:
-                wmin = np.linalg.eigvalsh(partial_transpose_matrix(
-                    z0, dims, c.subset_mask))[0]
+            for (_, to_x), xl in zip(pt, x_layouts):
+                wmin = xl.eigvalsh(z0[to_x]).min()
                 viol = max(viol, float(-wmin))
-            ys = [psd_project_matrix(-sigma * ui) for ui in ua]
-            g = hmat.copy()
-            for y, c in zip(ys, cuts):
-                g = g - partial_transpose_matrix(y, dims, c.subset_mask)
-            lower = float(np.linalg.eigvalsh((g + g.conj().T) / 2)[0])
+            ys = [xl.psd_project(-sigma * ui)
+                  for ui, xl in zip(ua, x_layouts)]
+            g = hp.copy()
+            for y, (to_m, _) in zip(ys, pt):
+                g = g - y[to_m]
+            lower = float(lay.eigvalsh(lay.hermitian(g)).min())
             resid = max(primal - lower, 0.0) + viol * scale
             if best is None or resid < best.residual:
-                best = PPTResult(lower, primal, resid, resid <= cert_tol, z0)
+                best = PPTResult(lower, primal, resid, resid <= cert_tol,
+                                 lay.dense(z0))
             if resid <= cert_tol:
-                return best
-    return replace(best, converged=best.residual <= cert_tol)
+                return replace(best, iterations=it)
+    return replace(best, converged=best.residual <= cert_tol,
+                   iterations=max_iter)
 
 
 # ---------------------------------------------------------------------------

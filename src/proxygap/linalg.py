@@ -2,7 +2,9 @@
 
 Operators carry their tensor-factor structure (``local_dims``) so that
 partial transposition and bipartite cuts can be applied by index
-bookkeeping alone.  An operator holds a dense complex128 matrix or a
+bookkeeping alone.  A `BlockLayout` stores block-diagonal matrices packed,
+diagonalizes equal-size blocks in one batched call, and `pt_permutation`
+turns a partial transpose between two layouts into one index permutation.  An operator holds a dense complex128 matrix or a
 sparse CSR one; a sparse operator is densified only where a dense path
 asks for its `entries`, behind the `PROXYGAP_MAX_QUBITS` memory guard.
 Entropies elsewhere are in nats.
@@ -159,16 +161,141 @@ def partial_transpose_matrix(m: np.ndarray, local_dims, subset) -> np.ndarray:
     return t.transpose(axes).reshape(d, d)
 
 
+def stacked_eigh(stack: np.ndarray):
+    """np.linalg.eigh of a (k, b, b) stack of Hermitian matrices in one
+    call.  numpy's divide-and-conquer driver (zheevd) can fail to converge
+    on a finite Hermitian matrix; the stack is then redone matrix by matrix
+    with the MRRR driver (zheevr), which solves the one kept in tests/data.
+    A stack of 1 x 1 blocks is its own eigenvalues."""
+    if stack.shape[-1] == 1:
+        return stack.real[..., 0].copy(), np.ones_like(stack)
+    try:
+        return np.linalg.eigh(stack)
+    except np.linalg.LinAlgError:
+        pairs = [scipy.linalg.eigh(m, driver="evr") for m in stack]
+        return (np.array([w for w, _ in pairs]),
+                np.array([v for _, v in pairs]))
+
+
 def psd_project_matrix(m: np.ndarray) -> np.ndarray:
     """Nearest PSD matrix in Frobenius distance (eigenvalue clipping)."""
-    m = (m + m.conj().T) / 2
-    try:
-        w, v = np.linalg.eigh(m)
-    except np.linalg.LinAlgError:
-        # numpy's divide-and-conquer driver (zheevd) can fail to converge
-        # on a finite Hermitian matrix; the MRRR driver (zheevr) solves
-        # the one kept in tests/data
-        w, v = scipy.linalg.eigh(m, driver="evr")
-    w = np.maximum(w, 0.0)
-    out = (v * w) @ v.conj().T
-    return (out + out.conj().T) / 2
+    layout = BlockLayout([m.shape[0]])
+    return layout.dense(layout.psd_project(np.asarray(m, dtype=complex).ravel()))
+
+
+def _joined(arrays, dtype=float) -> np.ndarray:
+    """The arrays raveled and concatenated; empty if there are none."""
+    return np.concatenate([np.zeros(0, dtype)] + [a.ravel() for a in arrays])
+
+
+class BlockLayout:
+    """Block-diagonal d x d matrices, stored packed: the blocks of equal
+    size are stacked into one (k, b, b) array, and the stacks, one per size
+    in the order the sizes first occur, are concatenated into one complex
+    vector.  Each `eigh` then runs once per size, on the whole stack.
+
+    `sizes` are the block dimensions and `index[i]` the basis indices of
+    block i, where the blocks are sets of basis states (one block holds
+    them all); `index` is None where they are not (momentum blocks)."""
+
+    def __init__(self, sizes, index=None):
+        sizes = [int(b) for b in sizes]
+        self.dim = sum(sizes)
+        if index is None and len(sizes) == 1:
+            index = [np.arange(self.dim)]
+        self.index = index
+        groups = {}
+        for i, b in enumerate(sizes):
+            groups.setdefault(b, []).append(i)
+        self.groups = list(groups.items())  # (size, block ids)
+        self.size = sum(b * b * len(ids) for b, ids in self.groups)
+        # each packed entry's diagonal positions and its (j, i) partner
+        at = np.arange(self.size)
+        self.diagonal = _joined((s.diagonal(axis1=1, axis2=2)
+                                 for s in self.stacks(at)), int)
+        self.adjoint = _joined((s.transpose(0, 2, 1)
+                                for s in self.stacks(at)), int)
+
+    @classmethod
+    def of_charge(cls, q: np.ndarray) -> "BlockLayout":
+        """The blocks of the basis states with equal charge q, by
+        ascending q: the layout of every matrix that conserves q."""
+        index = [np.nonzero(q == v)[0] for v in np.unique(q)]
+        return cls([ix.size for ix in index], index)
+
+    def stacks(self, packed: np.ndarray) -> list:
+        """(k, b, b) views of a packed vector, one per block size."""
+        out, off = [], 0
+        for b, ids in self.groups:
+            n = len(ids) * b * b
+            out.append(packed[off:off + n].reshape(len(ids), b, b))
+            off += n
+        return out
+
+    def pack(self, blocks) -> np.ndarray:
+        """The packed vector of the block matrices, given in block order."""
+        return _joined((np.asarray([blocks[i] for i in ids], dtype=complex)
+                        for _, ids in self.groups), complex)
+
+    def positions(self) -> np.ndarray:
+        """The flat position i * d + j of each packed entry in the dense
+        matrix."""
+        ix = [np.asarray([self.index[i] for i in ids]) for _, ids in self.groups]
+        return _joined((r[:, :, None] * self.dim + r[:, None, :] for r in ix),
+                       int)
+
+    def dense(self, packed: np.ndarray) -> np.ndarray:
+        """The d x d matrix of a packed vector, zero off the blocks."""
+        out = np.zeros(self.dim * self.dim, dtype=complex)
+        out[self.positions()] = packed
+        return out.reshape(self.dim, self.dim)
+
+    def hermitian(self, packed: np.ndarray) -> np.ndarray:
+        """(M + M^+) / 2 of a packed M."""
+        return (packed + packed[self.adjoint].conj()) / 2
+
+    def eigh(self, packed: np.ndarray):
+        """(eigenvalues, eigenvector stacks) of a packed Hermitian matrix,
+        the eigenvalues concatenated stack by stack."""
+        pairs = [stacked_eigh(s) for s in self.stacks(packed)]
+        return _joined(w for w, _ in pairs), [v for _, v in pairs]
+
+    def eigvalsh(self, packed: np.ndarray) -> np.ndarray:
+        """The eigenvalues of a packed Hermitian matrix, as in `eigh`."""
+        return _joined(np.linalg.eigvalsh(s) for s in self.stacks(packed))
+
+    def compose(self, vecs: list, weights: np.ndarray) -> np.ndarray:
+        """The packed matrix sum_i weights_i v_i v_i^+ over the eigenvector
+        stacks `vecs`, weights in the order of `eigh`'s eigenvalues."""
+        out = np.empty(self.size, dtype=complex)
+        off = 0
+        for v, stack in zip(vecs, self.stacks(out)):
+            k, b = v.shape[0], v.shape[1]
+            wt = weights[off:off + k * b].reshape(k, 1, b)
+            off += k * b
+            np.matmul(v * wt, v.conj().transpose(0, 2, 1), out=stack)
+        return out
+
+    def psd_project(self, packed: np.ndarray) -> np.ndarray:
+        """The nearest PSD matrix in Frobenius distance (eigenvalue
+        clipping), block by block."""
+        w, vecs = self.eigh(self.hermitian(packed))
+        return self.hermitian(self.compose(vecs, np.maximum(w, 0.0)))
+
+
+def pt_permutation(src: BlockLayout, dst: BlockLayout, local_dims,
+                   subset) -> np.ndarray:
+    """The index p with dst_packed = src_packed[p] the partial transpose of
+    the factors in `subset`, built by transposing a matrix of flat
+    positions.  Raises LinalgError unless the partial transpose maps the
+    blocks of `src` exactly onto those of `dst`."""
+    d = src.dim
+    flat = np.arange(d * d).reshape(d, d)
+    moved = partial_transpose_matrix(flat, local_dims, subset).ravel()
+    where = np.full(d * d, -1)
+    where[src.positions()] = np.arange(src.size)
+    p = where[moved[dst.positions()]]
+    if src.size != dst.size or (p < 0).any():
+        raise LinalgError("the partial transpose does not map the layouts "
+                          "onto each other")
+    return p

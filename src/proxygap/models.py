@@ -6,9 +6,11 @@ Site 0 is the most significant bit of the basis index.
 
 Hamiltonians are assembled as sparse matrices from bit arithmetic (a bond
 term touches at most one off-diagonal per row) and stay sparse: a
-witness-only scan splits them into symmetry blocks without ever forming the
-2^n x 2^n matrix.  Only a dense path (PPT cuts, full diagonalization)
-densifies an operator, behind the memory guard.
+witness-only scan splits them into symmetry blocks, and a PPT problem into
+magnetization sectors, without forming the 2^n x 2^n matrix.  Only a dense
+path densifies an operator, behind the memory guard: an operator that does
+not conserve magnetization, a full diagonalization, or the spectrum of H
+that a PPT scan places its energy grid on.
 """
 from __future__ import annotations
 

@@ -24,7 +24,6 @@ class Witness:
     """Hermitian operator with tr(rho W) >= 0 on its separable class."""
 
     matrix: sp.csr_matrix
-    n_sites: int
     alpha: float | None = None
 
     def to_dense(self) -> np.ndarray:
@@ -96,7 +95,7 @@ def dicke_witness(n: int, m: int) -> Witness:
     d = 2 ** n
     w = sp.csr_matrix((vals, (rows, cols)), shape=(d, d))
     w.sum_duplicates()
-    return Witness(w, n)
+    return Witness(w)
 
 
 def max_schmidt_overlap(psi: np.ndarray, cut: Bipartition) -> float:
@@ -196,7 +195,7 @@ def projector_witness(states, cuts, n_sites: int | None = None,
     p = states.T @ states.conj()
     d = states.shape[1]
     w = alpha * np.eye(d) - p
-    return Witness(sp.csr_matrix(w), n_sites, alpha=float(alpha))
+    return Witness(sp.csr_matrix(w), alpha=float(alpha))
 
 
 def dicke_field_range(n: int, m: int, delta_j: float):

@@ -217,6 +217,7 @@ def test_gap_scan_with_ppt_block(tmp_path):
     summary = json.loads((out / "gap_scan_summary.json").read_text())
     assert summary["ppt_converged"] is True
     assert summary["e_min_ppt"] >= summary["e0"] - 1e-9
+    assert 0 < summary["ppt_iterations"] <= 20000  # the default max_iter
 
 
 def test_bad_configs_exit_2(tmp_path):
@@ -250,6 +251,7 @@ def test_ppt_emin_command(tmp_path, capsys):
     payload = json.loads((out / "ppt_emin.json").read_text())
     assert payload["e_min_ppt"] == pytest.approx(-1.0, abs=5e-4)
     assert payload["converged"] is True
+    assert 0 < payload["iterations"] <= 20000  # the default max_iter
     assert json.loads(capsys.readouterr().out)["converged"] is True
 
 

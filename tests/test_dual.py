@@ -11,7 +11,7 @@ from proxygap.dual import (GAP_TOLERANCE_LINEAR, GridOptions,
                            lin_dual_minimize, minimize_dual, ppt_energy_min,
                            prepare_dual, theorem3_check)
 from proxygap.linalg import (Bipartition, HermitianOperator,
-                             partial_transpose_matrix, psd_project_matrix)
+                             partial_transpose_matrix)
 from proxygap.models import (HeisenbergParams, XYParams, bell_staircase,
                              energy_extremes, heisenberg_chain,
                              heisenberg_sparse, xy_chain)
@@ -39,12 +39,14 @@ def _packed(x) -> np.ndarray:
 
 
 def _random_vec(rng, problem, linear):
-    """Packed dual variables: (lam,) mu, nu_i >= 0, PSD X_A."""
+    """Packed dual variables: (lam,) mu, nu_i >= 0, PSD X_A in the blocks
+    of its layout (the blocks of a PSD matrix are PSD)."""
     d = problem.spectrum.size
     xs = []
-    for _ in problem.cuts:
+    for xl in problem.x_layouts:
         m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        xs.append(_packed(psd_project_matrix(m @ m.conj().T / d)))
+        m = (m @ m.conj().T / d).ravel()[xl.positions()]
+        xs.append(_packed(xl.psd_project(m)))
     vec = np.concatenate([[rng.standard_normal()],
                           np.abs(rng.standard_normal(problem.n_wit))] + xs)
     return np.concatenate(([rng.standard_normal()], vec)) if linear else vec
@@ -85,20 +87,21 @@ def test_gradients_match_finite_differences(rng):
             return (obj.value_grad(vec + eps * direction)[0]
                     - obj.value_grad(vec - eps * direction)[0]) / (2 * eps)
 
-        n_scalar = vec.size - sum(2 * d * d for d in problem.x_dims)
+        n_scalar = vec.size - sum(2 * xl.size for xl in problem.x_layouts)
         for i in range(n_scalar):
             direction = np.zeros(vec.size)
             direction[i] = 1.0
             assert abs(slope(direction) - grad[i]) < 2e-6 * scale
         off = n_scalar
-        for d in problem.x_dims:
+        d = problem.spectrum.size
+        for xl in problem.x_layouts:
             # a random Hermitian direction for the matrix variable
             dm = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-            dm = (dm + dm.conj().T) / 2
+            dm = ((dm + dm.conj().T) / 2).ravel()[xl.positions()]
             dm /= np.linalg.norm(dm)
             direction = np.zeros(vec.size)
-            direction[off:off + 2 * d * d] = dm.view(float).ravel()
-            off += 2 * d * d
+            direction[off:off + 2 * xl.size] = dm.view(float)
+            off += 2 * xl.size
             assert abs(slope(direction) - grad @ direction) < 2e-6 * scale
         checked += 1
 
@@ -189,6 +192,113 @@ def test_block_path_reports_projected_gradient():
     assert info.converged
 
 
+def _one_block(monkeypatch):
+    """Force the dense layout: H, each witness and each X_A one block."""
+    monkeypatch.setattr(dual_mod, "_blocks_for",
+                        lambda h, cs: dual_mod._dense_blocks(h, cs, None))
+
+
+def _as_one_block(vec, blocked, dense, n_scalar):
+    """A packed point of `blocked` as the same point of `dense`."""
+    xs = dual_mod._unpack_xs(vec, n_scalar, blocked.x_layouts)
+    return np.concatenate([vec[:n_scalar]] + [
+        _packed(xl.dense(x)) for x, xl in zip(xs, blocked.x_layouts)])
+
+
+def _sector_cases():
+    # AFM rings with cuts, alone and with a Dicke witness
+    for n, cuts, wits in ((4, all_bipartitions(4), ()),
+                          (5, [even_odd_bipartition(5)], ()),
+                          (5, [even_odd_bipartition(5)], (dicke_witness(5, 2),))):
+        yield (heisenberg_chain(HeisenbergParams(n, -1, -1, -1)),
+               ConstraintSet(wits, tuple(cuts)))
+
+
+def test_sector_layout_matches_one_block_layout(rng, monkeypatch):
+    """Values and gradients of both duals with cuts agree to 1e-12 at
+    random feasible points, blocked and forced into one block."""
+    for h, cs in _sector_cases():
+        blocked = prepare_dual(h, cs)
+        assert (blocked.path, blocked.fallback) == ("sector", "PPT cuts")
+        with monkeypatch.context() as patch:
+            _one_block(patch)
+            dense = prepare_dual(h, cs)
+        assert [xl.size for xl in dense.x_layouts] == \
+            [h.dim ** 2] * len(cs.map_slots)
+        np.testing.assert_array_equal(blocked.spectrum, dense.spectrum)
+        w = blocked.spectrum
+        for linear in (False, True):
+            k = (2 if linear else 1) + blocked.n_wit
+            for _ in range(5):
+                e = float(w.mean() - rng.random() * np.ptp(w) / 4)
+                vec = _random_vec(rng, blocked, linear)
+                vb, gb = dual_mod._BlockObjective(
+                    blocked, e, linear).value_grad(vec)
+                vd, gd = dual_mod._BlockObjective(dense, e, linear).value_grad(
+                    _as_one_block(vec, blocked, dense, k))
+                assert abs(vb - vd) <= 1e-12 * max(1.0, abs(vb))
+                np.testing.assert_allclose(
+                    _as_one_block(gb, blocked, dense, k), gd,
+                    rtol=0, atol=1e-12)
+
+
+def test_ppt_energy_min_matches_one_block_layout(monkeypatch):
+    h = heisenberg_chain(HeisenbergParams(4, -1, -1, -1))
+    cuts = all_bipartitions(4)
+    blocked = ppt_energy_min(h, cuts)
+    _one_block(monkeypatch)
+    dense = ppt_energy_min(h, cuts)
+    assert blocked.converged and dense.converged
+    assert blocked.iterations == dense.iterations
+    for key in ("value", "primal_value", "residual"):
+        assert abs(getattr(blocked, key) - getattr(dense, key)) <= 1e-12
+    np.testing.assert_allclose(blocked.rho, dense.rho, rtol=0, atol=1e-12)
+
+
+def test_ppt_energy_min_reports_its_iterations():
+    h = heisenberg_chain(HeisenbergParams(5, -1, -1, -1))
+    cut = even_odd_bipartition(5)
+    res = ppt_energy_min(h, [cut], max_iter=120)
+    assert not res.converged and res.iterations == 120
+    res = ppt_energy_min(heisenberg_chain(HeisenbergParams(4, -1, -1, -1)),
+                         all_bipartitions(4))
+    assert res.converged and 0 < res.iterations <= 20000
+
+
+def test_xy_ring_with_a_cut_is_one_block():
+    n = 4
+    cs = ConstraintSet(map_slots=(even_odd_bipartition(n),))
+    problem = prepare_dual(xy_chain(XYParams(n, 0.5, 0.3)), cs)
+    assert (problem.path, problem.fallback) == (
+        "dense", "does not conserve magnetization")
+    assert [hb.shape for hb, _ in problem.blocks] == [(16, 16)]
+    assert [xl.size for xl in problem.x_layouts] == [16 * 16]
+
+
+def test_ppt_solves_diagonalize_blocks_of_at_most_ten(monkeypatch):
+    # on the n=5 ring the sectors and the even-odd twisted blocks are
+    # 1, 5, 10, 10, 5, 1 wide: no 32 x 32 matrix is diagonalized
+    widths = []
+    for name in ("eigh", "eigvalsh"):
+        orig = getattr(np.linalg, name)
+
+        def recorded(a, *args, orig=orig, **kwargs):
+            widths.append(np.shape(a)[-1])
+            return orig(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+    h = heisenberg_chain(HeisenbergParams(5, -1, -1, -1))
+    cut = even_odd_bipartition(5)
+    cs = ConstraintSet(map_slots=(cut,))
+    problem = prepare_dual(h, cs)
+    widths.clear()  # prepare_dual takes the spectrum of the dense H
+    for e in (-4.5, -6.0):
+        minimize_dual(h, cs, e, problem=problem)
+        lin_dual_minimize(h, cs, e, problem=problem)
+    ppt_energy_min(h, [cut], max_iter=200)
+    assert widths and max(widths) == 10
+
+
 def test_split_falls_back_only_where_magnetization_is_not_conserved(
         monkeypatch):
     # the XY ring with r != 0 does not conserve total sigma_z: dense path
@@ -220,8 +330,8 @@ def test_prepare_dual_records_its_path():
     assert sorted(hb.shape[0] for hb, _ in ring4.blocks) == [4, 4, 6]
     ppt = prepare_dual(xxz(4), ConstraintSet(
         (dicke_witness(4, 2),), (even_odd_bipartition(4),)))
-    assert (ppt.path, ppt.fallback) == ("dense", "PPT cuts")
-    assert [hb.shape for hb, _ in ppt.blocks] == [(16, 16)]
+    assert (ppt.path, ppt.fallback) == ("sector", "PPT cuts")
+    assert [hb.shape[0] for hb, _ in ppt.blocks] == [1, 4, 6, 4, 1]
 
 
 @pytest.mark.parametrize("n", [5, 7])
@@ -269,9 +379,10 @@ def _assert_farkas_certificate(h, cs, e, vec, linear=False):
     lam_max(M) < b.y, so no state meets the constraints at energy e."""
     k, n_wit = (2 if linear else 1), len(cs.witnesses)
     lam, mu, nus = (vec[0] if linear else 0.0), vec[k - 1], vec[k:k + n_wit]
-    xs = dual_mod._unpack_xs(vec, k + n_wit,
-                             [h.entries.shape[0]] * len(cs.map_slots))
-    assert vec.size == k + n_wit + sum(2 * x.size for x in xs)
+    x_layouts = prepare_dual(h, cs).x_layouts
+    xs = [xl.dense(x) for x, xl in zip(
+        dual_mod._unpack_xs(vec, k + n_wit, x_layouts), x_layouts)]
+    assert vec.size == k + n_wit + sum(2 * xl.size for xl in x_layouts)
     assert np.all(nus >= 0.0)
     m = lam * np.eye(h.entries.shape[0]) + mu * h.entries
     for nu, wit in zip(nus, cs.witnesses):
@@ -443,7 +554,7 @@ def test_two_witnesses_route_to_spg():
     wits = (dicke_witness(n, 2), dicke_witness(n, 3))
     both = ConstraintSet(wits)
     problem = prepare_dual(h, both)
-    assert problem.envelope is None and problem.x_dims == []
+    assert problem.envelope is None and problem.x_layouts == []
     w = problem.spectrum
     for frac in (0.2, 0.4):
         e = float(w.min() + frac * (w.mean() - w.min()))
@@ -526,7 +637,7 @@ def _assert_projected_grad_norm(problem, e, linear, vec, info):
     g = obj.value_grad(vec)[1]
     n_free = 2 if linear else 1
     assert info.grad_norm == pytest.approx(dual_mod._projected_grad_norm(
-        vec, g, n_free, problem.n_wit, problem.x_dims), rel=1e-9)
+        vec, g, n_free, problem.n_wit, problem.x_layouts), rel=1e-9)
 
 
 def test_solve_info_reports_the_projected_gradient_norm():
@@ -716,13 +827,14 @@ def test_gap_lower_bound_certifies():
     beta = beta_from_energy(w, e)
     s_gibbs = gibbs_at(w, beta)[2]
     val, vec, _ = minimize_dual(h, cs, e)
-    assert vec.size == 1 + 2 * 8 * 8
-    feas = np.concatenate([vec[:1], _packed(psd_project_matrix(
-        dual_mod._unpack_xs(vec, 1, [8])[0]))])
+    xl = prepare_dual(h, cs).x_layouts[0]
+    assert vec.size == 1 + 2 * xl.size
+    feas = np.concatenate([vec[:1], _packed(xl.psd_project(
+        dual_mod._unpack_xs(vec, 1, [xl])[0]))])
     bound = gap_lower_bound(h, cs, beta, feas)
     assert bound <= (s_gibbs - val) + 1e-8
     # the trivial point certifies nothing, whatever its mu
-    zero = np.zeros(1 + 2 * 8 * 8)
+    zero = np.zeros(1 + 2 * xl.size)
     zero[0] = 3.0
     assert abs(gap_lower_bound(h, cs, beta, zero)) < 1e-12
 

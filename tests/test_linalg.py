@@ -6,9 +6,12 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from conftest import random_hermitian
-from proxygap.linalg import (Bipartition, HermitianOperator, LinalgError,
-                             SpectralDecomposition, kron,
-                             partial_transpose_matrix, psd_project_matrix)
+from proxygap.linalg import (Bipartition, BlockLayout, HermitianOperator,
+                             LinalgError, SpectralDecomposition, kron,
+                             partial_transpose_matrix, psd_project_matrix,
+                             pt_permutation, stacked_eigh)
+
+NONCONVERGENT = Path(__file__).parent / "data" / "psd_eigh_nonconvergent.npy"
 
 
 def test_hermitian_operator_rejects_non_hermitian():
@@ -113,8 +116,56 @@ def test_psd_project_fixed_point(rng):
 def test_psd_project_where_eigh_does_not_converge():
     # a 32x32 Hermitian matrix from an SPG run on the n=5 AFM ring, on
     # which numpy's eigh (zheevd) raises "Eigenvalues did not converge"
-    m = np.load(Path(__file__).parent / "data" / "psd_eigh_nonconvergent.npy")
+    m = np.load(NONCONVERGENT)
     p = psd_project_matrix(m)
     np.testing.assert_array_equal(p, p.conj().T)
     assert scipy.linalg.eigvalsh(p, driver="evr").min() >= -1e-12
     np.testing.assert_allclose(psd_project_matrix(p), p, atol=1e-12)
+
+
+def test_stacked_eigh_where_one_block_does_not_converge(rng):
+    # the matrix above, stacked with a benign one of the same size: numpy's
+    # eigh raises on the stack, which is then redone block by block
+    bad = np.load(NONCONVERGENT)
+    stack = np.stack([random_hermitian(rng, (32,)).entries,
+                      (bad + bad.conj().T) / 2])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.eigh(stack)
+    w, v = stacked_eigh(stack)
+    for m, wi, vi in zip(stack, w, v):
+        assert np.all(np.diff(wi) >= 0.0)
+        np.testing.assert_allclose((vi * wi) @ vi.conj().T, m,
+                                   atol=1e-12 * np.abs(m).max() * 32)
+    layout = BlockLayout([32, 32])
+    p = layout.psd_project(stack.ravel())
+    for block, m in zip(layout.stacks(p)[0], stack):
+        np.testing.assert_allclose(block, psd_project_matrix(m), atol=1e-12)
+
+
+def _excitations(n, sites):
+    idx = np.arange(2 ** n)
+    return sum((idx >> (n - 1 - i)) & 1 for i in sites)
+
+
+def test_pt_permutation_is_the_partial_transpose(rng):
+    # the partial transpose on A maps the magnetization sectors onto the
+    # blocks of m_B - m_A, and index permutations carry it both ways
+    n, a = 4, (0, 2)
+    mag = BlockLayout.of_charge(_excitations(n, range(n)))
+    twisted = BlockLayout.of_charge(_excitations(n, (1, 3))
+                                    - _excitations(n, a))
+    assert [len(ix) for ix in mag.index] == [1, 4, 6, 4, 1]
+    assert sorted(len(ix) for ix in twisted.index) == [1, 1, 4, 4, 6]
+    to_x = pt_permutation(mag, twisted, (2,) * n, a)
+    to_m = pt_permutation(twisted, mag, (2,) * n, a)
+    x = rng.standard_normal(mag.size) + 1j * rng.standard_normal(mag.size)
+    m = mag.hermitian(x)
+    np.testing.assert_array_equal(
+        twisted.dense(m[to_x]),
+        partial_transpose_matrix(mag.dense(m), (2,) * n, a))
+    np.testing.assert_array_equal(m[to_x][to_m], m)
+    one = BlockLayout([2 ** n])
+    with pytest.raises(LinalgError):
+        pt_permutation(mag, mag, (2,) * n, a)
+    with pytest.raises(LinalgError):
+        pt_permutation(mag, one, (2,) * n, a)
