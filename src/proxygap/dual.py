@@ -25,7 +25,7 @@ grand canonical ensemble, and one bounded search over s >= 0 on eigenvalues
 alone solves it.  Everything else, PPT cuts or two or more witnesses, runs
 spectral projected gradient (SPG) on the full objective.  Both solvers
 take and return the variables as one packed vector, (lam,) mu, nu_i and
-the real and imaginary parts of each X_A.
+the real and imaginary parts of the packed blocks of each X_A.
 
 With cuts, when H and every witness conserve total S_z on qubits, the
 exponent lives in the magnetization sectors and each X_A in the blocks of
@@ -1073,8 +1073,9 @@ def theorem3_check(alpha: float, beta: float, spectrum) -> bool:
 def gap_lower_bound(h, cs: ConstraintSet, beta: float,
                     vec: np.ndarray) -> float:
     """ln [tr exp(-beta H) / tr exp(-beta H + sum nu_i W_i + sum X^(T_A))]
-    for any feasible packed point (mu, nu_i >= 0, PSD X_A) of the von
-    Neumann dual, mu ignored; no optimization involved."""
+    for any feasible packed point (mu, nu_i >= 0, PSD X_A in the blocks of
+    `prepare_dual(h, cs).x_layouts`) of the von Neumann dual, mu ignored;
+    no optimization involved."""
     vec = np.array(vec, dtype=float)
     if np.any(vec[1:1 + len(cs.witnesses)] < -1e-12):
         raise ValueError("witness multipliers must be nonnegative")

@@ -273,7 +273,10 @@ class BlockLayout:
             k, b = v.shape[0], v.shape[1]
             wt = weights[off:off + k * b].reshape(k, 1, b)
             off += k * b
-            np.matmul(v * wt, v.conj().transpose(0, 2, 1), out=stack)
+            if b == 1:  # |v| = 1
+                stack[...] = wt
+            else:
+                np.matmul(v * wt, v.conj().transpose(0, 2, 1), out=stack)
         return out
 
     def psd_project(self, packed: np.ndarray) -> np.ndarray:
