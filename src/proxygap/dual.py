@@ -393,7 +393,8 @@ class _BlockObjective:
         # tr(G A_k) = Re <G, A_k> for Hermitian G, the free blocks' share
         # first; tr G is the sum of the weights
         g = p.layout.compose(vecs, weights[off:])
-        h_g = float(weights[:off] @ p.free) + float(np.vdot(g, p.h_packed).real)
+        h_g = float(weights[:off] @ p.free) + \
+            float(np.vdot(g, p.h_packed).real)
         w_g = [0.0 if wp is None else float(np.vdot(g, wp).real)
                for wp in p.w_packed]
         gxs = [g[to_x].view(float) for _, to_x in p.pt]

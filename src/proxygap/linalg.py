@@ -2,11 +2,12 @@
 
 Operators carry their tensor-factor structure (``local_dims``) so that
 partial transposition and bipartite cuts can be applied by index
-bookkeeping alone.  A `BlockLayout` stores block-diagonal matrices packed,
-diagonalizes equal-size blocks in one batched call, and `pt_permutation`
-turns a partial transpose between two layouts into one index permutation.  An operator holds a dense complex128 matrix or a
+bookkeeping alone.  An operator holds a dense complex128 matrix or a
 sparse CSR one; a sparse operator is densified only where a dense path
 asks for its `entries`, behind the `PROXYGAP_MAX_QUBITS` memory guard.
+A `BlockLayout` stores block-diagonal matrices packed and diagonalizes
+equal-size blocks in one batched call, and `pt_permutation` turns a
+partial transpose between two layouts into one index permutation.
 Entropies elsewhere are in nats.
 """
 from __future__ import annotations
@@ -166,7 +167,8 @@ def stacked_eigh(stack: np.ndarray):
     call.  numpy's divide-and-conquer driver (zheevd) can fail to converge
     on a finite Hermitian matrix; the stack is then redone matrix by matrix
     with the MRRR driver (zheevr), which solves the one kept in tests/data.
-    A stack of 1 x 1 blocks is its own eigenvalues."""
+    A stack of 1 x 1 blocks needs no call: each block is its eigenvalue,
+    with eigenvector 1."""
     if stack.shape[-1] == 1:
         return stack.real[..., 0].copy(), np.ones_like(stack)
     try:
@@ -180,7 +182,8 @@ def stacked_eigh(stack: np.ndarray):
 def psd_project_matrix(m: np.ndarray) -> np.ndarray:
     """Nearest PSD matrix in Frobenius distance (eigenvalue clipping)."""
     layout = BlockLayout([m.shape[0]])
-    return layout.dense(layout.psd_project(np.asarray(m, dtype=complex).ravel()))
+    packed = np.asarray(m, dtype=complex).ravel()
+    return layout.dense(layout.psd_project(packed))
 
 
 def _joined(arrays, dtype=float) -> np.ndarray:
@@ -240,7 +243,8 @@ class BlockLayout:
     def positions(self) -> np.ndarray:
         """The flat position i * d + j of each packed entry in the dense
         matrix."""
-        ix = [np.asarray([self.index[i] for i in ids]) for _, ids in self.groups]
+        ix = [np.asarray([self.index[i] for i in ids])
+              for _, ids in self.groups]
         return _joined((r[:, :, None] * self.dim + r[:, None, :] for r in ix),
                        int)
 

@@ -207,9 +207,9 @@ def _as_one_block(vec, blocked, dense, n_scalar):
 
 def _sector_cases():
     # AFM rings with cuts, alone and with a Dicke witness
-    for n, cuts, wits in ((4, all_bipartitions(4), ()),
-                          (5, [even_odd_bipartition(5)], ()),
-                          (5, [even_odd_bipartition(5)], (dicke_witness(5, 2),))):
+    eo = [even_odd_bipartition(5)]
+    for n, cuts, wits in ((4, all_bipartitions(4), ()), (5, eo, ()),
+                          (5, eo, (dicke_witness(5, 2),))):
         yield (heisenberg_chain(HeisenbergParams(n, -1, -1, -1)),
                ConstraintSet(wits, tuple(cuts)))
 
