@@ -267,9 +267,9 @@ def prepare_dual(h, cs: ConstraintSet) -> DualProblem:
     free = np.concatenate([np.zeros(0)] + free)
     ev = np.concatenate([free] + eigs)
     if mag is not None:
-        # the spectrum of the dense H, which scans with cuts have always
-        # placed their grid on: on a traceless H its mean, the grid's top
-        # energy, is rounding, and the sector blocks round it differently
+        # with cuts the spectrum is that of the dense H: the grid's top
+        # energy is its mean, pure rounding on a traceless H, and the
+        # golden scans in tests/data hold it to the dense matrix's rounding
         ev = np.linalg.eigvalsh(_operator_matrix(h))
     if cs.map_slots:
         layout, x_layouts, pt = _cut_layouts(mag, cs.map_slots,
