@@ -160,6 +160,8 @@ def cmd_gap_scan(args) -> int:
         "e_min_w_per_site": None if res.e_min_w is None else res.e_min_w / n,
         "path": res.path, "fallback": res.fallback,
         "block_sizes": res.block_sizes,
+        "bisect_steps": res.bisect_steps,
+        "bisect_decided": res.bisect_decided,
         "wall_time_s": wall,
     }
     if cfg.get("ppt_emin"):

@@ -38,6 +38,7 @@ same layouts.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -70,8 +71,10 @@ class SolveInfo:
     infeasible: bool = False
     # spectrum passes on the witness path, objective calls in SPG
     evaluations: int = 0
-    # "converged", "max_iter", "line_search", "certificate" or
-    # "gibbs_feasible" (the Gibbs state meets the witness: no search)
+    # "converged", "max_iter", "line_search", "certificate",
+    # "gibbs_feasible" (the Gibbs state meets the witness: no search) or
+    # "decided" (stopped at a feasible point whose value settles the
+    # caller's `decides`; a valid bound, not the optimum)
     termination: str = "converged"
 
 
@@ -104,6 +107,8 @@ class GapScanResult:
     path: str
     fallback: str | None
     block_sizes: list  # (dimension, multiplicity) per diagonalized block
+    bisect_steps: int = 0    # bisection steps on both window edges
+    bisect_decided: int = 0  # of them, settled "detected" before the optimum
 
 
 def _operator_matrix(h) -> np.ndarray:
@@ -438,14 +443,17 @@ def _projected_grad_norm(x, g, n_free, n_wit, x_layouts) -> float:
     return float(np.linalg.norm(step))
 
 
-def _spg(obj: _BlockObjective, x0, opts: SolverOptions, memory=10):
+def _spg(obj: _BlockObjective, x0, opts: SolverOptions, memory=10,
+         decides=None):
     """Spectral projected gradient (Barzilai-Borwein steps, nonmonotone
     Armijo line search; Birgin, Martinez & Raydan, SIAM J. Optim. 10, 1196
     (2000)) for a dual objective over its feasible set.
 
     Every trial point is a convex combination of feasible points; the
     solve stops at the first one that `obj.proves_infeasible()` after its
-    `value_grad`, and returns it with the value -inf."""
+    `value_grad`, and returns it with the value -inf.  Given `decides`, it
+    also stops at the start point or the first trial point whose value
+    makes `decides(value)` true, and returns it as "decided"."""
     project, grad_norm = obj.project, obj.grad_norm
     tol, max_iter = opts.tol, opts.max_iter
     calls = 0
@@ -455,8 +463,18 @@ def _spg(obj: _BlockObjective, x0, opts: SolverOptions, memory=10):
         calls += 1
         return obj.value_grad(vec)
 
+    def early(xv, fv, gv, it):
+        # a Farkas certificate takes precedence over a decided value
+        pg = grad_norm(xv, gv)
+        if obj.proves_infeasible():
+            return xv, -np.inf, SolveInfo(True, it, pg, True, calls,
+                                          "certificate")
+        return xv, fv, SolveInfo(False, it, pg, False, calls, "decided")
+
     x = project(x0)
     f, g = fun_grad(x)
+    if decides is not None and decides(f):
+        return early(x, f, g, 0)
     hist = [f]
     alpha = 1.0 / max(np.linalg.norm(g), 1e-8)
     best_x, best_f = x.copy(), f
@@ -482,9 +500,9 @@ def _spg(obj: _BlockObjective, x0, opts: SolverOptions, memory=10):
         while True:
             xn = x + lam * d
             fn, gn = fun_grad(xn)
-            if obj.proves_infeasible():
-                return xn, -np.inf, SolveInfo(True, it, grad_norm(xn, gn),
-                                              True, calls, "certificate")
+            if obj.proves_infeasible() or (decides is not None
+                                           and decides(fn)):
+                return early(xn, fn, gn, it)
             if fn <= fmax + 1e-4 * lam * dg or lam < 1e-12:
                 break
             lam *= 0.5
@@ -664,7 +682,8 @@ class _Envelope:
         return -np.inf, vec, SolveInfo(True, iterations, np.nan, True,
                                        self.passes - passes, "certificate")
 
-    def _search(self, e: float, linear: bool, opts: SolverOptions):
+    def _search(self, e: float, linear: bool, opts: SolverOptions,
+                decides=None):
         """Minimize bound(s) over s > 0, where it decreases at s = 0.
 
         From the last optimum, Newton's method on the central-difference
@@ -672,12 +691,15 @@ class _Envelope:
         that leaves the bracket of s* which the slopes' signs give doubles
         s or bisects the bracket instead.  Returns (s, evaluations, whether
         the iteration cap stopped it); where a Farkas certificate turned
-        up, s is that point."""
+        up, s is that point.  Raises `_Decided` at the first bound that
+        makes `decides` true."""
         seen = {}
 
         def f(s):
             if s not in seen:
                 seen[s] = self.bound(s, e, linear)
+                if decides is not None and decides(seen[s]):
+                    raise _Decided(s, seen[s], len(seen))
             return seen[s]
 
         s_w = self.edge()[1]
@@ -716,8 +738,38 @@ class _Envelope:
             c = c_new
         return min(seen, key=seen.get), len(seen), True
 
-    def solve(self, e: float, opts: SolverOptions, linear: bool):
-        """The witness-path solve: (value, packed point, SolveInfo)."""
+    def _cached_verdict(self, e: float, linear: bool, decides):
+        """(s, bound(s)) for a cached s whose bound makes `decides` true,
+        else None; no spectrum is computed.  The bound is quasiconvex in s,
+        so a walk downhill through the sorted cached s, from the last
+        optimum, ends at their least bound (short of a flat stretch, where
+        it stops), and `decides` is monotone in the value, so the walk
+        checks a handful of them, not all."""
+        ss = sorted(self.spectra)
+        if not ss:
+            return None
+        values = {}
+
+        def bound(i):
+            if i not in values:
+                values[i] = self.bound(ss[i], e, linear)
+            return values[i]
+
+        i = min(bisect_left(ss, self.s_last or 0.0), len(ss) - 1)
+        while not decides(bound(i)):
+            j = min((j for j in (i - 1, i + 1) if 0 <= j < len(ss)),
+                    key=bound, default=i)
+            if not bound(j) < bound(i):
+                return None
+            i = j
+        return ss[i], bound(i)
+
+    def solve(self, e: float, opts: SolverOptions, linear: bool,
+              decides=None):
+        """The witness-path solve: (value, packed point, SolveInfo).  Given
+        `decides`, the first s, cached or searched, whose bound makes it
+        true ends the solve, as "decided" (or at a Farkas certificate
+        where that bound is -inf)."""
         p = self.problem
         obj = _BlockObjective(p, e, linear)
         k, passes = obj.n_free, self.passes
@@ -744,7 +796,22 @@ class _Envelope:
             return value, vec, SolveInfo(True, 0, obj.grad_norm(vec, g),
                                          False, self.passes - passes,
                                          "gibbs_feasible")
-        s, iterations, capped = self._search(e, linear, opts)
+        found, iterations = None, 0
+        if decides is not None:
+            found = self._cached_verdict(e, linear, decides)
+        if found is None:
+            try:
+                s, iterations, capped = self._search(e, linear, opts,
+                                                     decides)
+            except _Decided as stop:
+                *found, iterations = stop.args
+        if found is not None:
+            s, value = found
+            if value == -np.inf:
+                return self._farkas(k, s, iterations, passes)
+            return value, self.point(s, e, linear), SolveInfo(
+                False, iterations, np.nan, False, self.passes - passes,
+                "decided")
         if self.certifies(e, s):
             return self._farkas(k, s, iterations, passes)
         vec = self.point(s, e, linear)
@@ -758,13 +825,19 @@ class _Envelope:
                                  self.passes - passes, termination)
 
 
+class _Decided(Exception):
+    """Ends the witness search; args (s, bound(s), evaluations) at the
+    first bound that makes the caller's `decides` true."""
+
+
 def _minimize(h, cs: ConstraintSet, e: float, opts: SolverOptions,
-              init: np.ndarray, problem: DualProblem, linear: bool):
+              init: np.ndarray, problem: DualProblem, linear: bool,
+              decides):
     """The solve behind `minimize_dual` and `lin_dual_minimize`."""
     opts = opts or SolverOptions()
     problem = problem or prepare_dual(h, cs)
     if problem.envelope is not None:
-        return problem.envelope.solve(e, opts, linear)
+        return problem.envelope.solve(e, opts, linear, decides)
     obj = _BlockObjective(problem, e, linear)
     # start at the entropy maximizer for H alone: the Gibbs point
     # mu = -beta(E), or the impurity maximizer rho* = (lam I + mu H) / 2
@@ -778,12 +851,13 @@ def _minimize(h, cs: ConstraintSet, e: float, opts: SolverOptions,
         xi = obj.project(init)
         if obj.value_grad(xi)[0] < obj.value_grad(x0)[0]:
             x0 = xi
-    vec, f, info = _spg(obj, x0, opts)
+    vec, f, info = _spg(obj, x0, opts, decides=decides)
     return f, vec, info
 
 
 def minimize_dual(h, cs: ConstraintSet, e: float, opts: SolverOptions = None,
-                  init: np.ndarray = None, problem: DualProblem = None):
+                  init: np.ndarray = None, problem: DualProblem = None,
+                  decides=None):
     """Minimize the von Neumann dual; returns (s_upper, vec, info), vec the
     packed point mu, nu_i, X_A.
 
@@ -794,8 +868,16 @@ def minimize_dual(h, cs: ConstraintSet, e: float, opts: SolverOptions = None,
     S_Gibbs(E).  `problem` is `prepare_dual(h, cs)`, to prepare once for
     many solves.  Where no state meets the constraints at energy e, the
     solve returns -inf at a Farkas certificate with `info.infeasible` set.
+
+    `decides`, a predicate on a dual value, asks a yes-or-no question
+    instead of the optimum: the solve stops at the first feasible point
+    whose value makes it true and returns that point and value with
+    `info.termination` "decided" (a Farkas certificate found first still
+    returns -inf).  Every feasible point's value is an upper bound (weak
+    duality), so a true answer is certified; a false one needs the full
+    solve, which then runs as without `decides`.
     """
-    return _minimize(h, cs, e, opts, init, problem, False)
+    return _minimize(h, cs, e, opts, init, problem, False, decides)
 
 
 # ---------------------------------------------------------------------------
@@ -803,7 +885,7 @@ def minimize_dual(h, cs: ConstraintSet, e: float, opts: SolverOptions = None,
 
 def lin_dual_minimize(h, cs: ConstraintSet, e: float,
                       opts: SolverOptions = None, init: np.ndarray = None,
-                      problem: DualProblem = None):
+                      problem: DualProblem = None, decides=None):
     """Upper bound on the maximal constrained linear entropy (impurity).
 
     Minimizes 1/4 tr(lam*I + mu*H + sum nu_i W_i + X0 + sum X_A^(T_A))^2
@@ -812,9 +894,9 @@ def lin_dual_minimize(h, cs: ConstraintSet, e: float,
     part.  Returns (value, vec, info), vec the packed point lam, mu, nu_i,
     X_A; `init` and `problem` are as in `minimize_dual`, whose witness path
     this dual shares, and SPG starts from the impurity maximizer
-    (lam, mu, 0, 0).  The value is -inf at a Farkas certificate, as in
-    `minimize_dual`."""
-    return _minimize(h, cs, e, opts, init, problem, True)
+    (lam, mu, 0, 0).  The value is -inf at a Farkas certificate, and
+    `decides` stops the solve early, as in `minimize_dual`."""
+    return _minimize(h, cs, e, opts, init, problem, True, decides)
 
 
 # ---------------------------------------------------------------------------
@@ -842,7 +924,14 @@ def gap_energy_scan(h, cs: ConstraintSet, grid: GridOptions = None,
     the detection window edges by bisection on gap = gap_tolerance.  The
     problem is prepared once and shared by every solve of the scan.  On
     the witness path E_min,W is certified first, and an energy below it is
-    infeasible without a solve."""
+    infeasible without a solve.
+
+    Every grid row is a full solve, since its S_dual is reported.  A
+    bisection step reads only whether s_ref - S_dual > gap_tolerance, so
+    its solve stops at the first feasible point whose value passes that
+    test (termination "decided": by weak duality the point certifies
+    detection); a step that does not detect still runs the full solve.
+    The result counts the steps and the decided ones."""
     grid = grid or GridOptions()
     opts = opts or SolverOptions()
     problem = prepare_dual(h, cs)
@@ -861,14 +950,17 @@ def gap_energy_scan(h, cs: ConstraintSet, grid: GridOptions = None,
     solve = lin_dual_minimize if linear else minimize_dual
     init = None  # each solve warm-starts from the last one's point
 
-    def gap_at(e):
+    def gap_at(e, verdict=False):
         nonlocal init
         s_ref = (linear_entropy_max(spectrum, e) if linear else
                  gibbs_at(spectrum, beta_from_energy(spectrum, e))[2])
         if e_min_w is not None and e < e_min_w:
             return s_ref, -np.inf, SolveInfo(True, 0, np.nan, True, 0,
                                              "certificate")
-        s_dual, init, info = solve(h, cs, e, opts, init, problem)
+        # the very test that flags a row detected, so no verdict disagrees
+        decides = (lambda value: s_ref - value > gap_tol) if verdict else None
+        s_dual, init, info = solve(h, cs, e, opts, init, problem,
+                                   decides=decides)
         return s_ref, s_dual, info
 
     rows = []
@@ -882,15 +974,19 @@ def gap_energy_scan(h, cs: ConstraintSet, grid: GridOptions = None,
 
     detected = [r.detected for r in rows]
     e_min_gap = e_max_gap = None
+    steps = decided = 0
     if any(detected):
         first = detected.index(True)
         last = len(detected) - 1 - detected[::-1].index(True)
 
         def bisect(e_out, e_in):
             # gap(e_in) > tol, gap(e_out) <= tol
+            nonlocal steps, decided
             for _ in range(grid.bisect_iters):
                 mid = 0.5 * (e_out + e_in)
-                s_ref, s_dual, _ = gap_at(mid)
+                s_ref, s_dual, info = gap_at(mid, verdict=True)
+                steps += 1
+                decided += info.termination == "decided"
                 if s_ref - s_dual > gap_tol:
                     e_in = mid
                 else:
@@ -906,7 +1002,8 @@ def gap_energy_scan(h, cs: ConstraintSet, grid: GridOptions = None,
     frac = 0.0 if e_max_gap is None else (e_max_gap - e0) / (e_top - e0)
     return GapScanResult(rows, e0, e_top, e_min_gap, e_max_gap, float(frac),
                          bool(detected and detected[0]), e_min_w,
-                         problem.path, problem.fallback, problem.block_sizes)
+                         problem.path, problem.fallback, problem.block_sizes,
+                         steps, decided)
 
 
 # ---------------------------------------------------------------------------

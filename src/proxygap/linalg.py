@@ -145,11 +145,6 @@ class SpectralDecomposition:
         return (v * self.eigenvalues) @ v.conj().T
 
 
-def kron(a: HermitianOperator, b: HermitianOperator) -> HermitianOperator:
-    return HermitianOperator(np.kron(a.entries, b.entries),
-                             a.local_dims + b.local_dims)
-
-
 def partial_transpose_matrix(m: np.ndarray, local_dims, subset) -> np.ndarray:
     """Transpose the tensor factors in `subset`, acting on a raw matrix."""
     dims = tuple(local_dims)

@@ -180,16 +180,28 @@ GOLDEN_SCANS = {
 }
 
 
+# (e_min_gap, e_max_gap) of each golden scan, from the same checked
+# version: every bisection step reads one verdict, so the edges are exact
+GOLDEN_EDGES = {
+    "dicke-block": (-151.28578244728237, -140.85472131622282),
+    "ppt-ring": (-6.0, -3.388916015625),
+    "linear-ring": (-4.8, -1.5185546874999998),
+}
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_SCANS))
 def test_gap_scan_rows_match_the_golden_csv(tmp_path, name):
     # tests/data/gap_scan_<name>.csv holds the rows of an earlier, checked
     # version of the solvers.  Flags and infinities must match exactly and
     # every other float to 1e-10 relative; delta_S, a difference that can
-    # sit at 1e-13, is held to 1e-10 of S_gibbs.
+    # sit at 1e-13, is held to 1e-10 of S_gibbs.  The window edges must
+    # match exactly.
     cfg_path = _write_config(tmp_path, "cfg.json", GOLDEN_SCANS[name])
     out = tmp_path / "run"
     assert main(["--out", str(out), "gap-scan", "--config", cfg_path]) == \
         EXIT_OK
+    summary = json.loads((out / "gap_scan_summary.json").read_text())
+    assert (summary["e_min_gap"], summary["e_max_gap"]) == GOLDEN_EDGES[name]
     with open(out / "gap_scan.csv") as f:
         rows = list(csv.DictReader(f))
     with open(DATA / f"gap_scan_{name}.csv") as f:
@@ -206,6 +218,17 @@ def test_gap_scan_rows_match_the_golden_csv(tmp_path, name):
             scale = abs(float(ref["S_gibbs"])) if key == "delta_S" else 0.0
             assert math.isclose(a, b, rel_tol=1e-10,
                                 abs_tol=1e-10 * scale), (key, row, ref)
+
+
+def test_gap_scan_summary_counts_decided_bisection_steps(tmp_path):
+    # a bisection step that detects stops at its first certifying point
+    cfg_path = _write_config(tmp_path, "cfg.json",
+                             GOLDEN_SCANS["dicke-block"])
+    out = tmp_path / "run"
+    assert main(["--out", str(out), "gap-scan", "--config", cfg_path]) == \
+        EXIT_OK
+    summary = json.loads((out / "gap_scan_summary.json").read_text())
+    assert 0 < summary["bisect_decided"] <= summary["bisect_steps"]
 
 
 def test_gap_scan_with_ppt_block(tmp_path):

@@ -5,7 +5,7 @@ from scipy.optimize import brentq
 
 import proxygap.dual as dual_mod
 from conftest import random_hermitian
-from proxygap.dual import (GAP_TOLERANCE_LINEAR, GridOptions,
+from proxygap.dual import (GAP_TOLERANCE, GAP_TOLERANCE_LINEAR, GridOptions,
                            SolverOptions, bell_gap_bound, diagonal_dual,
                            gap_energy_scan, gap_lower_bound,
                            lin_dual_minimize, minimize_dual, ppt_energy_min,
@@ -630,6 +630,47 @@ def test_scan_rows_below_the_witness_edge_are_infeasible():
         assert r.infeasible == (r.e < res.e_min_w)
         assert (r.s_dual == -np.inf) == r.infeasible
     assert res.rows[0].infeasible
+
+
+@pytest.mark.parametrize("path", ["spg", "witness"])
+def test_decided_bisection_steps_are_certificates(monkeypatch, path):
+    # a bisection step stops at the first feasible point whose value
+    # passes the scan's test s_ref - value > gap_tol: the point must be
+    # feasible, its value the dual's there, and a full solve must detect
+    if path == "spg":
+        h = heisenberg_chain(HeisenbergParams(4, -1, -1, -1))
+        cs = ConstraintSet(map_slots=(even_odd_bipartition(4),))
+        grid = GridOptions(n_points=5, e_lo=-4.8, bisect_iters=10)
+    else:
+        h, cs = _xxz(5), ConstraintSet((dicke_witness(5, 2),))
+        grid = GridOptions(n_points=5, bisect_iters=12)
+    steps = []
+    solve = dual_mod.minimize_dual
+
+    def recorded(h, cs, e, *args, **kwargs):
+        out = solve(h, cs, e, *args, **kwargs)
+        steps.append((e, out))
+        return out
+
+    monkeypatch.setattr(dual_mod, "minimize_dual", recorded)
+    res = gap_energy_scan(h, cs, grid)
+    decided = [(e, out) for e, out in steps
+               if out[2].termination == "decided"]
+    assert len(decided) == res.bisect_decided > 0
+    problem, fresh = prepare_dual(h, cs), prepare_dual(h, cs)
+    w = problem.spectrum
+    for e, (value, point, info) in decided:
+        assert not info.converged and not info.infeasible
+        obj = dual_mod._BlockObjective(problem, e)
+        np.testing.assert_allclose(obj.project(point), point, rtol=0,
+                                   atol=1e-12 * max(1.0, np.abs(point).max()))
+        assert obj.value_grad(point)[0] == pytest.approx(value, rel=1e-12)
+        s_ref = gibbs_at(w, beta_from_energy(w, e))[2]
+        assert s_ref - value > GAP_TOLERANCE
+        assert s_ref - solve(h, cs, e, problem=fresh)[0] > GAP_TOLERANCE
+    if path == "witness":  # decided from a cached spectrum, and by a search
+        assert {info.evaluations > 0 for _, (_, _, info) in decided} == \
+            {False, True}
 
 
 def _assert_projected_grad_norm(problem, e, linear, vec, info):

@@ -7,7 +7,7 @@ import scipy.sparse as sp
 
 from conftest import random_hermitian
 from proxygap.linalg import (Bipartition, BlockLayout, HermitianOperator,
-                             LinalgError, SpectralDecomposition, kron,
+                             LinalgError, SpectralDecomposition,
                              partial_transpose_matrix, psd_project_matrix,
                              pt_permutation, stacked_eigh)
 
@@ -53,14 +53,6 @@ def test_bipartition_validation():
         Bipartition({3}, 3)
     cut = Bipartition({0, 2}, 4)
     assert cut.complement == frozenset({1, 3})
-
-
-def test_kron_structure(rng):
-    a = random_hermitian(rng, (2,))
-    b = random_hermitian(rng, (3,))
-    ab = kron(a, b)
-    assert ab.local_dims == (2, 3)
-    np.testing.assert_allclose(ab.entries, np.kron(a.entries, b.entries))
 
 
 def test_partial_transpose_involution_and_trace(rng):
