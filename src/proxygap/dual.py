@@ -107,8 +107,8 @@ class GapScanResult:
     path: str
     fallback: str | None
     block_sizes: list  # (dimension, multiplicity) per diagonalized block
-    bisect_steps: int = 0    # bisection steps on both window edges
-    bisect_decided: int = 0  # of them, settled "detected" before the optimum
+    bisect_steps: int    # bisection steps on both window edges
+    bisect_decided: int  # of them, settled "detected" before the optimum
 
 
 def _operator_matrix(h) -> np.ndarray:
