@@ -657,7 +657,7 @@ def test_decided_bisection_steps_are_certificates(monkeypatch, path):
     decided = [(e, out) for e, out in steps
                if out[2].termination == "decided"]
     assert len(decided) == res.bisect_decided > 0
-    problem, fresh = prepare_dual(h, cs), prepare_dual(h, cs)
+    problem = prepare_dual(h, cs)
     w = problem.spectrum
     for e, (value, point, info) in decided:
         assert not info.converged and not info.infeasible
@@ -667,7 +667,7 @@ def test_decided_bisection_steps_are_certificates(monkeypatch, path):
         assert obj.value_grad(point)[0] == pytest.approx(value, rel=1e-12)
         s_ref = gibbs_at(w, beta_from_energy(w, e))[2]
         assert s_ref - value > GAP_TOLERANCE
-        assert s_ref - solve(h, cs, e, problem=fresh)[0] > GAP_TOLERANCE
+        assert s_ref - solve(h, cs, e, problem=problem)[0] > GAP_TOLERANCE
     if path == "witness":  # decided from a cached spectrum, and by a search
         assert {info.evaluations > 0 for _, (_, _, info) in decided} == \
             {False, True}
