@@ -172,6 +172,7 @@ def cmd_gap_scan(args) -> int:
         summary["ppt_residual"] = ppt.residual
         summary["ppt_converged"] = ppt.converged
         summary["ppt_iterations"] = ppt.iterations
+        summary["ppt_rejected"] = ppt.rejected
     with open(os.path.join(args.out, "gap_scan_summary.json"), "w") as f:
         json.dump(summary, f, indent=2, default=_jsonable)
     # internal consistency: detected iff the row's own columns say so
@@ -196,7 +197,7 @@ def cmd_ppt_emin(args) -> int:
         "e_min_ppt": res.value, "e_min_ppt_per_site": res.value / h.n_sites,
         "primal_value": res.primal_value, "residual": res.residual,
         "converged": res.converged, "iterations": res.iterations,
-        "wall_time_s": time.time() - t0,
+        "rejected": res.rejected, "wall_time_s": time.time() - t0,
     }
     with open(os.path.join(args.out, "ppt_emin.json"), "w") as f:
         json.dump(out, f, indent=2, default=_jsonable)

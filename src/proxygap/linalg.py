@@ -174,13 +174,6 @@ def stacked_eigh(stack: np.ndarray):
                 np.array([v for _, v in pairs]))
 
 
-def psd_project_matrix(m: np.ndarray) -> np.ndarray:
-    """Nearest PSD matrix in Frobenius distance (eigenvalue clipping)."""
-    layout = BlockLayout([m.shape[0]])
-    packed = np.asarray(m, dtype=complex).ravel()
-    return layout.dense(layout.psd_project(packed))
-
-
 def _joined(arrays, dtype=float) -> np.ndarray:
     """The arrays raveled and concatenated; empty if there are none."""
     return np.concatenate([np.zeros(0, dtype)] + [a.ravel() for a in arrays])

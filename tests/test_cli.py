@@ -241,6 +241,7 @@ def test_gap_scan_with_ppt_block(tmp_path):
     assert summary["ppt_converged"] is True
     assert summary["e_min_ppt"] >= summary["e0"] - 1e-9
     assert 0 < summary["ppt_iterations"] <= 20000  # the default max_iter
+    assert 0 <= summary["ppt_rejected"] < summary["ppt_iterations"]
 
 
 def test_bad_configs_exit_2(tmp_path):
@@ -275,6 +276,7 @@ def test_ppt_emin_command(tmp_path, capsys):
     assert payload["e_min_ppt"] == pytest.approx(-1.0, abs=5e-4)
     assert payload["converged"] is True
     assert 0 < payload["iterations"] <= 20000  # the default max_iter
+    assert 0 <= payload["rejected"] < payload["iterations"]
     assert json.loads(capsys.readouterr().out)["converged"] is True
 
 

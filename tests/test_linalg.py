@@ -8,10 +8,16 @@ import scipy.sparse as sp
 from conftest import random_hermitian
 from proxygap.linalg import (Bipartition, BlockLayout, HermitianOperator,
                              LinalgError, SpectralDecomposition,
-                             partial_transpose_matrix, psd_project_matrix,
-                             pt_permutation, stacked_eigh)
+                             partial_transpose_matrix, pt_permutation,
+                             stacked_eigh)
 
 NONCONVERGENT = Path(__file__).parent / "data" / "psd_eigh_nonconvergent.npy"
+
+
+def psd_project(m):
+    """A dense matrix's PSD projection by the one-block layout."""
+    layout = BlockLayout([m.shape[0]])
+    return layout.dense(layout.psd_project(m.astype(complex).ravel()))
 
 
 def test_hermitian_operator_rejects_non_hermitian():
@@ -91,17 +97,17 @@ def test_eig_reconstruct(rng):
 def test_psd_project_properties(rng):
     for _ in range(10):
         m = random_hermitian(rng, (2, 2)).entries
-        p = psd_project_matrix(m)
+        p = psd_project(m)
         w = np.linalg.eigvalsh(p)
         assert w.min() >= -1e-12
         # projection is idempotent and dominates m in the PSD order
-        np.testing.assert_allclose(psd_project_matrix(p), p, atol=1e-12)
+        np.testing.assert_allclose(psd_project(p), p, atol=1e-12)
         assert np.linalg.eigvalsh(p - m).min() >= -1e-12
 
 
 def test_psd_project_fixed_point(rng):
     m = random_hermitian(rng, (4,)).entries
-    np.testing.assert_allclose(psd_project_matrix(m @ m.conj().T),
+    np.testing.assert_allclose(psd_project(m @ m.conj().T),
                                m @ m.conj().T, atol=1e-10)
 
 
@@ -109,10 +115,10 @@ def test_psd_project_where_eigh_does_not_converge():
     # a 32x32 Hermitian matrix from an SPG run on the n=5 AFM ring, on
     # which numpy's eigh (zheevd) raises "Eigenvalues did not converge"
     m = np.load(NONCONVERGENT)
-    p = psd_project_matrix(m)
+    p = psd_project(m)
     np.testing.assert_array_equal(p, p.conj().T)
     assert scipy.linalg.eigvalsh(p, driver="evr").min() >= -1e-12
-    np.testing.assert_allclose(psd_project_matrix(p), p, atol=1e-12)
+    np.testing.assert_allclose(psd_project(p), p, atol=1e-12)
 
 
 def test_stacked_eigh_where_one_block_does_not_converge(rng):
@@ -131,7 +137,7 @@ def test_stacked_eigh_where_one_block_does_not_converge(rng):
     layout = BlockLayout([32, 32])
     p = layout.psd_project(stack.ravel())
     for block, m in zip(layout.stacks(p)[0], stack):
-        np.testing.assert_allclose(block, psd_project_matrix(m), atol=1e-12)
+        np.testing.assert_allclose(block, psd_project(m), atol=1e-12)
 
 
 def _excitations(n, sites):
