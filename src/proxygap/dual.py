@@ -44,15 +44,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.optimize import minimize
-from scipy.special import logsumexp
 
 from .linalg import BlockLayout, HermitianOperator, LinalgError, pt_permutation
 from .models import (is_translation_invariant, momentum_sector_split,
                      popcounts, sector_split_sparse)
 from .thermo import (_linear_entropy_weights, beta_from_energy, gibbs_at,
                      linear_entropy_max)
-from .witness import ConstraintSet
+from .witness import ConstraintSet, Witness
 
 GAP_TOLERANCE = 1e-4       # nats; "detected" threshold, von Neumann path
 GAP_TOLERANCE_LINEAR = 1e-6  # converged linear duals lie ~1e-12 above optimum
@@ -769,7 +767,8 @@ class _Envelope:
         """The witness-path solve: (value, packed point, SolveInfo).  Given
         `decides`, the first s, cached or searched, whose bound makes it
         true ends the solve, as "decided" (or at a Farkas certificate
-        where that bound is -inf)."""
+        where that bound is -inf); where none does, the solve returns the
+        optimum's bound with no gradient (grad_norm nan)."""
         p = self.problem
         obj = _BlockObjective(p, e, linear)
         k, passes = obj.n_free, self.passes
@@ -816,6 +815,12 @@ class _Envelope:
             return self._farkas(k, s, iterations, passes)
         vec = self.point(s, e, linear)
         self.s_last = s
+        if decides is not None:
+            # a step that did not decide reads only the value: skip the
+            # closing evaluation and its eigh of every witness block
+            return self.bound(s, e, linear), vec, SolveInfo(
+                not capped, iterations, np.nan, False, self.passes - passes,
+                "max_iter" if capped else "converged")
         f, g = obj.value_grad(vec)
         pg_norm = obj.grad_norm(vec, g)
         converged = pg_norm <= 10 * opts.tol
@@ -875,7 +880,9 @@ def minimize_dual(h, cs: ConstraintSet, e: float, opts: SolverOptions = None,
     `info.termination` "decided" (a Farkas certificate found first still
     returns -inf).  Every feasible point's value is an upper bound (weak
     duality), so a true answer is certified; a false one needs the full
-    solve, which then runs as without `decides`.
+    solve, which then runs as without `decides`, except that the witness
+    path returns its optimum's value without the closing gradient
+    (`info.grad_norm` nan).
     """
     return _minimize(h, cs, e, opts, init, problem, False, decides)
 
@@ -1203,55 +1210,19 @@ def diagonal_dual(spectrum, alpha: float, ground_count: int, e: float,
                   tol: float = 1e-9):
     """Minimize ln sum_i exp(mu E_i + nu (alpha - delta_i)) - mu E over
     mu real, nu >= 0, where delta_i = 1 on the first `ground_count`
-    entries of the ascending spectrum.  Returns (s_upper, mu*, nu*)."""
+    entries of the ascending spectrum.  Returns (s_upper, mu*, nu*).
+
+    This is the witness path on one block, H = diag(E_i) with the witness
+    W = diag(alpha - delta_i); s_upper is -inf, at the Farkas certificate
+    (-1, nu), where no state at energy e has ground weight <= alpha."""
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
     w = np.sort(np.asarray(spectrum, dtype=float))
     delta = np.zeros(w.size)
     delta[:ground_count] = 1.0
-
-    def value_grad(x):
-        mu, nu = x
-        a = mu * w + nu * (alpha - delta)
-        shift = a.max()
-        ew = np.exp(a - shift)
-        z = ew.sum()
-        p = ew / z
-        val = np.log(z) + shift - mu * e
-        return val, np.array([p @ w - e, p @ (alpha - delta)])
-
-    mu0 = -beta_from_energy(w, e)
-    res = minimize(value_grad, np.array([mu0, 0.0]), jac=True,
-                   method="L-BFGS-B", bounds=[(None, None), (0.0, None)],
-                   options={"ftol": 1e-16, "gtol": 1e-12, "maxiter": 5000})
-    mu, nu = res.x
-    nu = max(nu, 0.0)
-    # Newton polish on the active variables
-    for _ in range(50):
-        x = np.array([mu, nu])
-        val, g = value_grad(x)
-        a = mu * w + nu * (alpha - delta)
-        shift = a.max()
-        ew = np.exp(a - shift)
-        p = ew / ew.sum()
-        fe = np.vstack([w, alpha - delta])
-        mean = fe @ p
-        cov = (fe * p) @ fe.T - np.outer(mean, mean)
-        active = nu > 0 or g[1] < 0
-        if active:
-            try:
-                step = np.linalg.solve(cov + 1e-15 * np.eye(2), g)
-            except np.linalg.LinAlgError:
-                break
-            mu, nu = mu - step[0], nu - step[1]
-            nu = max(nu, 0.0)
-        else:
-            if cov[0, 0] <= 0:
-                break
-            mu = mu - g[0] / cov[0, 0]
-        if np.abs(g).max() < tol / 10:
-            break
-    val, g = value_grad(np.array([mu, nu]))
+    cs = ConstraintSet((Witness(np.diag(alpha - delta)),))
+    val, (mu, nu), _ = minimize_dual(np.diag(w), cs, e,
+                                     SolverOptions(tol=tol))
     return float(val), float(mu), float(nu)
 
 
@@ -1259,7 +1230,7 @@ def theorem3_check(alpha: float, beta: float, spectrum) -> bool:
     """True when ln(alpha) < -beta*E0 - lnZ, i.e. the ground-state
     witness detects the Gibbs state at inverse temperature beta."""
     w = np.asarray(spectrum, dtype=float)
-    lnz = logsumexp(-beta * w)
+    lnz = gibbs_at(w, beta)[0]
     return bool(np.log(alpha) < -beta * w.min() - lnz)
 
 
@@ -1278,7 +1249,7 @@ def gap_lower_bound(h, cs: ConstraintSet, beta: float,
     vec[0] = -beta
     problem = prepare_dual(h, cs)
     ln_tr = _BlockObjective(problem, 0.0).value_grad(vec)[0]
-    return float(logsumexp(-beta * problem.spectrum) - ln_tr)
+    return float(gibbs_at(problem.spectrum, beta)[0] - ln_tr)
 
 
 def bell_gap_bound(beta: float, d: float, nu: float) -> float:

@@ -5,8 +5,9 @@ entropies are in nats and S = beta*E + ln Z throughout.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.optimize import brentq
 
 from .linalg import HermitianOperator
 
@@ -35,9 +36,60 @@ def energy_range(spectrum):
     return float(w.min()), float(w.mean())
 
 
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float,
+            maxiter: int) -> float:
+    """A root of f in [xa, xb], where f changes sign: Brent's zeroin
+    (Brent, Algorithms for Minimization without Derivatives, 1973, ch. 4)
+    step for step as scipy.optimize.brentq runs it, so the two return the
+    same float.  Stops when the bracket is within xtol + rtol |x|."""
+    xpre, xcur = xa, xb
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if (fpre != 0.0 and fcur != 0.0
+                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise RuntimeError(f"root finder did not converge in {maxiter} steps")
+
+
 def beta_from_energy(spectrum, e: float, tol: float = 1e-12,
                      beta_max: float = 1e6) -> float:
-    """Invert E(beta) = e on the beta >= 0 branch by bisection."""
+    """Invert E(beta) = e on the beta >= 0 branch: Brent's method on
+    [0, hi], hi the first of 1, 4, 16, ... where E(hi) <= e."""
     w = np.asarray(spectrum, dtype=float)
     e0, e_inf = energy_range(w)
     spread = max(e_inf - e0, 1e-300)
@@ -54,8 +106,8 @@ def beta_from_energy(spectrum, e: float, tol: float = 1e-12,
         hi *= 4.0
         if hi > beta_max:
             return beta_max
-    return float(brentq(f, 0.0, hi, xtol=tol * max(1.0, 1.0 / spread),
-                        rtol=4 * np.finfo(float).eps, maxiter=200))
+    return float(_brentq(f, 0.0, hi, tol * max(1.0, 1.0 / spread),
+                         4 * np.finfo(float).eps, 200))
 
 
 def _linear_entropy_weights(w: np.ndarray, e: float, tol: float = 1e-10,

@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -368,3 +371,18 @@ def test_thermo_limit_command(tmp_path):
         assert f.readline().startswith("#")
         tmax_rows = list(csv.DictReader(f))
     assert [float(r["h"]) for r in tmax_rows] == [0.5, 1.0]
+
+
+def test_cli_import_leaves_out_scipy_optimize_integrate_special():
+    # the program's own root finder, minimiser and quadrature replace
+    # these three subpackages; importing them costs every process time
+    # and memory
+    code = ("import sys, proxygap.cli; "
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.integrate', "
+            "'scipy.special') if m in sys.modules))")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep
+               + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

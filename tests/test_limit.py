@@ -1,7 +1,10 @@
 import csv
+import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.optimize import brentq
 
 import proxygap.limit as limit
 from proxygap.limit import (calibration_factor, export_region_csv,
@@ -88,9 +91,121 @@ def test_overlap_density_half_period_grid_matches_full_period(r, h):
 
 
 def test_overlap_density_rejects_non_finite_quadrature(monkeypatch):
-    monkeypatch.setattr(limit, "quad", lambda *a, **k: (np.nan, 0.0))
+    monkeypatch.setattr(limit, "_quad_batch",
+                        lambda f, breaks, n: np.full(n, np.nan))
     with pytest.raises(FloatingPointError):
         wei_alpha_density(1.0, 0.5)
+
+
+# reference integrals: scipy's adaptive quad, told where the kinks, jumps
+# and log singularities are, at tolerances far below the tested 1e-10
+def _ref_quad(f, a, b, points=None):
+    return quad(f, a, b, points=points, epsabs=1e-14, epsrel=1e-14,
+                limit=1000)[0]
+
+
+def _ref_dispersion(k, r, h):
+    return math.hypot(h - math.cos(k), r * math.sin(k))
+
+
+def _ref_lnz(r, h, beta):
+    pts = [math.acos(h)] if abs(h) < 1 and r == 0 else None
+    return _ref_quad(lambda k: np.logaddexp(
+        beta * _ref_dispersion(k, r, h), -beta * _ref_dispersion(k, r, h)),
+        0.0, math.pi, pts) / math.pi
+
+
+def _ref_e0(r, h):
+    pts = [math.acos(h)] if abs(h) < 1 and r == 0 else None
+    return -_ref_quad(lambda k: _ref_dispersion(k, r, h), 0.0, math.pi,
+                      pts) / math.pi
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("r,h", [(0.0, 0.3), (0.0, -0.6), (0.0, 0.95),
+                                 (0.0, 1.0), (0.5, 1.0), (1.0, 1.0)])
+def test_xy_densities_match_scipy_quad(r, h):
+    # r = 0 with |h| < 1: eps(k) = |h - cos k| has an interior kink;
+    # h = 1 is critical, and eps vanishes at k = 0
+    for beta in (0.5, 5.0, 30.0, 100.0):
+        assert abs(xy_lnz_density(r, h, beta) - _ref_lnz(r, h, beta)) \
+            <= 1e-10
+    assert abs(xy_e0_density(r, h) - _ref_e0(r, h)) <= 1e-10
+
+
+def _overlap_arg(mu, r, h, c2, s2):
+    th = 0.5 * math.atan2(r * math.sin(2 * math.pi * mu),
+                          h - math.cos(2 * math.pi * mu))
+    return math.cos(th) * c2 + math.sin(th) * s2 / math.tan(math.pi * mu)
+
+
+def _ref_overlap(r, h, c2, s2, points):
+    return 2.0 * _ref_quad(
+        lambda mu: math.log(abs(_overlap_arg(mu, r, h, c2, s2))),
+        0.0, 0.5, points + [1e-3])
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("r,h,c2,s2", [(1.0, 0.5, 1.0, -0.5),
+                                       (0.5, 0.8, 0.7, -0.3),
+                                       (1.0, 1.4, 0.2, -1.0),
+                                       (0.3, 0.2, 1.0, -2.0)])
+def test_overlap_integral_with_interior_zero_matches_scipy_quad(r, h, c2,
+                                                                s2):
+    # for c2 > 0 > s2 the argument runs from -inf at mu = 0 to c2 at
+    # mu = 1/2: one interior zero, a log singularity inside the interval
+    def arg(mu):
+        return _overlap_arg(mu, r, h, c2, s2)
+
+    grid = np.linspace(1e-6, 0.5 - 1e-9, 2001)
+    vals = [arg(mu) for mu in grid]
+    zeros = [brentq(arg, a, b, xtol=1e-15)
+             for a, b, fa, fb in zip(grid, grid[1:], vals, vals[1:])
+             if fa * fb < 0]
+    assert len(zeros) == 1
+    got = limit._overlap_integrals(r, h, [c2], [s2])[0]
+    assert abs(got - _ref_overlap(r, h, c2, s2, zeros)) <= 1e-10
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("r,h,xi", [(0.0, 0.5, 1.0), (0.0, -0.3, 0.7),
+                                    (1.0, 0.5, 1.3), (1.0, 1.0, 2.0)])
+def test_overlap_integral_matches_scipy_quad(r, h, xi):
+    # r = 0: th jumps from pi/2 to 0 where cos 2 pi mu = h
+    c2, s2 = math.cos(xi / 2) ** 2, math.sin(xi / 2) ** 2
+    jump = [math.acos(h) / (2 * math.pi)] if r == 0 else []
+    got = limit._overlap_integrals(r, h, [c2], [s2])[0]
+    assert abs(got - _ref_overlap(r, h, c2, s2, jump)) <= 1e-10
+
+
+def test_quad_batch_integrates_each_integrand_apart():
+    powers = np.arange(5.0)
+    got = limit._quad_batch(lambda i, x: x ** powers[i, None], (0.0, 2.0),
+                            powers.size)
+    np.testing.assert_allclose(got, 2.0 ** (powers + 1) / (powers + 1),
+                               rtol=1e-14)
+    # a log singularity at an end point, bisected until the summed error
+    # estimate is below the tolerance
+    got = limit._quad_batch(lambda i, x: np.log(x), (0.0, 1.0), 1)[0]
+    assert abs(got + 1.0) <= limit.QUAD_ABS_TOL
+
+
+def test_quad_batch_stops_non_finite_integrals_and_caps_intervals():
+    def f(i, x):
+        return np.where(i[:, None] == 0, np.nan, np.cos(x))
+
+    got = limit._quad_batch(f, (0.0, 1.0), 2)
+    assert np.isnan(got[0]) and got[1] == pytest.approx(math.sin(1.0))
+    with pytest.raises(RuntimeError, match="intervals"):
+        limit._quad_batch(lambda i, x: 1.0 / x, (0.0, 1.0), 1)
+
+
+def test_minimize_bounded_finds_interior_and_edge_minima():
+    x, fx = limit._minimize_bounded(lambda x: (x - 0.3) ** 2 + 1.0,
+                                    -1.0, 2.0, 1e-10)
+    assert abs(x - 0.3) < 1e-7 and fx == pytest.approx(1.0, abs=1e-14)
+    x, _ = limit._minimize_bounded(lambda x: x, 0.1, 10.0, 1e-10)
+    assert abs(x - 0.1) < 1e-7
 
 
 def test_overlap_density_strong_field_vanishes():

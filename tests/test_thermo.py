@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from proxygap.models import HeisenbergParams, heisenberg_chain
 from proxygap.thermo import (beta_from_energy, energy_range, gibbs_at,
@@ -52,6 +53,34 @@ def test_beta_energy_roundtrip(w, frac):
     beta = beta_from_energy(w, e)
     if beta < 1e6:  # saturated solves are clamped, skip the roundtrip
         assert abs(gibbs_at(w, beta)[1] - e) < 1e-6 * max(1.0, abs(e))
+
+
+def test_beta_from_energy_matches_scipy_brentq_bit_for_bit():
+    # the same bracket and tolerances as beta_from_energy, solved by scipy
+    rng = np.random.default_rng(2024)
+    for trial in range(60):
+        w = rng.normal(size=int(rng.integers(2, 120))) \
+            * rng.uniform(0.01, 50.0)
+        if trial % 3 == 0:
+            w = np.round(w)  # degenerate levels
+        e0, e_inf = energy_range(w)
+        spread = e_inf - e0
+        for frac in (1e-9, 1e-6, 1e-3, 0.2, 0.5, 0.8, 1 - 1e-6, 1 - 1e-12):
+            e = e0 + frac * spread
+
+            def f(beta):
+                return gibbs_at(w, beta)[1] - e
+
+            hi = 1.0
+            while f(hi) > 0 and hi <= 1e6:
+                hi *= 4.0
+            if hi > 1e6:
+                expect = 1e6
+            else:
+                expect = brentq(f, 0.0, hi,
+                                xtol=1e-12 * max(1.0, 1.0 / spread),
+                                rtol=4 * np.finfo(float).eps, maxiter=200)
+            assert beta_from_energy(w, e) == expect
 
 
 def test_beta_from_energy_rejects_out_of_range():
