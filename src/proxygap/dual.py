@@ -42,12 +42,11 @@ from bisect import bisect_left
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sp
 
-from .linalg import BlockLayout, HermitianOperator, LinalgError, pt_permutation
-from .models import (is_translation_invariant, momentum_sector_split,
-                     popcounts, sector_split_sparse)
+from .linalg import (BlockLayout, CooMatrix, HermitianOperator, LinalgError,
+                     as_coo, is_sparse, pt_permutation)
+from .models import (conserves_magnetization, is_translation_invariant,
+                     momentum_sector_split, popcounts, sector_split_sparse)
 from .thermo import (_linear_entropy_weights, beta_from_energy, gibbs_at,
                      linear_entropy_max)
 from .witness import ConstraintSet, Witness
@@ -112,7 +111,7 @@ class GapScanResult:
 def _operator_matrix(h) -> np.ndarray:
     if isinstance(h, HermitianOperator):
         return h.entries
-    if sp.issparse(h):
+    if is_sparse(h):
         return h.toarray()
     return np.asarray(h)
 
@@ -146,20 +145,16 @@ def _blocks_for(h, cs: ConstraintSet):
     finer path was taken, or is None.  magnetization, the excitation count
     of each basis state, is given where the blocks are its sectors and
     there are cuts, else None."""
-    if not (isinstance(h, HermitianOperator) or sp.issparse(h)):
+    if not (isinstance(h, HermitianOperator) or is_sparse(h)):
         return _dense_blocks(h, cs, "array input")
-    hs = h.sparse if isinstance(h, HermitianOperator) else h.tocsr()
+    hs = as_coo(h.sparse if isinstance(h, HermitianOperator) else h)
     dims = _local_dims(h, hs.shape[0])
     if any(d != 2 for d in dims):
         return _dense_blocks(h, cs, "not qubits")
     n = len(dims)
-    w_sparse = [w.matrix.tocsr() for w in cs.witnesses]
-    try:
-        sb = sector_split_sparse(hs, n)
-        w_sb = [sector_split_sparse(ws, n) for ws in w_sparse]
-    except LinalgError:
+    ops = [hs] + [as_coo(w.matrix) for w in cs.witnesses]
+    if not all(conserves_magnetization(o, n) for o in ops):
         return _dense_blocks(h, cs, "does not conserve magnetization")
-    ops = [hs] + w_sparse
     mag = None
     if cs.map_slots:
         # a product unitary u^(x n) keeps every cut PPT, so the twirl over
@@ -169,15 +164,14 @@ def _blocks_for(h, cs: ConstraintSet):
         try:
             fine, mult = momentum_sector_split(ops, n)
             return ("momentum", None, [bl[0] for bl in fine],
-                    [[bl[1 + i] for bl in fine] for i in range(len(w_sparse))],
+                    [[bl[1 + i] for bl in fine] for i in range(len(ops) - 1)],
                     mult, None)
         except LinalgError as exc:
             fallback = str(exc)
     else:
         fallback = "not translation invariant"
-    return ("sector", fallback, [s.block for s in sb.sectors],
-            [[s.block for s in wsb.sectors] for wsb in w_sb],
-            [1] * len(sb.sectors), mag)
+    sb = [[s.block for s in sector_split_sparse(o, n).sectors] for o in ops]
+    return ("sector", fallback, sb[0], sb[1:], [1] * (n + 1), mag)
 
 
 def _cut_layouts(mag, cuts, dims):
@@ -219,9 +213,9 @@ class DualProblem:
     its partial transpose into `layout` and back.  `free` holds the fixed
     spectra of the witness-free blocks and `spectrum` the sorted spectrum
     of H, each eigenvalue as often as it occurs.  `path` is the split taken
-    ("momentum", "sector" or "dense") and `fallback` why no finer one was,
-    or None.  `envelope` is the witness path, set when there is at most
-    one witness and no cut."""
+    ("momentum", "sector" or "dense"; "diagonal" in `diagonal_dual`) and
+    `fallback` why no finer one was, or None.  `envelope` is the witness
+    path, set when there is at most one witness and no cut."""
     blocks: list
     mult: list
     free: np.ndarray
@@ -250,9 +244,14 @@ def _witness_diagonal(hb, wb):
 def prepare_dual(h, cs: ConstraintSet) -> DualProblem:
     """Split H and the witnesses into symmetry blocks once; pass the result
     as `problem` to every solve on the same H and constraint set."""
+    return _prepared(h, cs, *_blocks_for(h, cs))
+
+
+def _prepared(h, cs: ConstraintSet, path, fallback, h_blocks, w_blocks,
+              mult, mag) -> DualProblem:
+    """The `DualProblem` of a split as `_blocks_for` returns it."""
     n_wit = len(cs.witnesses)
     witness_path = n_wit <= 1 and not cs.map_slots
-    path, fallback, h_blocks, w_blocks, mult, mag = _blocks_for(h, cs)
     blocks, kept, free, eigs, w_diags = [], [], [], [], []
     for hb, m, *wbs in zip(h_blocks, mult, *w_blocks):
         wbs = [wb if np.abs(wb).max() > 0 else None for wb in wbs]
@@ -571,7 +570,6 @@ class _Envelope:
 
     def __init__(self, problem: DualProblem, energies, w_diag):
         self.problem = problem
-        self.blocks = [(hb, wbs[0]) for hb, wbs in problem.blocks if wbs]
         self.energies = energies  # spec(H) in the layout of `spectrum(s)`
         self.w_diag = w_diag      # <i|W|i> in the eigenbasis of H
         self.spectra = {}
@@ -579,6 +577,24 @@ class _Envelope:
         self.s_last = None        # the last interior optimum
         self.move = np.inf        # how far the last search moved from there
         self._edge = None         # (lam_min(H - s_W W), s_W)
+        # the witness blocks in stacks of one size and type, each
+        # diagonalized in one call; `order` gathers the stacks' eigenvalues
+        # back into block order, each block as often as it counts
+        blocks = [(hb, wbs[0]) for hb, wbs in problem.blocks if wbs]
+        groups = {}
+        for i, (hb, wb) in enumerate(blocks):
+            groups.setdefault((hb.shape[0], np.result_type(hb, wb)),
+                              []).append(i)
+        self.stacks, at, off = [], {}, 0
+        for (b, _), ids in groups.items():
+            self.stacks.append((np.array([blocks[i][0] for i in ids]),
+                                np.array([blocks[i][1] for i in ids]), ids))
+            for i in ids:
+                at[i] = np.arange(off, off + b)
+                off += b
+        self.order = np.concatenate(
+            [np.zeros(0, int)] + [at[i] for i, m in enumerate(problem.mult)
+                                  for _ in range(m)])
 
     def spectrum(self, s: float) -> np.ndarray:
         """spec(H - sW), each eigenvalue as often as it occurs."""
@@ -586,11 +602,10 @@ class _Envelope:
             return self.energies
         w = self.spectra.get(s)
         if w is None:
-            p = self.problem
-            parts = [p.free]
-            for (hb, wb), m in zip(self.blocks, p.mult):
-                parts.extend([np.linalg.eigvalsh(hb - s * wb)] * m)
-            w = np.concatenate(parts)
+            vals = np.concatenate([np.zeros(0)] + [
+                np.linalg.eigvalsh(hs - s * ws).ravel()
+                for hs, ws, _ in self.stacks])
+            w = np.concatenate([self.problem.free, vals[self.order]])
             if len(self.spectra) >= _SPECTRA_KEPT:
                 del self.spectra[next(iter(self.spectra))]
             self.spectra[s] = w
@@ -599,13 +614,22 @@ class _Envelope:
 
     def _lowest(self, s: float):
         """lam_min(H - sW) and its slope in s, -<v|W|v> for the lowest
-        eigenvector v (a supergradient where v is degenerate)."""
+        eigenvector v (a supergradient where v is degenerate).  The
+        eigenvalues of every block pick the first block, in block order,
+        that attains it; only that block's eigenvectors are computed."""
         free = self.problem.free
         best = (float(free.min()) if free.size else np.inf, 0.0)
         self.passes += 1
-        for hb, wb in self.blocks:
-            w, v = sla.eigh(hb - s * wb, subset_by_index=[0, 0])
-            if w[0] < best[0]:
+        low = []  # (lowest eigenvalue, block, its H - sW, its W)
+        for hs, ws, ids in self.stacks:
+            m = hs - s * ws
+            w = np.linalg.eigvalsh(m)[:, 0]
+            j = int(np.argmin(w))
+            low.append((w[j], ids[j], m[j], ws[j]))
+        if low:
+            w0, _, m, wb = min(low, key=lambda c: c[:2])
+            if w0 < best[0]:
+                w, v = np.linalg.eigh(m)
                 v = v[:, 0]
                 best = (float(w[0]), -float(np.real(v.conj() @ wb @ v)))
         return best
@@ -1212,17 +1236,24 @@ def diagonal_dual(spectrum, alpha: float, ground_count: int, e: float,
     mu real, nu >= 0, where delta_i = 1 on the first `ground_count`
     entries of the ascending spectrum.  Returns (s_upper, mu*, nu*).
 
-    This is the witness path on one block, H = diag(E_i) with the witness
-    W = diag(alpha - delta_i); s_upper is -inf, at the Farkas certificate
-    (-1, nu), where no state at energy e has ground weight <= alpha."""
+    This is the witness path on H = diag(E_i) with the witness
+    W = diag(alpha - delta_i), split into 1 x 1 blocks; s_upper is -inf,
+    at the Farkas certificate (-1, nu), where no state at energy e has
+    ground weight <= alpha."""
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
     w = np.sort(np.asarray(spectrum, dtype=float))
     delta = np.zeros(w.size)
     delta[:ground_count] = 1.0
-    cs = ConstraintSet((Witness(np.diag(alpha - delta)),))
-    val, (mu, nu), _ = minimize_dual(np.diag(w), cs, e,
-                                     SolverOptions(tol=tol))
+    i = np.arange(w.size)
+    cs = ConstraintSet((Witness(CooMatrix(i, i, alpha - delta,
+                                          (w.size, w.size))),))
+    # H and W are diagonal: each eigenvalue is a 1 x 1 block
+    problem = _prepared(None, cs, "diagonal", None, list(w.reshape(-1, 1, 1)),
+                        [list((alpha - delta).reshape(-1, 1, 1))],
+                        [1] * w.size, None)
+    val, (mu, nu), _ = minimize_dual(None, cs, e, SolverOptions(tol=tol),
+                                     problem=problem)
     return float(val), float(mu), float(nu)
 
 

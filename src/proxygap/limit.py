@@ -198,12 +198,18 @@ def xy_lnz_density(r: float, h: float, beta: float,
         raise ValueError("beta must be nonnegative")
     if beta == 0.0:
         return float(np.log(2.0))
+    return float(_lnz_integrals(r, h, np.array([beta]), factor)[0] / np.pi)
 
-    def f(_, k):
-        x = beta * factor * _dispersion(k, r, h)
+
+def _lnz_integrals(r: float, h: float, betas: np.ndarray,
+                   factor: float = DISPERSION_FACTOR) -> np.ndarray:
+    """pi lnZ/N at each of the inverse temperatures `betas`, in one
+    quadrature batch."""
+    def f(owner, k):
+        x = (betas[owner] * factor)[:, None] * _dispersion(k, r, h)
         return np.logaddexp(x, -x)  # ln(2 cosh x)
 
-    return float(_quad_batch(f, (0.0, np.pi), 1)[0] / np.pi)
+    return _quad_batch(f, (0.0, np.pi), betas.size)
 
 
 def xy_e0_density(r: float, h: float,
@@ -359,7 +365,9 @@ def theorem3_region(r: float, h_grid, t_grid,
             beta = 1.0 / t
             return -alpha - beta * e0 - xy_lnz_density(r, h, beta)
 
-        expr[i] = [f(t) for t in t_grid]
+        betas = 1.0 / t_grid
+        expr[i] = (-alpha - betas * e0
+                   - _lnz_integrals(r, h, betas) / np.pi)
         pos = expr[i] > 0
         if pos.any():
             last = np.nonzero(pos)[0][-1]

@@ -3,8 +3,11 @@
 Operators carry their tensor-factor structure (``local_dims``) so that
 partial transposition and bipartite cuts can be applied by index
 bookkeeping alone.  An operator holds a dense complex128 matrix or a
-sparse CSR one; a sparse operator is densified only where a dense path
-asks for its `entries`, behind the `PROXYGAP_MAX_QUBITS` memory guard.
+sparse one, a `CooMatrix` of (row, col, value) triplets or any matrix
+with a `tocoo()` (scipy's sparse matrices among them); a sparse operator
+is densified only where a dense path asks for its `entries`, behind the
+`PROXYGAP_MAX_QUBITS` memory guard.  The module needs numpy alone: scipy's
+MRRR eigensolver is imported only where numpy's `eigh` fails to converge.
 A `BlockLayout` stores block-diagonal matrices packed and diagonalizes
 equal-size blocks in one batched call, and `pt_permutation` turns a
 partial transpose between two layouts into one index permutation.
@@ -16,8 +19,6 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
 
 HERMITICITY_RTOL = 1e-12
 DEFAULT_MAX_QUBITS = 14
@@ -41,10 +42,58 @@ def check_dense_size(dim: int):
             f"(2^{cap}); set PROXYGAP_MAX_QUBITS to override")
 
 
+class CooMatrix:
+    """A sparse matrix as (row, col, value) triplets in row-major order,
+    duplicate entries summed; explicit zeros are kept."""
+
+    __slots__ = ("row", "col", "data", "shape")
+
+    def __init__(self, row, col, data, shape):
+        self.shape = (int(shape[0]), int(shape[1]))
+        row = np.asarray(row, dtype=np.int64).ravel()
+        col = np.asarray(col, dtype=np.int64).ravel()
+        data = np.asarray(data)
+        data = data.astype(np.result_type(data, float), copy=False).ravel()
+        key = row * self.shape[1] + col
+        if key.size and not (key[1:] > key[:-1]).all():
+            order = np.argsort(key, kind="stable")
+            key = key[order]
+            first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+            data = np.add.reduceat(data[order], first)
+            row, col = np.divmod(key[first], self.shape[1])
+        self.row, self.col, self.data = row, col, data
+
+    @classmethod
+    def from_dense(cls, m) -> "CooMatrix":
+        """The nonzero entries of a dense matrix."""
+        m = np.asarray(m)
+        row, col = np.nonzero(m)
+        return cls(row, col, m[row, col], m.shape)
+
+    def tocoo(self) -> "CooMatrix":
+        return self
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape, dtype=self.data.dtype)
+        out[self.row, self.col] = self.data
+        return out
+
+
+def is_sparse(m) -> bool:
+    """Whether m is a sparse matrix: one with a `tocoo()`."""
+    return hasattr(m, "tocoo")
+
+
+def as_coo(m) -> CooMatrix:
+    """A sparse matrix, read through its `tocoo()`, as a `CooMatrix`."""
+    c = m.tocoo()
+    return c if isinstance(c, CooMatrix) else \
+        CooMatrix(c.row, c.col, c.data, c.shape)
+
+
 def _as_matrix(entries):
-    m = entries.tocsr() if sp.issparse(entries) else \
-        np.asarray(entries, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    m = entries if is_sparse(entries) else np.asarray(entries, dtype=complex)
+    if len(m.shape) != 2 or m.shape[0] != m.shape[1]:
         raise LinalgError(f"expected a square matrix, got shape {m.shape}")
     return m
 
@@ -55,7 +104,8 @@ class HermitianOperator:
 
     `entries` is the dense matrix: a sparse operator is densified on first
     access, behind the memory guard, and keeps the dense copy.  `sparse` is
-    the CSR matrix, converted from the dense one for a dense operator."""
+    the sparse matrix as given, or a `CooMatrix` of the dense one's
+    nonzero entries."""
 
     __slots__ = ("local_dims", "_matrix", "_dense")
 
@@ -69,9 +119,12 @@ class HermitianOperator:
         if int(np.prod(local_dims)) != m.shape[0]:
             raise LinalgError(
                 f"product of local_dims {local_dims} != dim {m.shape[0]}")
-        if sp.issparse(m):
-            scale = max(np.abs(m.data).max(initial=0.0), 1.0)
-            asym = np.abs((m - m.conj().T).data).max(initial=0.0)
+        if is_sparse(m):
+            c = as_coo(m)
+            scale = max(np.abs(c.data).max(initial=0.0), 1.0)
+            diff = CooMatrix(np.r_[c.row, c.col], np.r_[c.col, c.row],
+                             np.r_[c.data, -c.data.conj()], c.shape)
+            asym = np.abs(diff.data).max(initial=0.0)
         else:
             scale = max(np.abs(m).max(), 1.0)
             asym = np.abs(m - m.conj().T).max()
@@ -79,7 +132,7 @@ class HermitianOperator:
             raise LinalgError("matrix is not Hermitian")
         self.local_dims = local_dims
         self._matrix = m
-        self._dense = None if sp.issparse(m) else m
+        self._dense = None if is_sparse(m) else m
 
     @property
     def entries(self) -> np.ndarray:
@@ -89,9 +142,9 @@ class HermitianOperator:
         return self._dense
 
     @property
-    def sparse(self) -> sp.csr_matrix:
+    def sparse(self):
         m = self._matrix
-        return m if sp.issparse(m) else sp.csr_matrix(m)
+        return m if is_sparse(m) else CooMatrix.from_dense(m)
 
     @property
     def dim(self) -> int:
@@ -161,14 +214,15 @@ def stacked_eigh(stack: np.ndarray):
     """np.linalg.eigh of a (k, b, b) stack of Hermitian matrices in one
     call.  numpy's divide-and-conquer driver (zheevd) can fail to converge
     on a finite Hermitian matrix; the stack is then redone matrix by matrix
-    with the MRRR driver (zheevr), which solves the one kept in tests/data.
-    A stack of 1 x 1 blocks needs no call: each block is its eigenvalue,
-    with eigenvector 1."""
+    with scipy's MRRR driver (zheevr), which solves the one kept in
+    tests/data; only this fallback imports scipy.  A stack of 1 x 1 blocks
+    needs no call: each block is its eigenvalue, with eigenvector 1."""
     if stack.shape[-1] == 1:
         return stack.real[..., 0].copy(), np.ones_like(stack)
     try:
         return np.linalg.eigh(stack)
     except np.linalg.LinAlgError:
+        import scipy.linalg
         pairs = [scipy.linalg.eigh(m, driver="evr") for m in stack]
         return (np.array([w for w, _ in pairs]),
                 np.array([v for _, v in pairs]))

@@ -4,10 +4,12 @@ Convention: sigma_z |0> = +|0>, so |1> is the excited state and a basis
 index's popcount is its excitation number m (total magnetization n - 2m).
 Site 0 is the most significant bit of the basis index.
 
-Hamiltonians are assembled as sparse matrices from bit arithmetic (a bond
-term touches at most one off-diagonal per row) and stay sparse: a
-witness-only scan splits them into symmetry blocks, and a PPT problem into
-magnetization sectors, without forming the 2^n x 2^n matrix.  Only a dense
+Hamiltonians are assembled as sparse `CooMatrix` triplets from bit
+arithmetic (a bond term touches at most one off-diagonal per row), with
+numpy alone, and stay sparse: a witness-only scan splits them into symmetry
+blocks, and a PPT problem into magnetization sectors, without forming the
+2^n x 2^n matrix.  The splits read any sparse operand through its
+`tocoo()`, scipy's sparse matrices included.  Only a dense
 path densifies an operator, behind the memory guard: an operator that does
 not conserve magnetization, a full diagonalization, or the spectrum of H
 that a PPT scan places its energy grid on.
@@ -18,10 +20,10 @@ from dataclasses import dataclass
 from math import comb
 
 import numpy as np
-import scipy.sparse as sp
 
-from .linalg import (HermitianOperator, LinalgError, SpectralDecomposition,
-                     check_dense_size)
+from .linalg import (CooMatrix, HermitianOperator, LinalgError,
+                     SpectralDecomposition, as_coo, check_dense_size)
+
 
 @dataclass(frozen=True)
 class HeisenbergParams:
@@ -73,8 +75,9 @@ def _bit(idx: np.ndarray, site: int, n: int) -> np.ndarray:
     return ((idx >> (n - 1 - site)) & 1).astype(np.int64)
 
 
-def heisenberg_sparse(p: HeisenbergParams) -> sp.csr_matrix:
-    """H = -sum_bonds (Jx XX + Jy YY + Jz ZZ) + B sum_i Z as real CSR.
+def heisenberg_sparse(p: HeisenbergParams) -> CooMatrix:
+    """H = -sum_bonds (Jx XX + Jy YY + Jz ZZ) + B sum_i Z as a real
+    `CooMatrix`.
 
     J < 0 is antiferromagnetic.  A periodic 2-site ring counts its single
     bond twice (the literal formula).
@@ -103,11 +106,8 @@ def heisenberg_sparse(p: HeisenbergParams) -> sp.csr_matrix:
     rows.append(idx)
     cols.append(idx)
     vals.append(diag)
-    h = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(d, d))
-    h.sum_duplicates()
-    return h
+    return CooMatrix(np.concatenate(rows), np.concatenate(cols),
+                     np.concatenate(vals), (d, d))
 
 
 def heisenberg_chain(p: HeisenbergParams) -> HermitianOperator:
@@ -170,21 +170,39 @@ def popcounts(n: int) -> np.ndarray:
     return counts
 
 
-def sector_split_sparse(h: sp.spmatrix, n: int,
-                        tol: float = 1e-10) -> SectorBlocks:
+def conserves_magnetization(op, n: int, tol: float = 1e-10) -> bool:
+    """Whether no entry of the sparse qubit operator beyond tol of its
+    largest (or of 1) links two excitation numbers."""
+    c = as_coo(op)
+    counts = popcounts(n)
+    scale = max(np.abs(c.data).max(initial=0.0), 1.0)
+    cross = counts[c.row] != counts[c.col]
+    return bool(np.abs(c.data[cross]).max(initial=0.0) <= tol * scale)
+
+
+def _dense_block(c: CooMatrix, idx: np.ndarray) -> np.ndarray:
+    """The dense block c[idx][:, idx], for ascending basis indices idx."""
+    pos = np.full(c.shape[0], -1)
+    pos[idx] = np.arange(idx.size)
+    rows, cols = pos[c.row], pos[c.col]
+    keep = (rows >= 0) & (cols >= 0)
+    block = np.zeros((idx.size, idx.size), dtype=c.data.dtype)
+    block[rows[keep], cols[keep]] = c.data[keep]
+    return block
+
+
+def sector_split_sparse(h, n: int, tol: float = 1e-10) -> SectorBlocks:
     """Split a sparse qubit operator conserving total sigma_z into dense
     excitation-sector blocks."""
-    counts = popcounts(n)
-    coo = h.tocoo()
-    scale = max(np.abs(coo.data).max() if coo.nnz else 0.0, 1.0)
-    cross = counts[coo.row] != counts[coo.col]
-    if coo.nnz and np.abs(coo.data[cross]).max(initial=0.0) > tol * scale:
+    if not conserves_magnetization(h, n, tol):
         raise LinalgError("operator does not commute with total sigma_z")
-    csr = h.tocsr()
+    c = as_coo(h)
+    counts = popcounts(n)
+    scale = max(np.abs(c.data).max(initial=0.0), 1.0)
     sectors = []
     for mm in range(n + 1):
         idx = np.nonzero(counts == mm)[0]
-        block = csr[np.ix_(idx, idx)].toarray()
+        block = _dense_block(c, idx)
         if np.iscomplexobj(block) and np.abs(block.imag).max() < tol * scale:
             block = block.real.copy()
         sectors.append(Sector(n - 2 * mm, idx, block))
@@ -197,19 +215,15 @@ def translation_table(n: int) -> np.ndarray:
     return (idx >> 1) | ((idx & 1) << (n - 1))
 
 
-def is_translation_invariant(h: sp.spmatrix, n: int,
-                             tol: float = 1e-10) -> bool:
+def is_translation_invariant(h, n: int, tol: float = 1e-10) -> bool:
     """Whether the sparse operator commutes with the ring translation."""
     perm = translation_table(n)
-    coo = h.tocoo()
-    d = 2 ** n
-    moved = sp.csr_matrix((coo.data, (perm[coo.row], perm[coo.col])),
-                          shape=(d, d))
-    diff = (moved - h.tocsr())
-    scale = max(np.abs(coo.data).max() if coo.nnz else 0.0, 1.0)
-    if diff.nnz == 0:
-        return True
-    return bool(np.abs(diff.data).max() <= tol * scale)
+    c = as_coo(h)
+    # T H T^-1 - H, entry by entry
+    diff = CooMatrix(np.r_[perm[c.row], c.row], np.r_[perm[c.col], c.col],
+                     np.r_[c.data, -c.data], c.shape)
+    scale = max(np.abs(c.data).max(initial=0.0), 1.0)
+    return bool(np.abs(diff.data).max(initial=0.0) <= tol * scale)
 
 
 def momentum_sector_split(ops, n: int, tol: float = 1e-10):
@@ -238,11 +252,22 @@ def momentum_sector_split(ops, n: int, tol: float = 1e-10):
     shift = (n - t0) % n
     counts = popcounts(n)
     omega = np.exp(2j * np.pi / n)
-    op_scale = max(max(np.abs(o.tocoo().data).max(initial=0.0)
-                       for o in ops), 1.0)
-    real = all(not np.iscomplexobj(o) or not o.tocoo().data.imag.any()
-               for o in ops)
+    coos = [as_coo(o) for o in ops]
+    if not all(conserves_magnetization(c, n, tol) for c in coos):
+        raise LinalgError("operator does not commute with total sigma_z")
+    op_scale = max(max(np.abs(c.data).max(initial=0.0) for c in coos), 1.0)
+    real = all(not np.iscomplexobj(c.data) or not c.data.imag.any()
+               for c in coos)
     momenta = [k for k in range(n) if not real or 2 * k <= n]
+    # each op's entries in the columns of orbit representatives; those that
+    # add up to one block element share their column, and row-major order
+    # sums them down it
+    in_rep_col = []
+    for c in coos:
+        at = np.flatnonzero(rep[c.col] == c.col)
+        in_rep_col.append((c.row[at], c.col[at],
+                           np.asarray(c.data[at], dtype=complex)))
+    pos = np.empty(d, dtype=np.int64)  # a representative's place in sector
     blocks, mult = [], []
     for m in range(n + 1):
         sector = np.nonzero(counts == m)[0]
@@ -253,18 +278,16 @@ def momentum_sector_split(ops, n: int, tol: float = 1e-10):
                 raise LinalgError("translation orbit with partial period")
         else:
             # uniform states are their own orbit: keep the 1x1 block at k=0
-            blocks.append(tuple(
-                o.tocsr()[np.ix_(reps, reps)].toarray().astype(complex)
-                for o in ops))
+            blocks.append(tuple(_dense_block(c, reps).astype(complex)
+                                for c in coos))
             mult.append(1)
             continue
-        pos = {r: i for i, r in enumerate(reps)}
+        pos[reps] = np.arange(reps.size)
         per_op = []
-        for o in ops:
-            cols = o.tocsc()[:, reps].tocoo()
-            rows = np.array([pos[r] for r in rep[cols.row]], dtype=np.int64)
-            per_op.append((rows, cols.col, shift[cols.row],
-                           np.asarray(cols.data, dtype=complex)))
+        for row, col, amps in in_rep_col:
+            at = counts[col] == m
+            per_op.append((pos[rep[row[at]]], pos[col[at]], shift[row[at]],
+                           amps[at]))
         r_dim = len(reps)
         for k in momenta:
             kblocks = []

@@ -2,7 +2,8 @@
 
 A `ConstraintSet` collects witness operators (scalar dual variables) and
 bipartitions on which partial transposition must leave the state PSD
-(matrix dual variables).
+(matrix dual variables).  The witness builders return sparse `CooMatrix`
+operators, built with numpy alone.
 """
 from __future__ import annotations
 
@@ -10,9 +11,8 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
-from .linalg import Bipartition, LinalgError
+from .linalg import Bipartition, CooMatrix, LinalgError, is_sparse
 
 ALL = "all"
 
@@ -23,11 +23,11 @@ _GRAM_TOL = 1e-10
 class Witness:
     """Hermitian operator with tr(rho W) >= 0 on its separable class."""
 
-    matrix: sp.csr_matrix
+    matrix: CooMatrix  # or any sparse matrix with a tocoo(), or an array
     alpha: float | None = None
 
     def to_dense(self) -> np.ndarray:
-        if sp.issparse(self.matrix):
+        if is_sparse(self.matrix):
             return self.matrix.toarray()
         return np.asarray(self.matrix)
 
@@ -93,9 +93,7 @@ def dicke_witness(n: int, m: int) -> Witness:
                 cols += [ib, ia, icap, icup]
                 vals += [-0.5, -0.5, 0.5, 0.5]
     d = 2 ** n
-    w = sp.csr_matrix((vals, (rows, cols)), shape=(d, d))
-    w.sum_duplicates()
-    return Witness(w)
+    return Witness(CooMatrix(rows, cols, vals, (d, d)))
 
 
 def max_schmidt_overlap(psi: np.ndarray, cut: Bipartition) -> float:
@@ -195,7 +193,7 @@ def projector_witness(states, cuts, n_sites: int | None = None,
     p = states.T @ states.conj()
     d = states.shape[1]
     w = alpha * np.eye(d) - p
-    return Witness(sp.csr_matrix(w), alpha=float(alpha))
+    return Witness(CooMatrix.from_dense(w), alpha=float(alpha))
 
 
 def dicke_field_range(n: int, m: int, delta_j: float):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from proxygap.linalg import HermitianOperator
 
@@ -13,6 +14,28 @@ def random_hermitian(rng, dims):
     d = int(np.prod(dims))
     m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return HermitianOperator((m + m.conj().T) / 2, dims)
+
+
+def csr_of(c):
+    """A scipy CSR matrix built from the triplets of a `CooMatrix`."""
+    return sp.csr_matrix((c.data, (c.row, c.col)), shape=c.shape)
+
+
+def chiral_current(n):
+    """sum_i i(s+_i s-_{i+1} - s-_i s+_{i+1}) on the ring, as scipy CSR:
+    Hermitian, translation invariant, conserves magnetization, and has
+    imaginary entries, so a momentum split that holds it builds every
+    momentum."""
+    plus = sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    out = sp.csr_matrix((2 ** n, 2 ** n), dtype=complex)
+    for i in range(n):
+        ops = [sp.identity(2, format="csr")] * n
+        ops[i], ops[(i + 1) % n] = plus, plus.T
+        term = ops[0]
+        for o in ops[1:]:
+            term = sp.kron(term, o, format="csr")
+        out = out + 1j * (term - term.T)
+    return out
 
 
 def random_state(rng, d, k=None):

@@ -386,3 +386,38 @@ def test_cli_import_leaves_out_scipy_optimize_integrate_special():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+_SCAN_WITHOUT_SCIPY = """
+import sys
+import proxygap.cli
+from proxygap.dual import GridOptions, gap_energy_scan, ppt_energy_min
+from proxygap.limit import theorem3_region
+from proxygap.models import HeisenbergParams, heisenberg_chain
+from proxygap.witness import ConstraintSet, dicke_witness, even_odd_bipartition
+
+xxz = heisenberg_chain(HeisenbergParams(5, 5, 5, 1, -1))
+res = gap_energy_scan(xxz, ConstraintSet((dicke_witness(5, 2),)),
+                      GridOptions(n_points=4, bisect_iters=3))
+assert res.path == "momentum"
+afm = heisenberg_chain(HeisenbergParams(4, -1, -1, -1))
+cut = even_odd_bipartition(4)
+res = gap_energy_scan(afm, ConstraintSet(map_slots=(cut,)),
+                      GridOptions(n_points=3, bisect_iters=2))
+assert res.path == "sector"
+assert ppt_energy_min(afm, [cut]).converged
+theorem3_region(1.0, [1.0], [0.5, 1.0])
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_runs_leave_out_scipy():
+    # numpy alone builds the operators and their blocks and diagonalizes
+    # them: a witness scan, a PPT scan with its minimum energy and a
+    # thermodynamic-limit map load no scipy module
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep
+               + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-c", _SCAN_WITHOUT_SCIPY],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -4,7 +4,7 @@ import scipy.sparse as sp
 from scipy.optimize import brentq
 
 import proxygap.dual as dual_mod
-from conftest import random_hermitian
+from conftest import chiral_current, csr_of, random_hermitian
 from proxygap.dual import (GAP_TOLERANCE, GAP_TOLERANCE_LINEAR, GridOptions,
                            SolverOptions, bell_gap_bound, diagonal_dual,
                            gap_energy_scan, gap_lower_bound,
@@ -491,22 +491,6 @@ def _xxz(n):
     return heisenberg_chain(HeisenbergParams(n, n, n, 1, -1))
 
 
-def _chiral_current(n):
-    """sum_i i(s+_i s-_{i+1} - s-_i s+_{i+1}) on the ring: Hermitian,
-    translation invariant, conserves magnetization, and has imaginary
-    entries, so a momentum split that holds it builds every momentum."""
-    plus = sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    out = sp.csr_matrix((2 ** n, 2 ** n), dtype=complex)
-    for i in range(n):
-        ops = [sp.identity(2, format="csr")] * n
-        ops[i], ops[(i + 1) % n] = plus, plus.T
-        term = ops[0]
-        for o in ops[1:]:
-            term = sp.kron(term, o, format="csr")
-        out = out + 1j * (term - term.T)
-    return out
-
-
 def test_conjugate_pairs_match_the_unpaired_problem(monkeypatch, rng):
     # real H and W: momentum blocks k and n - k are conjugate, so one of
     # each pair is kept with multiplicity 2
@@ -517,7 +501,7 @@ def test_conjugate_pairs_match_the_unpaired_problem(monkeypatch, rng):
     split = dual_mod.momentum_sector_split
 
     def unpaired_split(ops, n):  # an imaginary op in the split: no pairs
-        blocks, mult = split(list(ops) + [_chiral_current(n)], n)
+        blocks, mult = split(list(ops) + [chiral_current(n)], n)
         return [bl[:-1] for bl in blocks], mult
 
     monkeypatch.setattr(dual_mod, "momentum_sector_split", unpaired_split)
@@ -641,7 +625,7 @@ def test_witness_edge_counts_the_witness_free_blocks():
     # witness blocks (-30.230): it meets the witness, so it sets E_min,W,
     # and energies above it are feasible
     n = 5
-    hs = heisenberg_sparse(HeisenbergParams(n, n, n, 1, -1)).tocsr()
+    hs = csr_of(heisenberg_sparse(HeisenbergParams(n, n, n, 1, -1)))
     e_up = -30.885
     h = HermitianOperator(
         hs + sp.csr_matrix(([e_up - hs[0, 0]], ([0], [0])), shape=hs.shape),
@@ -877,6 +861,25 @@ def test_diagonal_dual_matches_full_dual(rng):
         s_full, _, info = minimize_dual(h, ConstraintSet((wit,)), e)
         assert abs(s_diag - s_full) < 1e-6
         assert nu >= -1e-12
+
+
+def test_diagonal_dual_at_d_1024():
+    # one 1 x 1 block per eigenvalue: d = 1024 runs no d x d eigh.  The
+    # references are the values of the one dense d x d block; the bound
+    # agrees to rounding, the minimizer to far within the search's
+    # tolerance on s
+    rng = np.random.default_rng(1024)
+    w = np.sort(rng.uniform(-1.0, 1.0, 1024))
+    x = np.exp(-2.0 * (w - w.min()))
+    e = float(x @ w / x.sum())
+    alpha_crit = float(x[0] / x.sum())
+    refs = {0.5: (6.470494601321975, -2.0055788318329735, 0.6978623805760235),
+            2.0: (6.471119747831022, -2.0000000000000004, 0.0)}
+    for fac, (s_ref, mu_ref, nu_ref) in refs.items():
+        s_up, mu, nu = diagonal_dual(w, fac * alpha_crit, 1, e)
+        assert abs(s_up - s_ref) <= 1e-11
+        assert mu == pytest.approx(mu_ref, rel=1e-8)
+        assert nu == pytest.approx(nu_ref, rel=1e-8, abs=1e-12)
 
 
 def test_theorem3_boundary_transition():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import csr_of
 from proxygap.dual import GridOptions, gap_energy_scan, prepare_dual
 from proxygap.linalg import LinalgError
 from proxygap.models import (HeisenbergParams, XYParams, bell_staircase,
@@ -138,8 +139,8 @@ def test_translation_invariance_detection():
 
 def test_momentum_split_matches_dense_spectra():
     n = 5
-    hs = heisenberg_sparse(HeisenbergParams(n, 3, 3, 1, -0.7))
-    w = dicke_witness(n, 2).matrix.tocsr()
+    hs = csr_of(heisenberg_sparse(HeisenbergParams(n, 3, 3, 1, -0.7)))
+    w = csr_of(dicke_witness(n, 2).matrix)
     fine, mult = momentum_sector_split([hs, w], n)
     for x in (0.0, 0.37, 2.1):
         dense = np.sort(np.linalg.eigvalsh((hs + x * w).toarray()))

@@ -45,7 +45,8 @@ def test_dicke_witness_sector_structure():
 def test_dicke_witness_detects_target():
     for n, m in [(4, 2), (5, 2), (6, 3)]:
         psi = dicke_state(n, m)
-        assert np.real(psi.conj() @ (dicke_witness(n, m).matrix @ psi)) < -1e-6
+        w = dicke_witness(n, m).to_dense()
+        assert np.real(psi.conj() @ (w @ psi)) < -1e-6
 
 
 def test_dicke_witness_nonnegative_on_product_states(rng):
