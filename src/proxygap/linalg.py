@@ -265,7 +265,8 @@ class BlockLayout:
     def of_charge(cls, q: np.ndarray) -> "BlockLayout":
         """The blocks of the basis states with equal charge q, by
         ascending q: the layout of every matrix that conserves q."""
-        index = [np.nonzero(q == v)[0] for v in np.unique(q)]
+        order = np.argsort(q, kind="stable")
+        index = np.split(order, np.flatnonzero(np.diff(q[order])) + 1)
         return cls([ix.size for ix in index], index)
 
     def stacks(self, packed: np.ndarray) -> list:

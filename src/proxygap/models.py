@@ -271,10 +271,10 @@ def momentum_sector_split(ops, n: int, tol: float = 1e-10):
     blocks, mult = [], []
     for m in range(n + 1):
         sector = np.nonzero(counts == m)[0]
-        reps = np.unique(rep[sector])
+        reps = sector[rep[sector] == sector]
         if 0 < m < n:
-            full = np.array([np.unique(orbit[:, r]).size == n for r in reps])
-            if not full.all():
+            # a partial period returns a representative to itself early
+            if (orbit[1:, reps] == reps).any():
                 raise LinalgError("translation orbit with partial period")
         else:
             # uniform states are their own orbit: keep the 1x1 block at k=0
