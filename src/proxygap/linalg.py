@@ -214,7 +214,7 @@ def stacked_eigh(stack: np.ndarray):
     """np.linalg.eigh of a (k, b, b) stack of Hermitian matrices in one
     call.  numpy's divide-and-conquer driver (zheevd) can fail to converge
     on a finite Hermitian matrix; the stack is then redone matrix by matrix
-    with scipy's MRRR driver (zheevr), which solves the one kept in
+    with scipy's MRRR routine (zheevr), which solves the one kept in
     tests/data; only this fallback imports scipy.  A stack of 1 x 1 blocks
     needs no call: each block is its eigenvalue, with eigenvector 1."""
     if stack.shape[-1] == 1:
