@@ -25,7 +25,17 @@ grand canonical ensemble, and one bounded search over s >= 0 on eigenvalues
 alone solves it.  Everything else, PPT cuts or two or more witnesses, runs
 spectral projected gradient (SPG) on the full objective.  Both solvers
 take and return the variables as one packed vector, (lam,) mu, nu_i and
-the real and imaginary parts of the packed blocks of each X_A.
+the packed blocks of each X_A.
+
+A prepared problem is real when H and every witness block are: its
+blocks, each X_A and every eigendecomposition are then real symmetric
+(float64), and
+the packed vector holds each entry of X_A once; otherwise all of them are
+complex Hermitian, and the vector holds the real and imaginary parts of
+each entry.  Restricting a real problem to real X_A loses nothing: the
+partial transpose commutes with complex conjugation, so the dual takes
+the same value at X_A and at their conjugates, and by convexity no more
+at their real parts, the midpoint.
 
 With cuts, when H and every witness conserve total S_z on qubits, the
 exponent lives in the magnetization sectors and each X_A in the blocks of
@@ -44,7 +54,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .linalg import (BlockLayout, CooMatrix, HermitianOperator, LinalgError,
-                     as_coo, is_sparse, pt_permutation)
+                     as_coo, is_sparse, pt_permutation, real_dtype_of)
 from .models import (conserves_magnetization, is_translation_invariant,
                      momentum_sector_split, popcounts, sector_split_sparse)
 from .thermo import (_linear_entropy_weights, beta_from_energy, gibbs_at,
@@ -73,6 +83,7 @@ class SolveInfo:
     # "decided" (stopped at a feasible point whose value settles the
     # caller's `decides`; a valid bound, not the optimum)
     termination: str = "converged"
+    backtracks: int = 0  # line-search halvings in SPG; 0 on the witness path
 
 
 @dataclass
@@ -174,23 +185,23 @@ def _blocks_for(h, cs: ConstraintSet):
     return ("sector", fallback, sb[0], sb[1:], [1] * (n + 1), mag)
 
 
-def _cut_layouts(mag, cuts, dims):
+def _cut_layouts(mag, cuts, dims, dtype):
     """(layout, x_layouts, pt) with cuts: the layout of the exponent and
     the state, the magnetization sectors; that of each X_A, the blocks of
     the twisted charge m_B - m_A = m - 2 m_A, which the partial transpose
     on A exchanges with them; and per cut the index permutations
     (to_m, to_x) of that partial transpose between the two.  One block
-    each where `mag` is None."""
+    each where `mag` is None; every layout holds `dtype`."""
     if mag is None:
-        layout = BlockLayout([int(np.prod(dims))])
+        layout = BlockLayout([int(np.prod(dims))], dtype=dtype)
         x_layouts = [layout] * len(cuts)
     else:
         n = len(dims)
         idx = np.arange(2 ** n)
-        layout = BlockLayout.of_charge(mag)
+        layout = BlockLayout.of_charge(mag, dtype)
         x_layouts = [BlockLayout.of_charge(
-            mag - 2 * sum((idx >> (n - 1 - i)) & 1 for i in cut.subset_mask))
-            for cut in cuts]
+            mag - 2 * sum((idx >> (n - 1 - i)) & 1 for i in cut.subset_mask),
+            dtype) for cut in cuts]
     pt = [(pt_permutation(xl, layout, dims, cut.subset_mask),
            pt_permutation(layout, xl, dims, cut.subset_mask))
           for xl, cut in zip(x_layouts, cuts)]
@@ -215,7 +226,9 @@ class DualProblem:
     of H, each eigenvalue as often as it occurs.  `path` is the split taken
     ("momentum", "sector" or "dense"; "diagonal" in `diagonal_dual`) and
     `fallback` why no finer one was, or None.  `envelope` is the witness
-    path, set when there is at most one witness and no cut."""
+    path, set when there is at most one witness and no cut.  Every layout
+    holds float64 where H and all witness blocks are real, else
+    complex128."""
     blocks: list
     mult: list
     free: np.ndarray
@@ -273,11 +286,14 @@ def _prepared(h, cs: ConstraintSet, path, fallback, h_blocks, w_blocks,
         # energy is its mean, pure rounding on a traceless H, and the
         # golden scans in tests/data hold it to the dense matrix's rounding
         ev = np.linalg.eigvalsh(_operator_matrix(h))
+    dtype = real_dtype_of([hb for hb, _ in blocks]
+                          + [wb for _, wbs in blocks for wb in wbs
+                             if wb is not None])
     if cs.map_slots:
         layout, x_layouts, pt = _cut_layouts(mag, cs.map_slots,
-                                             _local_dims(h, ev.size))
+                                             _local_dims(h, ev.size), dtype)
     else:
-        layout = BlockLayout([hb.shape[0] for hb, _ in blocks])
+        layout = BlockLayout([hb.shape[0] for hb, _ in blocks], dtype=dtype)
         x_layouts, pt = [], []
     w_packed = [None if all(wbs[i] is None for _, wbs in blocks) else
                 layout.pack([np.zeros_like(hb) if wbs[i] is None else wbs[i]
@@ -336,7 +352,8 @@ class _BlockObjective:
 
     Each evaluation also records lam_max(M) - b.y, read by
     `proves_infeasible`.  F(w) >= max(w) for both spectral functions, so a
-    negative dual value implies a negative slack.
+    negative dual value implies a negative slack.  A packed vector of any
+    other length than `size` raises ValueError.
     """
 
     def __init__(self, problem: DualProblem, e: float, linear: bool = False):
@@ -348,20 +365,35 @@ class _BlockObjective:
         self.slack = np.inf
         self.margin = 0.0
         p = problem
+        self.size = self.n_free + p.n_wit + sum(xl.width for xl in p.x_layouts)
         mult = np.asarray(p.mult, dtype=float)
         self.counts = None if all(m == 1 for m in p.mult) else np.concatenate(
             [np.ones(p.free.size)]
             + [np.repeat(mult[ids], b) for b, ids in p.layout.groups])
 
+    def _checked(self, vec):
+        if np.shape(vec) != (self.size,):
+            raise ValueError(f"a packed point of this problem has {self.size}"
+                             f" entries, not shape {np.shape(vec)}")
+        return vec
+
     def project(self, vec):
         """The nearest feasible point: nu >= 0 and PSD X_A."""
         p = self.problem
-        return _project_vec(vec, self.n_free, p.n_wit, p.x_layouts)
+        return _project_vec(self._checked(vec), self.n_free, p.n_wit,
+                            p.x_layouts)
+
+    def step(self, vec, g, t: float):
+        """P(vec - t g) - vec at a feasible point (see `_projected_step`)."""
+        p = self.problem
+        return _projected_step(self._checked(vec), self._checked(g), t,
+                               self.n_free, p.n_wit, p.x_layouts)
 
     def grad_norm(self, vec, g) -> float:
         """The projected gradient norm at a feasible point."""
         p = self.problem
-        return _projected_grad_norm(vec, g, self.n_free, p.n_wit, p.x_layouts)
+        return _projected_grad_norm(self._checked(vec), self._checked(g),
+                                    self.n_free, p.n_wit, p.x_layouts)
 
     def proves_infeasible(self) -> bool:
         """Whether the point of the last `value_grad` call, if feasible
@@ -371,6 +403,7 @@ class _BlockObjective:
 
     def value_grad(self, vec):
         p = self.problem
+        self._checked(vec)
         k = self.n_free
         lam = vec[0] if self.linear else 0.0
         mu, nus = vec[k - 1], vec[k:k + p.n_wit]
@@ -409,11 +442,13 @@ class _BlockObjective:
 # projected minimization
 
 def _unpack_xs(vec: np.ndarray, off: int, x_layouts) -> list:
-    """The packed complex blocks of each X_A, from offset `off` of vec."""
+    """The packed blocks of each X_A, in its layout's dtype, from offset
+    `off` of the real vector vec: `width` entries each, the real and
+    imaginary parts of each complex entry side by side."""
     xs = []
     for layout in x_layouts:
-        xs.append(vec[off:off + 2 * layout.size].copy().view(complex))
-        off += 2 * layout.size
+        xs.append(vec[off:off + layout.width].copy().view(layout.dtype))
+        off += layout.width
     return xs
 
 
@@ -424,20 +459,32 @@ def _project_vec(vec, n_free, n_wit, x_layouts):
     out[n_free:n_free + n_wit] = np.maximum(out[n_free:n_free + n_wit], 0.0)
     off = n_free + n_wit
     for x, layout in zip(_unpack_xs(vec, off, x_layouts), x_layouts):
-        out[off:off + 2 * x.size] = layout.psd_project(x).view(float)
-        off += 2 * x.size
+        out[off:off + layout.width] = layout.psd_project(x).view(float)
+        off += layout.width
     return out
 
 
-def _projected_grad_norm(x, g, n_free, n_wit, x_layouts) -> float:
-    """||P(x - g) - x|| at a feasible x, zero exactly at a minimizer.  The
-    scalars are stepped as -g and max(-g, -nu), so that g is not lost to
-    rounding where |x| >> |g| far out on an unbounded ray."""
-    step = _project_vec(x - g, n_free, n_wit, x_layouts) - x
-    step[:n_free] = -g[:n_free]
+def _projected_step(x, g, t, n_free, n_wit, x_layouts):
+    """P(x - t g) - x at a feasible x.  The scalars are stepped as -t g and
+    max(-t g, -nu), so that g is not lost to rounding where |x| >> |g|
+    far out on an unbounded ray."""
+    step = _project_vec(x - t * g, n_free, n_wit, x_layouts) - x
+    step[:n_free] = -t * g[:n_free]
     nus = slice(n_free, n_free + n_wit)
-    step[nus] = np.maximum(-g[nus], -x[nus])
-    return float(np.linalg.norm(step))
+    step[nus] = np.maximum(-t * g[nus], -x[nus])
+    return step
+
+
+def _projected_grad_norm(x, g, n_free, n_wit, x_layouts) -> float:
+    """||P(x - g) - x|| at a feasible x, zero exactly at a minimizer."""
+    return float(np.linalg.norm(
+        _projected_step(x, g, 1.0, n_free, n_wit, x_layouts)))
+
+
+# rounding in the projections moves SPG's lower bound on the projected
+# gradient norm by about eps ||x|| per block entry; far more than that,
+# this multiple of 1 + ||x|| is its margin over tol
+_SPG_GATE_MARGIN = 1e-10
 
 
 def _spg(obj: _BlockObjective, x0, opts: SolverOptions, memory=10,
@@ -446,14 +493,24 @@ def _spg(obj: _BlockObjective, x0, opts: SolverOptions, memory=10,
     Armijo line search; Birgin, Martinez & Raydan, SIAM J. Optim. 10, 1196
     (2000)) for a dual objective over its feasible set.
 
+    It stops where the projected gradient norm ||P(x - g) - x|| is at most
+    `opts.tol`.  Each iteration first takes its step d = P(x - alpha g) - x;
+    ||d|| min(1, 1/alpha) is a lower bound on that norm (Calamai & More,
+    Math. Program. 39, 93 (1987), Lemma 2.2: ||P(x - t g) - x|| does not
+    decrease in t, and its ratio to t does not increase), and the exact
+    norm, one more projection, is taken only where the bound is at most
+    tol + _SPG_GATE_MARGIN (1 + ||x||).  So the bound never skips a stop
+    beyond rounding, and every returned point reports its exact norm.
+    `SolveInfo.backtracks` counts the line search's halvings.
+
     Every trial point is a convex combination of feasible points; the
     solve stops at the first one that `obj.proves_infeasible()` after its
     `value_grad`, and returns it with the value -inf.  Given `decides`, it
     also stops at the start point or the first trial point whose value
     makes `decides(value)` true, and returns it as "decided"."""
-    project, grad_norm = obj.project, obj.grad_norm
+    project, grad_norm, step = obj.project, obj.grad_norm, obj.step
     tol, max_iter = opts.tol, opts.max_iter
-    calls = 0
+    calls = backtracks = 0
 
     def fun_grad(vec):
         nonlocal calls
@@ -465,8 +522,9 @@ def _spg(obj: _BlockObjective, x0, opts: SolverOptions, memory=10,
         pg = grad_norm(xv, gv)
         if obj.proves_infeasible():
             return xv, -np.inf, SolveInfo(True, it, pg, True, calls,
-                                          "certificate")
-        return xv, fv, SolveInfo(False, it, pg, False, calls, "decided")
+                                          "certificate", backtracks)
+        return xv, fv, SolveInfo(False, it, pg, False, calls, "decided",
+                                 backtracks)
 
     x = project(x0)
     f, g = fun_grad(x)
@@ -476,18 +534,20 @@ def _spg(obj: _BlockObjective, x0, opts: SolverOptions, memory=10,
     alpha = 1.0 / max(np.linalg.norm(g), 1e-8)
     best_x, best_f = x.copy(), f
     it = 0
-    pg_norm = np.inf
+    pg_norm = None  # the exact norm at x, once taken
     termination = "max_iter"
     for it in range(1, max_iter + 1):
-        pg_norm = grad_norm(x, g)
-        if pg_norm <= tol:
-            termination = "converged"
-            break
-        d = project(x - alpha * g) - x
+        d = step(x, g, alpha)
+        gate = tol + _SPG_GATE_MARGIN * (1.0 + np.linalg.norm(x))
+        if np.linalg.norm(d) * min(1.0, 1.0 / alpha) <= gate:
+            pg_norm = grad_norm(x, g)
+            if pg_norm <= tol:
+                termination = "converged"
+                break
         dg = float(np.dot(d, g))
         if dg > -1e-18:
             alpha = max(alpha * 0.1, 1e-12)
-            d = project(x - alpha * g) - x
+            d = step(x, g, alpha)
             dg = float(np.dot(d, g))
             if dg > -1e-18:
                 termination = "line_search"
@@ -503,23 +563,23 @@ def _spg(obj: _BlockObjective, x0, opts: SolverOptions, memory=10,
             if fn <= fmax + 1e-4 * lam * dg or lam < 1e-12:
                 break
             lam *= 0.5
+            backtracks += 1
         s = xn - x
         y = gn - g
         sy = float(np.dot(s, y))
         ss = float(np.dot(s, s))
         alpha = min(max(ss / sy, 1e-12), 1e8) if sy > 1e-18 else alpha * 2.0
-        x, f, g = xn, fn, gn
+        x, f, g, pg_norm = xn, fn, gn, None
         hist.append(f)
         if f < best_f:
             best_f, best_x = f, x.copy()
-    else:  # the last step moved x after its norm was taken
-        pg_norm = grad_norm(x, g)
     if f > best_f:
-        x, f = best_x, best_f
+        x, f, pg_norm = best_x, best_f, None
         _, g = fun_grad(x)
+    if pg_norm is None:
         pg_norm = grad_norm(x, g)
     return x, f, SolveInfo(pg_norm <= tol * 10, it, float(pg_norm), False,
-                           calls, termination)
+                           calls, termination, backtracks)
 
 
 @dataclass
@@ -870,8 +930,7 @@ def _minimize(h, cs: ConstraintSet, e: float, opts: SolverOptions,
     obj = _BlockObjective(problem, e, linear)
     # start at the entropy maximizer for H alone: the Gibbs point
     # mu = -beta(E), or the impurity maximizer rho* = (lam I + mu H) / 2
-    x0 = np.zeros(obj.n_free + problem.n_wit
-                  + sum(2 * xl.size for xl in problem.x_layouts))
+    x0 = np.zeros(obj.size)
     if linear:
         x0[0], x0[1] = _linear_multipliers(problem.spectrum, e)
     else:
@@ -1072,13 +1131,16 @@ class _Anderson:
     (2011)) of a fixed-point map T from its last ANDERSON_MEMORY iterates x
     and their images g = T(x): the next point is g_k - dG gamma, with gamma
     the Tikhonov-regularised least-squares fit of the residual differences
-    dF to f_k = g_k - x_k.  The iterates are packed Hermitian matrices, so
-    gamma is real: the Gram matrix is m x m, the real parts of the complex
-    inner products, taken as dot products of the real views.  The
-    differences sit in a ring buffer, so a step copies no history."""
+    dF to f_k = g_k - x_k.  The iterates are packed real symmetric or
+    Hermitian matrices, of the dtype of `x`, and gamma is real: the Gram
+    matrix is m x m, the real parts of the inner products, taken as dot
+    products of the real views (the vectors themselves where they are
+    real).  The differences sit in a ring buffer, so a step copies no
+    history."""
 
-    def __init__(self, size: int):
-        self.df = np.empty((ANDERSON_MEMORY - 1, 2 * size))
+    def __init__(self, x: np.ndarray):
+        self.dtype = x.dtype
+        self.df = np.empty((ANDERSON_MEMORY - 1, x.view(float).size))
         self.dg = np.empty_like(self.df)
         self.clear()
 
@@ -1100,12 +1162,12 @@ class _Anderson:
         f, g = self.last
         k = min(self.count, len(self.df))
         if k == 0:
-            return g.view(complex)
+            return g.view(self.dtype)
         df, dg = self.df[:k], self.dg[:k]
         gram = df @ df.T
         reg = ANDERSON_REG * max(np.trace(gram), np.finfo(float).tiny)
         gamma = np.linalg.solve(gram + reg * np.eye(k), df @ f)
-        return (g - gamma @ dg).view(complex)
+        return (g - gamma @ dg).view(self.dtype)
 
 
 def ppt_energy_min(h, cuts, sigma: float = None, tol: float = 1e-9,
@@ -1136,13 +1198,14 @@ def ppt_energy_min(h, cuts, sigma: float = None, tol: float = 1e-9,
     z_A of rho^(T_A) in the blocks of the cut's twisted charge (see
     `_cut_layouts`); from the start I / d every iterate stays in them.
     Where H does not conserve magnetization, or the sites are not qubits,
-    each is one dense block."""
+    each is one dense block.  For a real H every iterate is real."""
     cuts = tuple(cuts)
     if not cuts:
         raise ValueError("need at least one cut")
     _, _, h_blocks, _, _, mag = _blocks_for(h, ConstraintSet(map_slots=cuts))
     d = sum(hb.shape[0] for hb in h_blocks)
-    lay, x_layouts, pt = _cut_layouts(mag, cuts, _local_dims(h, d))
+    lay, x_layouts, pt = _cut_layouts(mag, cuts, _local_dims(h, d),
+                                      real_dtype_of(h_blocks))
     hp = lay.pack(h_blocks)
     h_mean = float(hp[lay.diagonal].real.sum()) / d
     n_c = len(cuts)
@@ -1191,13 +1254,13 @@ def ppt_energy_min(h, cuts, sigma: float = None, tol: float = 1e-9,
         return PPTResult(lower, primal, primal - lower,
                          primal - lower <= cert_tol, lay.dense(rho))
 
-    z0 = np.zeros(lay.size, dtype=complex)
+    z0 = np.zeros(lay.size, dtype=lay.dtype)
     z0[lay.diagonal] = 1.0 / d
     x = np.concatenate([z0] + [z0[to_x] for _, to_x in pt]
-                       + [np.zeros(sum(sizes), dtype=complex)])
+                       + [np.zeros(sum(sizes), dtype=lay.dtype)])
     g, r_prim = sweep(x)
     f_norm = np.linalg.norm(g - x)
-    mix = _Anderson(x.size)
+    mix = _Anderson(x)
     mix.push(x, g)
     best, it, rejected, check_at = None, 1, 0, PPT_CHECK_EVERY
     while True:

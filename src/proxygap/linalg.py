@@ -8,9 +8,10 @@ with a `tocoo()` (scipy's sparse matrices among them); a sparse operator
 is densified only where a dense path asks for its `entries`, behind the
 `PROXYGAP_MAX_QUBITS` memory guard.  The module needs numpy alone: scipy's
 MRRR eigensolver is imported only where numpy's `eigh` fails to converge.
-A `BlockLayout` stores block-diagonal matrices packed and diagonalizes
-equal-size blocks in one batched call, and `pt_permutation` turns a
-partial transpose between two layouts into one index permutation.
+A `BlockLayout` stores block-diagonal matrices packed, in float64 where
+every matrix it holds is real and in complex128 otherwise, and
+diagonalizes equal-size blocks in one batched call; `pt_permutation`
+turns a partial transpose between two layouts into one index permutation.
 Entropies elsewhere are in nats.
 """
 from __future__ import annotations
@@ -233,27 +234,40 @@ def _joined(arrays, dtype=float) -> np.ndarray:
     return np.concatenate([np.zeros(0, dtype)] + [a.ravel() for a in arrays])
 
 
+def real_dtype_of(matrices) -> np.dtype:
+    """float64 where no matrix has a nonzero imaginary entry, else
+    complex128: the dtype of a layout that holds them all."""
+    real = all(not np.iscomplexobj(m) or not np.asarray(m).imag.any()
+               for m in matrices)
+    return np.dtype(float if real else complex)
+
+
 class BlockLayout:
     """Block-diagonal d x d matrices, stored packed: the blocks of equal
     size are stacked into one (k, b, b) array, and the stacks, one per size
-    in the order the sizes first occur, are concatenated into one complex
-    vector.  Each `eigh` then runs once per size, on the whole stack.
+    in the order the sizes first occur, are concatenated into one vector of
+    `dtype`, float64 for real symmetric blocks and complex128 for Hermitian
+    ones.  Each `eigh` then runs once per size, on the whole stack.
 
     `sizes` are the block dimensions and `index[i]` the basis indices of
     block i, where the blocks are sets of basis states (one block holds
-    them all); `index` is None where they are not (momentum blocks)."""
+    them all); `index` is None where they are not (momentum blocks).
+    `size` counts the packed entries and `width` the real numbers that
+    hold them, twice as many where they are complex."""
 
-    def __init__(self, sizes, index=None):
+    def __init__(self, sizes, index=None, dtype=complex):
         sizes = [int(b) for b in sizes]
         self.dim = sum(sizes)
         if index is None and len(sizes) == 1:
             index = [np.arange(self.dim)]
         self.index = index
+        self.dtype = np.dtype(dtype)
         groups = {}
         for i, b in enumerate(sizes):
             groups.setdefault(b, []).append(i)
         self.groups = list(groups.items())  # (size, block ids)
         self.size = sum(b * b * len(ids) for b, ids in self.groups)
+        self.width = self.size * (2 if self.dtype.kind == "c" else 1)
         # each packed entry's diagonal positions and its (j, i) partner
         at = np.arange(self.size)
         self.diagonal = _joined((s.diagonal(axis1=1, axis2=2)
@@ -262,12 +276,12 @@ class BlockLayout:
                                 for s in self.stacks(at)), int)
 
     @classmethod
-    def of_charge(cls, q: np.ndarray) -> "BlockLayout":
+    def of_charge(cls, q: np.ndarray, dtype=complex) -> "BlockLayout":
         """The blocks of the basis states with equal charge q, by
         ascending q: the layout of every matrix that conserves q."""
         order = np.argsort(q, kind="stable")
         index = np.split(order, np.flatnonzero(np.diff(q[order])) + 1)
-        return cls([ix.size for ix in index], index)
+        return cls([ix.size for ix in index], index, dtype)
 
     def stacks(self, packed: np.ndarray) -> list:
         """(k, b, b) views of a packed vector, one per block size."""
@@ -279,9 +293,15 @@ class BlockLayout:
         return out
 
     def pack(self, blocks) -> np.ndarray:
-        """The packed vector of the block matrices, given in block order."""
-        return _joined((np.asarray([blocks[i] for i in ids], dtype=complex)
-                        for _, ids in self.groups), complex)
+        """The packed vector of the block matrices, given in block order;
+        raises LinalgError where a real layout is given a complex entry."""
+        out = _joined((np.asarray([blocks[i] for i in ids])
+                       for _, ids in self.groups), self.dtype)
+        if out.dtype != self.dtype:
+            if out.imag.any():
+                raise LinalgError("a real layout cannot hold complex entries")
+            out = out.real.copy()
+        return out
 
     def positions(self) -> np.ndarray:
         """The flat position i * d + j of each packed entry in the dense
@@ -293,7 +313,7 @@ class BlockLayout:
 
     def dense(self, packed: np.ndarray) -> np.ndarray:
         """The d x d matrix of a packed vector, zero off the blocks."""
-        out = np.zeros(self.dim * self.dim, dtype=complex)
+        out = np.zeros(self.dim * self.dim, dtype=self.dtype)
         out[self.positions()] = packed
         return out.reshape(self.dim, self.dim)
 
@@ -314,7 +334,7 @@ class BlockLayout:
     def compose(self, vecs: list, weights: np.ndarray) -> np.ndarray:
         """The packed matrix sum_i weights_i v_i v_i^+ over the eigenvector
         stacks `vecs`, weights in the order of `eigh`'s eigenvalues."""
-        out = np.empty(self.size, dtype=complex)
+        out = np.empty(self.size, dtype=self.dtype)
         off = 0
         for v, stack in zip(vecs, self.stacks(out)):
             k, b = v.shape[0], v.shape[1]

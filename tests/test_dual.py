@@ -35,7 +35,14 @@ def _random_constraints(rng, n):
 
 
 def _packed(x) -> np.ndarray:
-    return np.ascontiguousarray(x, dtype=complex).view(float).ravel()
+    """The real entries that hold packed blocks in a dual point: x itself
+    where it is real, its real and imaginary parts where it is complex."""
+    return np.ascontiguousarray(x).view(float).ravel()
+
+
+def _random_matrix(rng, d, dtype):
+    m = rng.standard_normal((d, d))
+    return m + 1j * rng.standard_normal((d, d)) if dtype.kind == "c" else m
 
 
 def _random_vec(rng, problem, linear):
@@ -44,7 +51,7 @@ def _random_vec(rng, problem, linear):
     d = problem.spectrum.size
     xs = []
     for xl in problem.x_layouts:
-        m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        m = _random_matrix(rng, d, xl.dtype)
         m = (m @ m.conj().T / d).ravel()[xl.positions()]
         xs.append(_packed(xl.psd_project(m)))
     vec = np.concatenate([[rng.standard_normal()],
@@ -62,19 +69,27 @@ def _xxz_witness_case(rng):
 
 def test_gradients_match_finite_differences(rng):
     """Gradients of both spectral duals vs central differences at >= 50
-    random points, on dense problems and on symmetry blocks."""
+    random points: on dense complex problems, on symmetry blocks, and on
+    the real sector blocks of the AFM 4-ring with its even-odd cut."""
     checked = 0
     while checked < 60:
         linear = checked % 2 == 1
-        if checked % 4 < 2:
+        case = checked % 6 // 2
+        if case == 0:
             n = int(rng.integers(2, 4))
             h = random_hermitian(rng, (2,) * n)
             cs = _random_constraints(rng, n)
-        else:
+        elif case == 1:
             h, cs = _xxz_witness_case(rng)
+        else:
+            h = heisenberg_chain(HeisenbergParams(4, -1, -1, -1))
+            cs = ConstraintSet(map_slots=(even_odd_bipartition(4),))
         problem = prepare_dual(h, cs)
-        if checked % 4 >= 2:
+        if case == 1:
             assert problem.free.size or len(problem.blocks) > 1
+        if case == 2:
+            assert problem.path == "sector"
+            assert [xl.dtype for xl in problem.x_layouts] == [np.float64]
         w = problem.spectrum
         e = float(w.mean() - rng.random() * np.ptp(w) / 4)
         obj = dual_mod._BlockObjective(problem, e, linear)
@@ -87,7 +102,7 @@ def test_gradients_match_finite_differences(rng):
             return (obj.value_grad(vec + eps * direction)[0]
                     - obj.value_grad(vec - eps * direction)[0]) / (2 * eps)
 
-        n_scalar = vec.size - sum(2 * xl.size for xl in problem.x_layouts)
+        n_scalar = vec.size - sum(xl.width for xl in problem.x_layouts)
         for i in range(n_scalar):
             direction = np.zeros(vec.size)
             direction[i] = 1.0
@@ -96,12 +111,12 @@ def test_gradients_match_finite_differences(rng):
         d = problem.spectrum.size
         for xl in problem.x_layouts:
             # a random Hermitian direction for the matrix variable
-            dm = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            dm = _random_matrix(rng, d, xl.dtype)
             dm = ((dm + dm.conj().T) / 2).ravel()[xl.positions()]
             dm /= np.linalg.norm(dm)
             direction = np.zeros(vec.size)
-            direction[off:off + 2 * xl.size] = dm.view(float)
-            off += 2 * xl.size
+            direction[off:off + xl.width] = _packed(dm)
+            off += xl.width
             assert abs(slope(direction) - grad @ direction) < 2e-6 * scale
         checked += 1
 
@@ -420,7 +435,7 @@ def _assert_farkas_certificate(h, cs, e, vec, linear=False):
     x_layouts = prepare_dual(h, cs).x_layouts
     xs = [xl.dense(x) for x, xl in zip(
         dual_mod._unpack_xs(vec, k + n_wit, x_layouts), x_layouts)]
-    assert vec.size == k + n_wit + sum(2 * xl.size for xl in x_layouts)
+    assert vec.size == k + n_wit + sum(xl.width for xl in x_layouts)
     assert np.all(nus >= 0.0)
     m = lam * np.eye(h.entries.shape[0]) + mu * h.entries
     for nu, wit in zip(nus, cs.witnesses):
@@ -732,6 +747,140 @@ def test_solve_info_reports_the_projected_gradient_norm():
             _assert_projected_grad_norm(problem, e, True, vec, info)
 
 
+def test_packed_points_of_the_wrong_length_are_rejected(rng):
+    # a real problem packs each X_A entry once: a point packed for a
+    # complex layout, or one entry short or long, is not a point of it
+    h = heisenberg_chain(HeisenbergParams(4, -1, -1, -1))
+    problem = prepare_dual(h, ConstraintSet(
+        map_slots=(even_odd_bipartition(4),)))
+    xl = problem.x_layouts[0]
+    obj = dual_mod._BlockObjective(problem, -3.2)
+    vec = _random_vec(rng, problem, False)
+    assert vec.size == obj.size == 1 + xl.width == 1 + xl.size
+    g = obj.value_grad(vec)[1]
+    as_complex = np.concatenate([vec[:1], _packed(vec[1:].astype(complex))])
+    for bad in (vec[:-1], np.r_[vec, 0.0], as_complex):
+        for call in (obj.value_grad, obj.project,
+                     lambda v: obj.grad_norm(v, np.resize(g, v.size)),
+                     lambda v: obj.grad_norm(vec, v)):
+            with pytest.raises(ValueError, match="packed point"):
+                call(bad)
+
+
+def _phase_rotated(h):
+    """U H U^+ for U = prod_j exp(i phi_j sigma^z_j), random phi_j: complex,
+    with the spectrum, the sectors and the PPT optimum of H."""
+    n = h.n_sites
+    phi = np.random.default_rng(n).uniform(0.0, 2 * np.pi, n)
+    idx = np.arange(2 ** n)
+    theta = sum(phi[j] * (1 - 2 * ((idx >> (n - 1 - j)) & 1))
+                for j in range(n))
+    u = np.exp(1j * theta)
+    return HermitianOperator(u[:, None] * h.entries * u.conj()[None, :],
+                             h.local_dims)
+
+
+def test_real_and_complex_problems_agree():
+    h = heisenberg_chain(HeisenbergParams(4, -1, -1, -1))
+    hu = _phase_rotated(h)
+    assert np.abs(hu.entries.imag).max() > 0.1
+    cut = even_odd_bipartition(4)
+    cs = ConstraintSet(map_slots=(cut,))
+    real, cplx = prepare_dual(h, cs), prepare_dual(hu, cs)
+    assert real.path == cplx.path == "sector"
+    assert real.h_packed.dtype == np.float64
+    assert cplx.h_packed.dtype == np.complex128
+    assert [xl.dtype for xl in real.x_layouts] == [np.float64]
+    assert [xl.dtype for xl in cplx.x_layouts] == [np.complex128]
+    np.testing.assert_allclose(real.spectrum, cplx.spectrum, rtol=0,
+                               atol=1e-12)
+    for e in (-3.6, -3.2, -1.6):  # inside (E_min,PPT, mean) = (-4, 0)
+        for solve in (minimize_dual, lin_dual_minimize):
+            a, vec_a, info_a = solve(h, cs, e, problem=real)
+            b, vec_b, info_b = solve(hu, cs, e, problem=cplx)
+            assert info_a.converged and info_b.converged
+            assert vec_b.size - vec_a.size == real.x_layouts[0].size
+            assert abs(a - b) <= 1e-9
+    tol = 1e-5
+    ra = ppt_energy_min(h, [cut], cert_tol=tol)
+    rb = ppt_energy_min(hu, [cut], cert_tol=tol)
+    assert ra.converged and rb.converged
+    assert ra.rho.dtype == np.float64 and rb.rho.dtype == np.complex128
+    assert abs(ra.value - rb.value) <= tol
+
+
+@pytest.mark.parametrize("rotated", [False, True], ids=["real", "complex"])
+def test_projected_steps_bound_the_gradient_norm(rng, rotated):
+    # ||P(x - t g) - x|| does not decrease in t and its ratio to t does not
+    # increase (Calamai & More, Lemma 2.2), so at every t it brackets the
+    # projected gradient norm at t = 1, as SPG's stopping test relies on
+    h = heisenberg_chain(HeisenbergParams(4, -1, -1, -1))
+    h = _phase_rotated(h) if rotated else h
+    cs = ConstraintSet((dicke_witness(4, 2),), (even_odd_bipartition(4),))
+    problem = prepare_dual(h, cs)
+    ts = np.logspace(-3, 3, 25)
+    for linear in (False, True):
+        obj = dual_mod._BlockObjective(problem, -2.0, linear)
+        for _ in range(10):
+            x = _random_vec(rng, problem, linear)
+            g = rng.standard_normal(x.size) * 10.0 ** rng.uniform(-4, 1)
+            pg = dual_mod._projected_grad_norm(x, g, obj.n_free,
+                                               problem.n_wit,
+                                               problem.x_layouts)
+            norms = np.array([np.linalg.norm(obj.step(x, g, t)) for t in ts])
+            slack = 1e-12 * (1.0 + np.linalg.norm(x))
+            assert np.all(np.diff(norms) >= -slack)
+            assert np.all(np.diff(norms / ts) <= slack / ts[1:])
+            assert np.all(norms * np.minimum(1.0, 1.0 / ts) <= pg + slack)
+            assert np.all(pg <= norms * np.maximum(1.0, 1.0 / ts) + slack / ts)
+
+
+def test_gated_stopping_test_stops_where_the_exact_one_does(monkeypatch):
+    # SPG takes the exact projected gradient norm only where the lower
+    # bound from its step is near tol; with an infinite margin it takes it
+    # every iteration.  Both rules must make the same solves, and the gate
+    # must skip most exact tests
+    h = heisenberg_chain(HeisenbergParams(5, -1, -1, -1))
+    cs = ConstraintSet(map_slots=(even_odd_bipartition(5),))
+    problem = prepare_dual(h, cs)
+    exact = []
+    grad_norm = dual_mod._BlockObjective.grad_norm
+
+    def counted(self, vec, g):
+        exact.append(1)
+        return grad_norm(self, vec, g)
+
+    monkeypatch.setattr(dual_mod._BlockObjective, "grad_norm", counted)
+    runs = {}
+    for margin in (dual_mod._SPG_GATE_MARGIN, np.inf):
+        monkeypatch.setattr(dual_mod, "_SPG_GATE_MARGIN", margin)
+        exact.clear()
+        runs[margin] = [solve(h, cs, e, problem=problem)
+                        for e in (-4.5, -3.0) for solve in
+                        (minimize_dual, lin_dual_minimize)], len(exact)
+    (gated, n_gated), (ungated, n_ungated) = runs.values()
+    for (va, xa, ia), (vb, xb, ib) in zip(gated, ungated):
+        assert va == vb and ia == ib
+        np.testing.assert_array_equal(xa, xb)
+    assert sum(info.iterations for _, _, info in gated) > 40
+    assert 2 * n_gated < n_ungated
+
+
+def test_spg_counts_its_backtracks():
+    # the ppt-ring grid row at E = -4.5: the AFM 5-ring, even-odd cut
+    h = heisenberg_chain(HeisenbergParams(5, -1, -1, -1))
+    cs = ConstraintSet(map_slots=(even_odd_bipartition(5),))
+    _, _, info = minimize_dual(h, cs, -4.5)
+    assert info.converged and info.backtracks > 0
+    assert info.evaluations >= info.iterations + info.backtracks
+    # the witness path makes no line search
+    xxz, wit = _xxz(5), ConstraintSet((dicke_witness(5, 2),))
+    w = prepare_dual(xxz, wit).spectrum
+    e = float(w.min() + 0.15 * (w.mean() - w.min()))
+    info = minimize_dual(xxz, wit, e)[2]
+    assert info.iterations > 0 and info.backtracks == 0
+
+
 def test_spg_warm_starts_from_the_vector_it_returns():
     # both duals on the SPG path: a solve started from the packed point of
     # a converged solve at the same energy stops at its first iteration
@@ -910,13 +1059,13 @@ def test_gap_lower_bound_certifies():
     s_gibbs = gibbs_at(w, beta)[2]
     val, vec, _ = minimize_dual(h, cs, e)
     xl = prepare_dual(h, cs).x_layouts[0]
-    assert vec.size == 1 + 2 * xl.size
+    assert vec.size == 1 + xl.width
     feas = np.concatenate([vec[:1], _packed(xl.psd_project(
         dual_mod._unpack_xs(vec, 1, [xl])[0]))])
     bound = gap_lower_bound(h, cs, beta, feas)
     assert bound <= (s_gibbs - val) + 1e-8
     # the trivial point certifies nothing, whatever its mu
-    zero = np.zeros(1 + 2 * xl.size)
+    zero = np.zeros(1 + xl.width)
     zero[0] = 3.0
     assert abs(gap_lower_bound(h, cs, beta, zero)) < 1e-12
 
