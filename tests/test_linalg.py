@@ -9,7 +9,7 @@ from conftest import random_hermitian
 from proxygap.linalg import (Bipartition, BlockLayout, HermitianOperator,
                              LinalgError, SpectralDecomposition,
                              partial_transpose_matrix, pt_permutation,
-                             stacked_eigh)
+                             real_dtype_of, stacked_eigh)
 
 NONCONVERGENT = Path(__file__).parent / "data" / "psd_eigh_nonconvergent.npy"
 
@@ -167,3 +167,24 @@ def test_pt_permutation_is_the_partial_transpose(rng):
         pt_permutation(mag, mag, (2,) * n, a)
     with pytest.raises(LinalgError):
         pt_permutation(mag, one, (2,) * n, a)
+
+
+def test_real_layouts_pack_real_entries_only(rng):
+    # a real layout takes real entries of any dtype, packs, composes and
+    # densifies in float64, and refuses an imaginary entry
+    blocks = [np.array([[2.0]]), np.array([[1.0, 0.5], [0.5, -1.0]])]
+    assert real_dtype_of(blocks) == np.float64
+    assert real_dtype_of(blocks + [np.eye(2) * 1j]) == np.complex128
+    index = [np.array([0]), np.array([1, 2])]
+    real = BlockLayout([1, 2], index, real_dtype_of(blocks))
+    p = real.pack([b.astype(complex) for b in blocks])
+    assert p.dtype == np.float64 and real.width == real.size == 5
+    assert real.dense(p).dtype == np.float64
+    w, vecs = real.eigh(p)
+    assert real.compose(vecs, w).dtype == np.float64
+    np.testing.assert_allclose(real.compose(vecs, w), p, atol=1e-15)
+    with pytest.raises(LinalgError):
+        real.pack([blocks[0], blocks[1] + 1e-3j])
+    cplx = BlockLayout([1, 2])
+    assert cplx.pack(blocks).dtype == np.complex128
+    assert cplx.width == 2 * cplx.size == 10
