@@ -18,24 +18,23 @@ exponent, is a Farkas certificate: every state that met the constraints
 would have b.y <= tr(rho M) <= lam_max(M), so none exists, the dual is
 unbounded below and the solve returns -inf.
 
-Two solvers remain.  With at most one witness W and no cuts, the witness
-path writes (mu, nu) = (-beta, beta s): minimized over beta, the dual is
-the Gibbs entropy (or maximal impurity) of spec(H - sW) at E, a generalized
-grand canonical ensemble, and one bounded search over s >= 0 on eigenvalues
-alone solves it.  Everything else, PPT cuts or two or more witnesses, runs
-spectral projected gradient (SPG) on the full objective.  Both solvers
-take and return the variables as one packed vector, (lam,) mu, nu_i and
-the packed blocks of each X_A.
+Both solvers minimize over a generalized grand canonical ensemble: at
+(mu, nu_i, X_A) = (-beta, beta nu_i, beta Y_A), minimized over beta, the
+dual is the Gibbs entropy (or maximal impurity) at E of the spectrum of
+H - sum_i nu_i W_i - sum_A Y_A^(T_A), capped at its mean.  With at most
+one witness and no cuts, the witness path searches nu >= 0 on
+eigenvalues alone; otherwise spectral projected gradient (SPG) runs over
+nu >= 0 and PSD Y_A.  Both take and return the full certificate as one
+packed vector, (lam,) mu, nu_i and the packed blocks of each X_A.
 
 A prepared problem is real when H and every witness block are: its
 blocks, each X_A and every eigendecomposition are then real symmetric
-(float64), and
-the packed vector holds each entry of X_A once; otherwise all of them are
-complex Hermitian, and the vector holds the real and imaginary parts of
-each entry.  Restricting a real problem to real X_A loses nothing: the
-partial transpose commutes with complex conjugation, so the dual takes
-the same value at X_A and at their conjugates, and by convexity no more
-at their real parts, the midpoint.
+(float64), and the packed vector holds each entry of X_A once; otherwise
+all of them are complex Hermitian, and the vector holds the real and
+imaginary parts of each entry.  Restricting a real problem to real X_A
+loses nothing: the partial transpose commutes with complex conjugation,
+so the dual takes the same value at X_A and at their conjugates, and by
+convexity no more at their real parts, the midpoint.
 
 With cuts, when H and every witness conserve total S_z on qubits, the
 exponent lives in the magnetization sectors and each X_A in the blocks of
@@ -58,7 +57,7 @@ from .linalg import (BlockLayout, CooMatrix, HermitianOperator, LinalgError,
 from .models import (conserves_magnetization, is_translation_invariant,
                      momentum_sector_split, popcounts, sector_split_sparse)
 from .thermo import (_linear_entropy_weights, beta_from_energy, gibbs_at,
-                     linear_entropy_max)
+                     gibbs_newton, linear_entropy_max)
 from .witness import ConstraintSet, Witness
 
 GAP_TOLERANCE = 1e-4       # nats; "detected" threshold, von Neumann path
@@ -72,7 +71,7 @@ FARKAS_MARGIN = 1e-9
 class SolveInfo:
     converged: bool
     iterations: int
-    grad_norm: float  # norm of the projected gradient; nan if not evaluated
+    grad_norm: float  # of the projected gradient; nan if not evaluated
     # the returned point is a Farkas certificate: no state meets the
     # constraints at this energy, and the bound is -inf
     infeasible: bool = False
@@ -84,6 +83,11 @@ class SolveInfo:
     # caller's `decides`; a valid bound, not the optimum)
     termination: str = "converged"
     backtracks: int = 0  # line-search halvings in SPG; 0 on the witness path
+
+    @property
+    def certificate(self) -> str:
+        """"farkas" (no state meets the constraints) or "bound"."""
+        return "farkas" if self.infeasible else "bound"
 
 
 @dataclass
@@ -336,106 +340,174 @@ def _quarter_square_plus(w, c=None):
 
 
 class _BlockObjective:
-    """Value and gradient of the dual over the blocks of a problem.
+    """The dual over the blocks of a problem.
 
-    The packed variables are (lam,) mu, nu_i, X_A; lam, the multiplier of
-    tr(rho) = 1, only for the linear entropy (ln tr exp normalizes by
-    itself), and each X_A the packed blocks of its `x_layouts` entry.  The
+    `dual_value_grad` takes a full packed point (lam,) mu, nu_i, X_A (lam,
+    the multiplier of tr(rho) = 1, only for the linear entropy).  The
     exponent M is built in the problem's `layout`, where each X_A^(T_A) is
-    an index permutation of X_A, and diagonalized, M = v w v^+, one stack
-    of equal-size blocks at a time; a witness-free block adds mu times its
-    fixed spectrum.  With G = v F'(w) v^+, the gradient is tr(G A_k) - b_k
-    in each scalar and G^(T_A) in each X_A: for the von Neumann dual, the
-    moments and partial transposes of sigma = exp(M) / tr exp(M).  A block
-    that stands for a conjugate pair counts its eigenvalues, and so its
-    share of every trace, twice.
+    an index permutation of X_A, and diagonalized one stack of equal-size
+    blocks at a time; a witness-free block adds mu times its fixed
+    spectrum, and a block that stands for a conjugate pair counts twice.
+    With G = v F'(w) v^+, the gradient is tr(G A_k) - b_k in each scalar
+    and G^(T_A) in each X_A.
 
-    Each evaluation also records lam_max(M) - b.y, read by
-    `proves_infeasible`.  F(w) >= max(w) for both spectral functions, so a
-    negative dual value implies a negative slack.  A packed vector of any
-    other length than `size` raises ValueError.
-    """
+    `value_grad`, which SPG minimizes, takes nu_i >= 0 and PSD Y_A (`size`
+    entries): the full dual at (-beta, beta nu, beta Y) minimized over
+    beta, the Gibbs entropy at e of the spectrum w of m = H - sum nu_i W_i
+    - sum Y_A^(T_A) capped at its mean; for the linear entropy, at (2a, 2b,
+    -2b nu, -2b Y) minimized over (a, b), the maximal impurity with weights
+    (a + b w)_+.  By the envelope theorem its gradient is beta (or -2b)
+    times tr(rho W_i) and rho^(T_A); `certificate` gives the full point.
+
+    Each evaluation records lam_max(M) - b.y, at (0,) -1, nu, Y for
+    `value_grad`; below -margin it proves that no state meets the
+    constraints.  A vector of the wrong length raises ValueError."""
 
     def __init__(self, problem: DualProblem, e: float, linear: bool = False):
         self.problem = problem
         self.e = e
         self.linear = linear
         self.spectral = _quarter_square_plus if linear else _log_tr_exp
-        self.n_free = 2 if linear else 1  # leading free scalars
+        self.k = 2 if linear else 1  # leading scalars of a full point
         self.slack = np.inf
         self.margin = 0.0
+        self.beta = 0.0      # Newton's start for the next Gibbs solve
+        self._last = None    # (point, full point scalars) of value_grad
         p = problem
-        self.size = self.n_free + p.n_wit + sum(xl.width for xl in p.x_layouts)
-        mult = np.asarray(p.mult, dtype=float)
+        self.size = p.n_wit + sum(xl.width for xl in p.x_layouts)
+        mult = np.asarray(p.mult)
         self.counts = None if all(m == 1 for m in p.mult) else np.concatenate(
-            [np.ones(p.free.size)]
+            [np.ones(p.free.size, int)]
             + [np.repeat(mult[ids], b) for b, ids in p.layout.groups])
 
-    def _checked(self, vec):
-        if np.shape(vec) != (self.size,):
-            raise ValueError(f"a packed point of this problem has {self.size}"
+    def _checked(self, vec, size=None):
+        size = self.size if size is None else size
+        if np.shape(vec) != (size,):
+            raise ValueError(f"a packed point of this problem has {size}"
                              f" entries, not shape {np.shape(vec)}")
         return vec
 
     def project(self, vec):
-        """The nearest feasible point: nu >= 0 and PSD X_A."""
+        """The nearest feasible point: nu >= 0 and PSD Y_A."""
         p = self.problem
-        return _project_vec(self._checked(vec), self.n_free, p.n_wit,
-                            p.x_layouts)
+        out = np.array(self._checked(vec))
+        out[:p.n_wit] = np.maximum(out[:p.n_wit], 0.0)
+        off = p.n_wit
+        for y, xl in zip(_unpack_xs(vec, off, p.x_layouts), p.x_layouts):
+            out[off:off + xl.width] = xl.psd_project(y).view(float)
+            off += xl.width
+        return out
 
     def step(self, vec, g, t: float):
-        """P(vec - t g) - vec at a feasible point (see `_projected_step`)."""
-        p = self.problem
-        return _projected_step(self._checked(vec), self._checked(g), t,
-                               self.n_free, p.n_wit, p.x_layouts)
+        """P(vec - t g) - vec at a feasible point.  nu is stepped as
+        max(-t g, -nu), so that g is not lost to rounding where
+        nu >> |g|."""
+        n = self.problem.n_wit
+        step = self.project(vec - t * self._checked(g)) - self._checked(vec)
+        step[:n] = np.maximum(-t * g[:n], -vec[:n])
+        return step
 
     def grad_norm(self, vec, g) -> float:
-        """The projected gradient norm at a feasible point."""
-        p = self.problem
-        return _projected_grad_norm(self._checked(vec), self._checked(g),
-                                    self.n_free, p.n_wit, p.x_layouts)
+        """||P(vec - g) - vec|| at a feasible point, zero exactly at a
+        minimizer."""
+        return float(np.linalg.norm(self.step(vec, g, 1.0)))
+
+    def dual_grad_norm(self, vec, g) -> float:
+        """The full form's projected gradient norm: (lam,) mu are free."""
+        k = self.k
+        return float(np.hypot(np.linalg.norm(g[:k]),
+                              self.grad_norm(vec[k:], g[k:])))
 
     def proves_infeasible(self) -> bool:
-        """Whether the point of the last `value_grad` call, if feasible
-        (nu >= 0, X_A PSD), has lam_max(M) < b.y beyond rounding: then no
+        """Whether the last point evaluated, if feasible, proves that no
         state meets the constraints at energy e."""
         return self.slack < -self.margin
 
-    def value_grad(self, vec):
+    def _eigh(self, mu, tail, lam=0.0):
+        """The spectrum w of M = lam I + mu H + sum nu_i W_i + sum
+        X_A^(T_A), tail = (nu_i, X_A), the witness-free blocks' first, and
+        the eigenvector stacks of the rest; records lam_max(M) - b.y."""
         p = self.problem
-        self._checked(vec)
-        k = self.n_free
-        lam = vec[0] if self.linear else 0.0
-        mu, nus = vec[k - 1], vec[k:k + p.n_wit]
         m = mu * p.h_packed
-        if self.linear:
-            m[p.layout.diagonal] += lam  # + lam I
-        for nu, wp in zip(nus, p.w_packed):
+        if lam:
+            m[p.layout.diagonal] += lam
+        for nu, wp in zip(tail[:p.n_wit], p.w_packed):
             if nu != 0.0 and wp is not None:
                 m += nu * wp
-        for x, (to_m, _) in zip(_unpack_xs(vec, k + p.n_wit, p.x_layouts),
-                                p.pt):
+        for x, (to_m, _) in zip(_unpack_xs(tail, p.n_wit, p.x_layouts), p.pt):
             m += x[to_m]
         w, vecs = p.layout.eigh(p.layout.hermitian(m))
         if p.free.size:
             w = np.concatenate([mu * p.free + lam, w])
-        f, weights = self.spectral(w, self.counts)
-        by = lam + mu * self.e
-        w_max = float(w.max())
+        by, w_max = lam + mu * self.e, float(w.max())
         self.slack = w_max - by
         self.margin = _farkas_margin(by, w_max, float(w.min()))
-        off = p.free.size
-        # tr(G A_k) = Re <G, A_k> for Hermitian G, the free blocks' share
-        # first; tr G is the sum of the weights
-        g = p.layout.compose(vecs, weights[off:])
-        h_g = float(weights[:off] @ p.free) + \
-            float(np.vdot(g, p.h_packed).real)
+        return w, vecs
+
+    def _traces(self, weights, vecs):
+        """G = sum_i weights_i v_i v_i^+ (off the witness-free blocks),
+        tr(G W_i) = Re <G, W_i> per witness and G^(T_A) per cut."""
+        p = self.problem
+        g = p.layout.compose(vecs, weights[p.free.size:])
         w_g = [0.0 if wp is None else float(np.vdot(g, wp).real)
                for wp in p.w_packed]
-        gxs = [g[to_x].view(float) for _, to_x in p.pt]
+        return g, w_g, [g[to_x].view(float) for _, to_x in p.pt]
+
+    def dual_value_grad(self, vec):
+        """The full form's value and gradient at (lam,) mu, nu_i, X_A."""
+        k, free = self.k, self.problem.free
+        lam, mu = (vec[0] if self.linear else 0.0), vec[k - 1]
+        w, vecs = self._eigh(mu, self._checked(vec, k + self.size)[k:], lam)
+        f, weights = self.spectral(w, self.counts)
+        g, w_g, gxs = self._traces(weights, vecs)
+        h_g = float(weights[:free.size] @ free) + \
+            float(np.vdot(g, self.problem.h_packed).real)
         grad = ([weights.sum() - 1.0] if self.linear else []) + \
             [h_g - self.e] + w_g
         return float(f - lam - mu * self.e), np.concatenate([grad] + gxs)
+
+    def value_grad(self, vec):
+        """The grand canonical form's value and gradient at (nu_i, Y_A)."""
+        # at (0,) -1, nu, Y the exponent is -m, and the slack e - lam_min(m)
+        w, vecs = self._eigh(-1.0, self._checked(vec))
+        lo = -float(w.max())
+        x, t = -w - lo, self.e - lo  # spec(m) and e, from lam_min(m)
+        c = 1 if self.counts is None else self.counts
+        if self.linear:  # weights (lam + mu w)_+ / 2
+            lam, mu = _linear_multipliers(
+                x if self.counts is None else np.repeat(x, c), t)
+            q = np.maximum(0.5 * (lam + mu * x), 0.0)
+            rho = c * q
+            f = 1.0 + rho @ q - lam - mu * t
+            scale, scalars = -mu, (lam - mu * lo, mu)
+        else:
+            self.beta, lnz, rho = gibbs_newton(x, t, self.beta, self.counts)
+            f = lnz + self.beta * t
+            scale, scalars = self.beta, (-self.beta,)
+        self._last = vec, scalars
+        _, w_g, gxs = self._traces(rho, vecs)
+        return float(f), scale * np.concatenate([w_g] + gxs)
+
+    def reduce(self, full):
+        """(nu, Y) = (nu, X) / (-mu) of a full point, whose beta = -mu
+        starts the next Gibbs solve; zero where it is None, of another
+        length, or has mu >= 0."""
+        k = self.k
+        if np.shape(full) != (k + self.size,) or full[k - 1] >= 0.0:
+            return np.zeros(self.size)
+        if not self.linear:
+            self.beta = -full[0]
+        return full[k:] / -full[k - 1]
+
+    def certificate(self, vec, farkas: bool = False):
+        """The full point of `value_grad`'s value at vec = (nu, Y), or
+        the Farkas certificate (0,) -1, nu, Y."""
+        if farkas:
+            return np.concatenate([(0.0, -1.0)[2 - self.k:], vec])
+        if self._last is None or self._last[0] is not vec:
+            self.value_grad(vec)
+        scalars = self._last[1]
+        return np.concatenate([scalars, -scalars[-1] * vec])
 
 
 # ---------------------------------------------------------------------------
@@ -450,35 +522,6 @@ def _unpack_xs(vec: np.ndarray, off: int, x_layouts) -> list:
         xs.append(vec[off:off + layout.width].copy().view(layout.dtype))
         off += layout.width
     return xs
-
-
-def _project_vec(vec, n_free, n_wit, x_layouts):
-    """Project packed variables (n_free free scalars, then nu_i, then X_A)
-    onto nu >= 0 and PSD X_A."""
-    out = vec.copy()
-    out[n_free:n_free + n_wit] = np.maximum(out[n_free:n_free + n_wit], 0.0)
-    off = n_free + n_wit
-    for x, layout in zip(_unpack_xs(vec, off, x_layouts), x_layouts):
-        out[off:off + layout.width] = layout.psd_project(x).view(float)
-        off += layout.width
-    return out
-
-
-def _projected_step(x, g, t, n_free, n_wit, x_layouts):
-    """P(x - t g) - x at a feasible x.  The scalars are stepped as -t g and
-    max(-t g, -nu), so that g is not lost to rounding where |x| >> |g|
-    far out on an unbounded ray."""
-    step = _project_vec(x - t * g, n_free, n_wit, x_layouts) - x
-    step[:n_free] = -t * g[:n_free]
-    nus = slice(n_free, n_free + n_wit)
-    step[nus] = np.maximum(-t * g[nus], -x[nus])
-    return step
-
-
-def _projected_grad_norm(x, g, n_free, n_wit, x_layouts) -> float:
-    """||P(x - g) - x|| at a feasible x, zero exactly at a minimizer."""
-    return float(np.linalg.norm(
-        _projected_step(x, g, 1.0, n_free, n_wit, x_layouts)))
 
 
 # rounding in the projections moves SPG's lower bound on the projected
@@ -518,13 +561,13 @@ def _spg(obj: _BlockObjective, x0, opts: SolverOptions, memory=10,
         return obj.value_grad(vec)
 
     def early(xv, fv, gv, it):
-        # a Farkas certificate takes precedence over a decided value
-        pg = grad_norm(xv, gv)
+        # a Farkas certificate takes precedence over a decided value; as
+        # on the witness path, it reports no gradient
         if obj.proves_infeasible():
-            return xv, -np.inf, SolveInfo(True, it, pg, True, calls,
+            return xv, -np.inf, SolveInfo(True, it, np.nan, True, calls,
                                           "certificate", backtracks)
-        return xv, fv, SolveInfo(False, it, pg, False, calls, "decided",
-                                 backtracks)
+        return xv, fv, SolveInfo(False, it, grad_norm(xv, gv), False, calls,
+                                 "decided", backtracks)
 
     x = project(x0)
     f, g = fun_grad(x)
@@ -603,12 +646,9 @@ _S_STEP = 1e-4
 def _linear_multipliers(w: np.ndarray, e: float):
     """(lam, mu) with (lam + mu w_i)_+ / 2 the impurity maximizer's weights
     on the spectrum w at energy e, clipped to [min w, mean w]."""
-    p = _linear_entropy_weights(w, float(np.clip(e, w.min(), w.mean())))
-    sup = p > 0
-    if sup.sum() >= 2:
-        a = np.polyfit(w[sup], p[sup], 1)
-        return 2.0 * a[1], 2.0 * a[0]
-    return 2.0 / w.size, 0.0
+    _, a, b = _linear_entropy_weights(w, float(np.clip(e, w.min(),
+                                                        w.mean())))
+    return 2.0 * a, 2.0 * b
 
 
 class _Envelope:
@@ -855,7 +895,7 @@ class _Envelope:
         optimum's bound with no gradient (grad_norm nan)."""
         p = self.problem
         obj = _BlockObjective(p, e, linear)
-        k, passes = obj.n_free, self.passes
+        k, passes = obj.k, self.passes
         if p.n_wit and self.certifies(e, self.edge()[1]):
             return self._farkas(k, self.edge()[1], 0, passes)
         # the entropy maximizer for H alone, in H's eigenbasis
@@ -876,7 +916,7 @@ class _Envelope:
         w_mean = float(weights @ self.w_diag)
         if w_mean >= 0.0:  # it meets the witness: no search
             g = np.array(grad + [w_mean] * p.n_wit)
-            return value, vec, SolveInfo(True, 0, obj.grad_norm(vec, g),
+            return value, vec, SolveInfo(True, 0, obj.dual_grad_norm(vec, g),
                                          False, self.passes - passes,
                                          "gibbs_feasible")
         found, iterations = None, 0
@@ -905,8 +945,8 @@ class _Envelope:
             return self.bound(s, e, linear), vec, SolveInfo(
                 not capped, iterations, np.nan, False, self.passes - passes,
                 "max_iter" if capped else "converged")
-        f, g = obj.value_grad(vec)
-        pg_norm = obj.grad_norm(vec, g)
+        f, g = obj.dual_value_grad(vec)
+        pg_norm = obj.dual_grad_norm(vec, g)
         converged = pg_norm <= 10 * opts.tol
         termination = ("max_iter" if capped else
                        "converged" if converged else "line_search")
@@ -928,19 +968,8 @@ def _minimize(h, cs: ConstraintSet, e: float, opts: SolverOptions,
     if problem.envelope is not None:
         return problem.envelope.solve(e, opts, linear, decides)
     obj = _BlockObjective(problem, e, linear)
-    # start at the entropy maximizer for H alone: the Gibbs point
-    # mu = -beta(E), or the impurity maximizer rho* = (lam I + mu H) / 2
-    x0 = np.zeros(obj.size)
-    if linear:
-        x0[0], x0[1] = _linear_multipliers(problem.spectrum, e)
-    else:
-        x0[0] = -beta_from_energy(problem.spectrum, e)
-    if init is not None and init.size == x0.size:
-        xi = obj.project(init)
-        if obj.value_grad(xi)[0] < obj.value_grad(x0)[0]:
-            x0 = xi
-    vec, f, info = _spg(obj, x0, opts, decides=decides)
-    return f, vec, info
+    x, f, info = _spg(obj, obj.reduce(init), opts, decides=decides)
+    return f, obj.certificate(x, info.infeasible), info
 
 
 def minimize_dual(h, cs: ConstraintSet, e: float, opts: SolverOptions = None,
@@ -950,12 +979,14 @@ def minimize_dual(h, cs: ConstraintSet, e: float, opts: SolverOptions = None,
     packed point mu, nu_i, X_A.
 
     With at most one witness and no cuts the witness path solves it (see
-    `_Envelope`; `init` is not used there).  Otherwise SPG starts from the
-    Gibbs point (mu = -beta(E), nu = X = 0), or from `init`, a vec of an
-    earlier solve, where that is lower, so the value never exceeds
-    S_Gibbs(E).  `problem` is `prepare_dual(h, cs)`, to prepare once for
-    many solves.  Where no state meets the constraints at energy e, the
-    solve returns -inf at a Farkas certificate with `info.infeasible` set.
+    `_Envelope`; `init` is not used there).  Otherwise SPG minimizes the
+    grand canonical form over (nu, Y) (see `_BlockObjective`), from
+    (nu, Y) = (nu, X) / (-mu) of `init`, a vec of an earlier solve, or
+    from nu = Y = 0, where the value is S_Gibbs(E).  The returned vec is
+    (-beta, beta nu, beta Y) at its end point.  `problem` is
+    `prepare_dual(h, cs)`, to prepare once for many solves.  Where no
+    state meets the constraints at energy e, the solve returns -inf at a
+    Farkas certificate (-1, nu, Y) with `info.infeasible` set.
 
     `decides`, a predicate on a dual value, asks a yes-or-no question
     instead of the optimum: the solve stops at the first feasible point
@@ -978,14 +1009,17 @@ def lin_dual_minimize(h, cs: ConstraintSet, e: float,
                       problem: DualProblem = None, decides=None):
     """Upper bound on the maximal constrained linear entropy (impurity).
 
-    Minimizes 1/4 tr(lam*I + mu*H + sum nu_i W_i + X0 + sum X_A^(T_A))^2
-    + 1 - lam - mu*E over lam, mu real, nu >= 0, X0 and X_A PSD, by SPG;
-    the slack X0 = (.)_- is eliminated in closed form, leaving the positive
-    part.  Returns (value, vec, info), vec the packed point lam, mu, nu_i,
-    X_A; `init` and `problem` are as in `minimize_dual`, whose witness path
-    this dual shares, and SPG starts from the impurity maximizer
-    (lam, mu, 0, 0).  The value is -inf at a Farkas certificate, and
-    `decides` stops the solve early, as in `minimize_dual`."""
+    The dual is 1/4 tr(lam*I + mu*H + sum nu_i W_i + X0 + sum X_A^(T_A))^2
+    + 1 - lam - mu*E over lam, mu real, nu >= 0, X0 and X_A PSD; the slack
+    X0 = (.)_- is eliminated in closed form, leaving the positive part.
+    SPG minimizes its grand canonical form, the maximal impurity at E of
+    the spectrum of H - sum nu_i W_i - sum Y_A^(T_A), whose weights
+    (a + b w)_+ give the full point (lam, mu, nu, X) = (2a, 2b, -2b nu,
+    -2b Y).  Returns (value, vec, info), vec that packed point lam, mu,
+    nu_i, X_A; `init` and `problem` are as in `minimize_dual`, whose
+    witness path this dual shares.  The value is -inf at a Farkas
+    certificate (0, -1, nu, Y), and `decides` stops the solve early, as
+    in `minimize_dual`."""
     return _minimize(h, cs, e, opts, init, problem, True, decides)
 
 
@@ -1342,7 +1376,7 @@ def gap_lower_bound(h, cs: ConstraintSet, beta: float,
         raise ValueError("witness multipliers must be nonnegative")
     vec[0] = -beta
     problem = prepare_dual(h, cs)
-    ln_tr = _BlockObjective(problem, 0.0).value_grad(vec)[0]
+    ln_tr = _BlockObjective(problem, 0.0).dual_value_grad(vec)[0]
     return float(gibbs_at(problem.spectrum, beta)[0] - ln_tr)
 
 

@@ -110,36 +110,79 @@ def beta_from_energy(spectrum, e: float, tol: float = 1e-12,
                          4 * np.finfo(float).eps, 200))
 
 
-def _linear_entropy_weights(w: np.ndarray, e: float, tol: float = 1e-10,
-                            max_iter: int = 200):
+def gibbs_newton(x: np.ndarray, t: float, beta: float = 0.0, counts=None):
+    """The Gibbs state at mean energy t of the spectrum x >= 0, min x = 0,
+    eigenvalue i counted counts[i] times (once where counts is None):
+    (beta, ln Z, q) with Z = sum_i c_i exp(-beta x_i), q_i = c_i
+    exp(-beta x_i) / Z.  beta = 0 where t >= the mean, 1e6 (the cap of
+    `beta_from_energy`) where t <= 0.  In between, Newton's method on
+    ln E(beta) = ln t, whose slope is -Var / E, from `beta` (the last
+    solve's, close by where the spectrum moved a little); a step that
+    leaves the bracket which the signs give bisects it.  Near the root the
+    error squares each step, so the step from a residual below 1e-8 is the
+    last."""
+    c = 1.0 if counts is None else counts
+    if t >= (x.mean() if counts is None else (c @ x) / c.sum()):
+        beta = 0.0
+    elif t <= 0.0:
+        beta = 1e6
+    else:
+        lo, hi = 0.0, np.inf
+        for _ in range(100):
+            q = c * np.exp(-beta * x)
+            p = q / q.sum()
+            e = p @ x
+            if e > t:
+                lo = beta
+            else:
+                hi = beta
+            var = p @ (x - e) ** 2
+            g = math.log(e / t) if e > 0.0 else -np.inf
+            step = g * e / var if var > 0.0 else 0.0
+            if abs(g) <= 1e-8:
+                beta += step
+                break
+            if lo < beta + step < hi:
+                beta += step
+            else:
+                beta = 0.5 * (lo + hi) if hi < np.inf else 2.0 * lo
+    q = c * np.exp(-beta * x)
+    z = q.sum()
+    return beta, math.log(z), q / z
+
+
+def _linear_entropy_weights(w: np.ndarray, e: float):
     """Maximize 1 - sum p_i^2 with sum p = 1, sum p w = e, p >= 0.
 
-    Active-set water filling: on the support p_i = a + b*w_i with (a, b)
-    from the two moment equations; clip and repeat until the support is
-    stable."""
-    d = w.size
-    active = np.ones(d, dtype=bool)
-    for _ in range(max_iter):
-        wa = w[active]
-        k = wa.size
-        s1, s2 = wa.sum(), (wa ** 2).sum()
-        det = k * s2 - s1 ** 2
-        if det < 1e-30 * max(1.0, s2):
-            # degenerate (all active energies equal): uniform on support
-            a, b = 1.0 / k, 0.0
-        else:
-            a = (s2 - s1 * e) / det
-            b = (k * e - s1) / det
-        p = np.where(active, a + b * w, 0.0)
-        if p[active].min() >= -tol:
-            p = np.maximum(p, 0.0)
-            p /= p.sum()
-            return p
-        drop = (p < -tol) & active
-        active &= ~drop
-        if not active.any():
-            raise RuntimeError("empty active set in linear-entropy solve")
-    raise RuntimeError("linear-entropy active set did not converge")
+    The maximizer is p = (a + b w)_+.  Below the mean (b < 0) its support
+    is the k lowest energies: the weights (w_(j+1) - w_i)_+ of each level
+    w_(j+1) have an energy that rises with j, and k is one more than the
+    number of levels whose energy is at most e.  (a, b) then solve the two
+    moment equations on the support, e clipped to the spectrum; where the
+    support is one level, b sends the next level up to zero.  Above the
+    mean the same holds for the highest energies.  Returns (p, a, b)."""
+    flip = e > w.mean()
+    v, t = (-w, -e) if flip else (w, e)
+    vs = np.sort(v)
+    t = min(max(t, vs[0]), vs[-1])
+    s1, s2 = np.cumsum(vs), np.cumsum(vs * vs)
+    j = np.arange(1, vs.size)
+    nxt = vs[1:]
+    den = nxt * j - s1[:-1]  # zero only where all j lowest equal nxt
+    safe = np.where(den > 0.0, den, 1.0)
+    level = np.where(den > 0.0, (nxt * s1[:-1] - s2[:-1]) / safe, nxt)
+    k = 1 + int(np.count_nonzero(level <= t))
+    s1, s2 = s1[k - 1], s2[k - 1]
+    det = k * s2 - s1 * s1
+    if det > 1e-30 * max(1.0, s2):
+        a, b = (s2 - s1 * t) / det, (k * t - s1) / det
+    else:  # one level: uniform on it, and none on the next one up
+        a, b = 1.0 / k, 0.0
+        if k < vs.size:
+            b = -a / (vs[k] - vs[0])
+            a -= b * vs[0]
+    p = np.maximum(a + b * v, 0.0)
+    return p / p.sum(), a, -b if flip else b
 
 
 def linear_entropy_max(h, e: float) -> float:
@@ -151,7 +194,7 @@ def linear_entropy_max(h, e: float) -> float:
     if not (w.min() - 1e-12 <= e <= w.max() + 1e-12):
         raise ValueError("energy outside the attainable range")
     e = float(np.clip(e, w.min(), w.max()))
-    p = _linear_entropy_weights(w, e)
+    p = _linear_entropy_weights(w, e)[0]
     return float(1.0 - (p ** 2).sum())
 
 
@@ -161,4 +204,4 @@ def linear_entropy_max_weights(h, e: float) -> np.ndarray:
         w = np.linalg.eigvalsh(h.entries)
     else:
         w = np.sort(np.asarray(h, dtype=float))
-    return _linear_entropy_weights(w, float(e))
+    return _linear_entropy_weights(w, float(e))[0]

@@ -94,13 +94,13 @@ def test_gradients_match_finite_differences(rng):
         e = float(w.mean() - rng.random() * np.ptp(w) / 4)
         obj = dual_mod._BlockObjective(problem, e, linear)
         vec = _random_vec(rng, problem, linear)
-        val, grad = obj.value_grad(vec)
+        val, grad = obj.dual_value_grad(vec)
         eps = 1e-6
         scale = max(1.0, abs(val))
 
         def slope(direction):
-            return (obj.value_grad(vec + eps * direction)[0]
-                    - obj.value_grad(vec - eps * direction)[0]) / (2 * eps)
+            return (obj.dual_value_grad(vec + eps * direction)[0] -
+                    obj.dual_value_grad(vec - eps * direction)[0]) / (2 * eps)
 
         n_scalar = vec.size - sum(xl.width for xl in problem.x_layouts)
         for i in range(n_scalar):
@@ -119,6 +119,49 @@ def test_gradients_match_finite_differences(rng):
             off += xl.width
             assert abs(slope(direction) - grad @ direction) < 2e-6 * scale
         checked += 1
+
+
+def _grand_canonical_cases():
+    # real cuts, a cut with a witness, a complex ring, and two witnesses on
+    # momentum blocks that stand for conjugate pairs
+    afm4 = heisenberg_chain(HeisenbergParams(4, -1, -1, -1))
+    eo4 = (even_odd_bipartition(4),)
+    yield "cuts", afm4, ConstraintSet(map_slots=eo4)
+    yield "cut+witness", afm4, ConstraintSet((dicke_witness(4, 2),), eo4)
+    yield "two witnesses", _xxz(5), ConstraintSet((dicke_witness(5, 2),
+                                                    dicke_witness(5, 3)))
+    yield "complex", _phase_rotated(afm4), ConstraintSet(map_slots=eo4)
+
+
+def test_grand_canonical_gradients_match_finite_differences(rng):
+    """The envelope gradients beta (nu, rho^(T_A)) and -2b (nu, rho^(T_A))
+    of the form SPG minimizes vs central differences, at random (nu, Y)
+    with e inside the spectrum of m = H - sum nu_i W_i - sum Y_A^(T_A)."""
+    for name, h, cs in _grand_canonical_cases():
+        problem = prepare_dual(h, cs)
+        if name == "two witnesses":
+            assert problem.path == "momentum" and 2 in problem.mult
+        for linear in (False, True):
+            for _ in range(4):
+                x = 0.3 * _random_vec(rng, problem, False)[1:]
+                m = -_dense_exponent(h, cs, np.r_[-1.0, x], 1)
+                w = np.linalg.eigvalsh(m)
+                e = float(w.min() + rng.uniform(0.1, 0.8)
+                          * (w.mean() - w.min()))
+                obj = dual_mod._BlockObjective(problem, e, linear)
+                val, grad = obj.value_grad(x)
+                assert not obj.proves_infeasible()
+                eps = 1e-6
+                for _ in range(4):
+                    direction = rng.standard_normal(x.size)
+                    direction[:problem.n_wit] = np.abs(
+                        direction[:problem.n_wit])
+                    direction /= np.linalg.norm(direction)
+                    slope = (obj.value_grad(x + eps * direction)[0]
+                             - obj.value_grad(x - eps * direction)[0]) / (
+                        2 * eps)
+                    assert abs(slope - grad @ direction) < 2e-6 * max(
+                        1.0, abs(val)), (name, linear)
 
 
 def test_empty_constraints_recover_gibbs(rng):
@@ -144,9 +187,9 @@ def test_dual_convexity_midpoints(rng):
         obj = dual_mod._BlockObjective(problem, e, linear=i % 2 == 1)
         p = _random_vec(rng, problem, obj.linear)
         q = _random_vec(rng, problem, obj.linear)
-        f_p = obj.value_grad(p)[0]
-        f_q = obj.value_grad(q)[0]
-        f_m = obj.value_grad(0.5 * (p + q))[0]
+        f_p = obj.dual_value_grad(p)[0]
+        f_q = obj.dual_value_grad(q)[0]
+        f_m = obj.dual_value_grad(0.5 * (p + q))[0]
         assert f_m <= 0.5 * (f_p + f_q) + 1e-9
 
 
@@ -248,8 +291,9 @@ def test_sector_layout_matches_one_block_layout(rng, monkeypatch):
                 e = float(w.mean() - rng.random() * np.ptp(w) / 4)
                 vec = _random_vec(rng, blocked, linear)
                 vb, gb = dual_mod._BlockObjective(
-                    blocked, e, linear).value_grad(vec)
-                vd, gd = dual_mod._BlockObjective(dense, e, linear).value_grad(
+                    blocked, e, linear).dual_value_grad(vec)
+                vd, gd = dual_mod._BlockObjective(
+                    dense, e, linear).dual_value_grad(
                     _as_one_block(vec, blocked, dense, k))
                 assert abs(vb - vd) <= 1e-12 * max(1.0, abs(vb))
                 np.testing.assert_allclose(
@@ -426,12 +470,12 @@ def test_scan_splits_once(monkeypatch):
     assert counts[0] == counts[1] > 0
 
 
-def _assert_farkas_certificate(h, cs, e, vec, linear=False):
-    """The packed point vec = (lam,) mu, nu_i, X_A is feasible and the
-    dense exponent M = lam I + mu H + sum nu_i W_i + sum X_A^(T_A) has
-    lam_max(M) < b.y, so no state meets the constraints at energy e."""
-    k, n_wit = (2 if linear else 1), len(cs.witnesses)
-    lam, mu, nus = (vec[0] if linear else 0.0), vec[k - 1], vec[k:k + n_wit]
+def _dense_exponent(h, cs, vec, k):
+    """The dense M = lam I + mu H + sum nu_i W_i + sum X_A^(T_A) of a full
+    packed point vec = (lam,) mu, nu_i, X_A (k = 2 with lam, else 1),
+    after checking that it is feasible: nu >= 0 and every X_A PSD."""
+    n_wit = len(cs.witnesses)
+    lam, mu, nus = (vec[0] if k == 2 else 0.0), vec[k - 1], vec[k:k + n_wit]
     x_layouts = prepare_dual(h, cs).x_layouts
     xs = [xl.dense(x) for x, xl in zip(
         dual_mod._unpack_xs(vec, k + n_wit, x_layouts), x_layouts)]
@@ -441,9 +485,19 @@ def _assert_farkas_certificate(h, cs, e, vec, linear=False):
     for nu, wit in zip(nus, cs.witnesses):
         m = m + nu * wit.to_dense()
     for x, cut in zip(xs, cs.map_slots):
-        assert np.linalg.eigvalsh(x).min() >= -1e-12 * np.abs(x).max()
+        assert np.linalg.eigvalsh(x).min() >= -1e-12 * max(np.abs(x).max(),
+                                                          1.0)
         m = m + partial_transpose_matrix(x, h.local_dims, cut.subset_mask)
-    assert np.linalg.eigvalsh((m + m.conj().T) / 2).max() < lam + mu * e
+    return (m + m.conj().T) / 2
+
+
+def _assert_farkas_certificate(h, cs, e, vec, linear=False):
+    """The packed point vec = (lam,) mu, nu_i, X_A is feasible and its
+    dense exponent M has lam_max(M) < b.y, so no state meets the
+    constraints at energy e."""
+    lam, mu = (vec[0], vec[1]) if linear else (0.0, vec[0])
+    m = _dense_exponent(h, cs, vec, 2 if linear else 1)
+    assert np.linalg.eigvalsh(m).max() < lam + mu * e
 
 
 def test_spg_stops_at_farkas_certificate():
@@ -498,6 +552,7 @@ def test_witness_path_stops_at_farkas_certificate():
     opts = SolverOptions()
     val, vec, info = minimize_dual(h, cs, e, opts, problem=problem)
     assert info.infeasible and info.converged and val == -np.inf
+    assert info.certificate == "farkas"
     assert info.iterations < opts.max_iter // 10
     _assert_farkas_certificate(h, cs, e, vec)
 
@@ -539,9 +594,10 @@ def test_conjugate_pairs_match_the_unpaired_problem(monkeypatch, rng):
         for _ in range(10):
             e = float(w.mean() - rng.random() * np.ptp(w) / 4)
             vec = _random_vec(rng, paired, linear)
-            va, ga = dual_mod._BlockObjective(paired, e, linear).value_grad(vec)
+            va, ga = dual_mod._BlockObjective(paired, e,
+                                              linear).dual_value_grad(vec)
             vb, gb = dual_mod._BlockObjective(unpaired, e,
-                                              linear).value_grad(vec)
+                                              linear).dual_value_grad(vec)
             assert abs(va - vb) <= 1e-12 * max(1.0, abs(va))
             np.testing.assert_allclose(ga, gb, rtol=1e-12, atol=1e-12)
 
@@ -570,11 +626,7 @@ def test_witness_path_is_never_above_spg(rng):
                 solve = lin_dual_minimize if linear else minimize_dual
                 val, _, info = solve(h, cs, e, opts, problem=problem)
                 obj = dual_mod._BlockObjective(problem, e, linear)
-                x0 = np.zeros(obj.n_free + 1)
-                x0[obj.n_free - 1] = -beta_from_energy(w, e)
-                if linear:
-                    x0[:2] = dual_mod._linear_multipliers(w, e)
-                _, spg_val, spg = dual_mod._spg(obj, x0, opts)
+                _, spg_val, spg = dual_mod._spg(obj, np.zeros(obj.size), opts)
                 if val == -np.inf:
                     assert info.infeasible
                     continue
@@ -615,6 +667,7 @@ def test_gibbs_feasible_rows_skip_the_search():
     e = float(w.min() + 0.8 * (w.mean() - w.min()))
     val, vec, info = minimize_dual(h, cs, e, problem=problem)
     assert info.termination == "gibbs_feasible" and info.evaluations == 0
+    assert info.certificate == "bound"
     assert vec[1] == 0.0 and vec[0] == -beta_from_energy(w, e)
     assert val == gibbs_at(w, beta_from_energy(w, e))[2]
     val, vec, info = lin_dual_minimize(h, cs, e, problem=problem)
@@ -699,9 +752,10 @@ def test_decided_bisection_steps_are_certificates(monkeypatch, path):
     for e, (value, point, info) in decided:
         assert not info.converged and not info.infeasible
         obj = dual_mod._BlockObjective(problem, e)
-        np.testing.assert_allclose(obj.project(point), point, rtol=0,
+        np.testing.assert_allclose(obj.project(point[1:]), point[1:], rtol=0,
                                    atol=1e-12 * max(1.0, np.abs(point).max()))
-        assert obj.value_grad(point)[0] == pytest.approx(value, rel=1e-12)
+        assert obj.dual_value_grad(point)[0] == pytest.approx(value,
+                                                              rel=1e-12)
         s_ref = gibbs_at(w, beta_from_energy(w, e))[2]
         assert s_ref - value > GAP_TOLERANCE
         assert s_ref - solve(h, cs, e, problem=problem)[0] > GAP_TOLERANCE
@@ -711,11 +765,15 @@ def test_decided_bisection_steps_are_certificates(monkeypatch, path):
 
 
 def _assert_projected_grad_norm(problem, e, linear, vec, info):
+    # the witness path reports the full form's norm, SPG the grand
+    # canonical form's, at the (nu, Y) of the point it returns
     obj = dual_mod._BlockObjective(problem, e, linear)
-    g = obj.value_grad(vec)[1]
-    n_free = 2 if linear else 1
-    assert info.grad_norm == pytest.approx(dual_mod._projected_grad_norm(
-        vec, g, n_free, problem.n_wit, problem.x_layouts), rel=1e-9)
+    if problem.envelope is not None:
+        norm = obj.dual_grad_norm(vec, obj.dual_value_grad(vec)[1])
+    else:
+        x = obj.reduce(vec)
+        norm = obj.grad_norm(x, obj.value_grad(x)[1])
+    assert info.grad_norm == pytest.approx(norm, rel=1e-9)
 
 
 def test_solve_info_reports_the_projected_gradient_norm():
@@ -755,12 +813,13 @@ def test_packed_points_of_the_wrong_length_are_rejected(rng):
         map_slots=(even_odd_bipartition(4),)))
     xl = problem.x_layouts[0]
     obj = dual_mod._BlockObjective(problem, -3.2)
-    vec = _random_vec(rng, problem, False)
-    assert vec.size == obj.size == 1 + xl.width == 1 + xl.size
+    vec = _random_vec(rng, problem, False)[1:]
+    assert vec.size == obj.size == xl.width == xl.size
     g = obj.value_grad(vec)[1]
-    as_complex = np.concatenate([vec[:1], _packed(vec[1:].astype(complex))])
+    as_complex = _packed(vec.astype(complex))
     for bad in (vec[:-1], np.r_[vec, 0.0], as_complex):
         for call in (obj.value_grad, obj.project,
+                     lambda v: obj.dual_value_grad(np.r_[-1.0, v]),
                      lambda v: obj.grad_norm(v, np.resize(g, v.size)),
                      lambda v: obj.grad_norm(vec, v)):
             with pytest.raises(ValueError, match="packed point"):
@@ -819,20 +878,17 @@ def test_projected_steps_bound_the_gradient_norm(rng, rotated):
     cs = ConstraintSet((dicke_witness(4, 2),), (even_odd_bipartition(4),))
     problem = prepare_dual(h, cs)
     ts = np.logspace(-3, 3, 25)
-    for linear in (False, True):
-        obj = dual_mod._BlockObjective(problem, -2.0, linear)
-        for _ in range(10):
-            x = _random_vec(rng, problem, linear)
-            g = rng.standard_normal(x.size) * 10.0 ** rng.uniform(-4, 1)
-            pg = dual_mod._projected_grad_norm(x, g, obj.n_free,
-                                               problem.n_wit,
-                                               problem.x_layouts)
-            norms = np.array([np.linalg.norm(obj.step(x, g, t)) for t in ts])
-            slack = 1e-12 * (1.0 + np.linalg.norm(x))
-            assert np.all(np.diff(norms) >= -slack)
-            assert np.all(np.diff(norms / ts) <= slack / ts[1:])
-            assert np.all(norms * np.minimum(1.0, 1.0 / ts) <= pg + slack)
-            assert np.all(pg <= norms * np.maximum(1.0, 1.0 / ts) + slack / ts)
+    obj = dual_mod._BlockObjective(problem, -2.0)
+    for _ in range(20):
+        x = _random_vec(rng, problem, False)[1:]
+        g = rng.standard_normal(x.size) * 10.0 ** rng.uniform(-4, 1)
+        pg = obj.grad_norm(x, g)
+        norms = np.array([np.linalg.norm(obj.step(x, g, t)) for t in ts])
+        slack = 1e-12 * (1.0 + np.linalg.norm(x))
+        assert np.all(np.diff(norms) >= -slack)
+        assert np.all(np.diff(norms / ts) <= slack / ts[1:])
+        assert np.all(norms * np.minimum(1.0, 1.0 / ts) <= pg + slack)
+        assert np.all(pg <= norms * np.maximum(1.0, 1.0 / ts) + slack / ts)
 
 
 def test_gated_stopping_test_stops_where_the_exact_one_does(monkeypatch):
@@ -909,6 +965,61 @@ def test_no_certificate_above_ppt_emin(ring4_ppt_emin, above):
     h, cs, e_min = ring4_ppt_emin
     assert not minimize_dual(h, cs, e_min + above)[2].infeasible
     assert not lin_dual_minimize(h, cs, e_min + above)[2].infeasible
+
+
+@pytest.mark.parametrize("case", ["n5-linear-below", "n4-linear-below",
+                                  "n4-above"])
+def test_near_edge_rows_certify_or_converge(ring4_ppt_emin, case):
+    # rows near E_min,PPT that SPG on the full dual left at max_iter: two
+    # below it, where no PPT state exists, and one just above it
+    h, cs, e_min = ring4_ppt_emin
+    if case == "n4-above":
+        val, vec, info = minimize_dual(h, cs, e_min + 1e-3)
+        assert info.termination == "converged"
+        assert info.certificate == "bound"
+        assert val == pytest.approx(1.8313028, abs=1e-6)
+        return
+    e = e_min - 1e-2
+    if case == "n5-linear-below":  # E_min,PPT/N = -1.0075 at n = 5
+        h = heisenberg_chain(HeisenbergParams(5, -1, -1, -1))
+        cs = ConstraintSet(map_slots=(even_odd_bipartition(5),))
+        e = -1.0225 * 5
+    val, vec, info = lin_dual_minimize(h, cs, e)
+    assert val == -np.inf and info.certificate == "farkas"
+    assert info.iterations < 100
+    _assert_farkas_certificate(h, cs, e, vec, linear=True)
+
+
+def test_spg_returns_full_certificates(rng):
+    """Every SPG solve returns the full point (lam,) mu, nu, X_A: feasible,
+    with the reported S_dual as its full dual value, or a Farkas
+    certificate at a -inf row; its grand canonical point (nu, X) / (-mu)
+    maps back to it."""
+    infeasible = 0
+    for name, h, cs in _grand_canonical_cases():
+        problem = prepare_dual(h, cs)
+        w = problem.spectrum
+        for frac in (0.05, 0.2, 0.4, 0.7):
+            e = float(w.min() + frac * (w.mean() - w.min()))
+            for linear in (False, True):
+                solve = lin_dual_minimize if linear else minimize_dual
+                val, vec, info = solve(h, cs, e, problem=problem)
+                obj = dual_mod._BlockObjective(problem, e, linear)
+                k = obj.k
+                _dense_exponent(h, cs, vec, k)  # nu >= 0, PSD X_A
+                if val == -np.inf:
+                    infeasible += 1
+                    assert info.certificate == "farkas" and vec[k - 1] == -1
+                    _assert_farkas_certificate(h, cs, e, vec, linear)
+                    continue
+                assert info.certificate == "bound", (name, e, linear)
+                assert obj.dual_value_grad(vec)[0] == pytest.approx(
+                    val, rel=1e-10)
+                x = obj.reduce(vec)
+                scale = max(1.0, np.abs(vec).max())
+                np.testing.assert_allclose(obj.certificate(x), vec, rtol=0,
+                                           atol=1e-12 * scale)
+    assert infeasible >= 4
 
 
 def test_lin_dual_empty_equals_water_filling(rng):

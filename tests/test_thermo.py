@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,9 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from proxygap.models import HeisenbergParams, heisenberg_chain
-from proxygap.thermo import (beta_from_energy, energy_range, gibbs_at,
+from proxygap.dual import _linear_multipliers
+from proxygap.thermo import (_linear_entropy_weights, beta_from_energy,
+                             energy_range, gibbs_at, gibbs_newton,
                              linear_entropy_max, linear_entropy_max_weights)
 
 spectra = st.lists(st.floats(-50, 50, allow_nan=False), min_size=2,
@@ -148,6 +152,54 @@ def test_linear_entropy_weights_moments(rng):
     assert p.min() >= 0
     assert abs(p.sum() - 1) < 1e-10
     assert abs(p @ w - e) < 1e-8
+
+
+def test_impurity_multipliers_reproduce_the_weights(rng):
+    # the 3-ring in a field B = 3 has a threefold ground level and a
+    # threefold first excited one; at E0 + 1e-6 of the spread the weights
+    # sit on both, and (a + b w)_+ must give them back with no fit
+    h = heisenberg_chain(HeisenbergParams(3, -1, -1, -1, 3.0))
+    w = np.linalg.eigvalsh(h.entries)
+    np.testing.assert_allclose(w, [-6] * 3 + [0] * 3 + [6, 12], atol=1e-12)
+    cases = [(w, w.min() + 1e-6 * (w.mean() - w.min()))]
+    for _ in range(200):  # levels with ties, energies up to the maximum
+        v = np.round(rng.standard_normal(int(rng.integers(1, 12))) * 3)
+        frac = rng.choice([0.0, 1e-9, rng.random(), 1.0])
+        cases.append((v, v.min() + frac * (v.max() - v.min())))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for v, e in cases:
+            p, a, b = _linear_entropy_weights(v, e)
+            q = np.maximum(a + b * v, 0.0)
+            np.testing.assert_allclose(q, p, rtol=0, atol=1e-12)
+            assert p @ v == pytest.approx(e, abs=1e-9 * (1 + np.ptp(v)))
+            if e <= v.mean():
+                assert _linear_multipliers(v, e) == (2 * a, 2 * b)
+                assert b <= 0.0
+
+
+def test_gibbs_newton_solves_for_the_energy(rng):
+    # every warm start, with or without counts, reaches beta_from_energy's
+    # root, ln Z and normalized weights of the shifted spectrum
+    for _ in range(100):
+        w = np.sort(rng.standard_normal(int(rng.integers(2, 20))) * 3)
+        x, e0, mean = w - w.min(), w.min(), w.mean()
+        e = e0 + rng.random() ** 3 * (mean - e0)
+        beta = beta_from_energy(w, e)
+        start = beta * 10.0 ** rng.uniform(-3, 3) if rng.random() < 0.9 \
+            else 0.0
+        got, lnz, q = gibbs_newton(x, e - e0, start)
+        assert got == pytest.approx(beta, rel=1e-9, abs=1e-12)
+        assert lnz - got * e0 == pytest.approx(gibbs_at(w, got)[0],
+                                               rel=1e-12, abs=1e-12)
+        assert q.sum() == pytest.approx(1.0, abs=1e-12)
+        counts = rng.integers(1, 3, x.size)
+        twice = gibbs_newton(np.repeat(x, counts), e - e0, start)
+        once = gibbs_newton(x, e - e0, start, counts)
+        assert once[0] == pytest.approx(twice[0], rel=1e-9)
+    x = np.array([0.0, 1.0, 3.0])
+    assert gibbs_newton(x, 4.0 / 3.0, 1.0)[0] == 0.0  # at the mean
+    assert gibbs_newton(x, -1e-12, 1.0)[0] == 1e6
 
 
 def test_linear_entropy_rejects_out_of_range():
