@@ -485,8 +485,7 @@ def _dense_exponent(h, cs, vec, k):
     for nu, wit in zip(nus, cs.witnesses):
         m = m + nu * wit.to_dense()
     for x, cut in zip(xs, cs.map_slots):
-        assert np.linalg.eigvalsh(x).min() >= -1e-12 * max(np.abs(x).max(),
-                                                          1.0)
+        assert np.linalg.eigvalsh(x).min() >= -1e-12 * np.abs(x).max()
         m = m + partial_transpose_matrix(x, h.local_dims, cut.subset_mask)
     return (m + m.conj().T) / 2
 
@@ -1019,6 +1018,12 @@ def test_spg_returns_full_certificates(rng):
                 scale = max(1.0, np.abs(vec).max())
                 np.testing.assert_allclose(obj.certificate(x), vec, rtol=0,
                                            atol=1e-12 * scale)
+                if info.converged:  # as init, it starts a converged solve
+                    again, vec2, _ = solve(h, cs, e, init=vec,
+                                           problem=problem)
+                    assert again == pytest.approx(val, rel=1e-12)
+                    np.testing.assert_allclose(vec2, vec, rtol=0,
+                                               atol=1e-10 * scale)
     assert infeasible >= 4
 
 
