@@ -53,7 +53,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .linalg import (BlockLayout, CooMatrix, HermitianOperator, LinalgError,
-                     as_coo, is_sparse, pt_permutation, real_dtype_of)
+                     as_coo, is_sparse, pt_permutation, real_dtype_of,
+                     stacked_eigh)
 from .models import (conserves_magnetization, is_translation_invariant,
                      momentum_sector_split, popcounts, sector_split_sparse)
 from .thermo import (_linear_entropy_weights, beta_from_energy, gibbs_at,
@@ -65,6 +66,7 @@ GAP_TOLERANCE_LINEAR = 1e-6  # converged linear duals lie ~1e-12 above optimum
 # relative margin by which lam_max(M) must undercut b.y before a point counts
 # as a Farkas certificate: covers the rounding of eigh and of b.y
 FARKAS_MARGIN = 1e-9
+DIAGONAL_TOL = 1e-9  # `diagonal_dual`'s solver tolerance
 
 
 @dataclass
@@ -216,27 +218,26 @@ def _cut_layouts(mag, cuts, dims, dtype):
 class DualProblem:
     """H and a constraint set, prepared for any number of dual solves.
 
-    `blocks` holds (H block, [witness block, or None where the witness
-    vanishes]) for every symmetry block with witness support, or every
-    block where there are cuts, and `mult` how many blocks of the split
-    each stands for (2 for a conjugate momentum pair).  With PPT cuts the
-    blocks are the magnetization sectors; when no split applies, the dense
-    H is the one block.  `layout` packs the kept blocks (see
-    `BlockLayout`), and `h_packed` and `w_packed` are H and each witness
-    (None where it vanishes) in it.  Each X_A lives in the blocks of
-    `x_layouts[A]`; `pt[A]` = (to_m, to_x) are the index permutations of
-    its partial transpose into `layout` and back.  `free` holds the fixed
-    spectra of the witness-free blocks and `spectrum` the sorted spectrum
-    of H, each eigenvalue as often as it occurs.  `path` is the split taken
-    ("momentum", "sector" or "dense"; "diagonal" in `diagonal_dual`) and
-    `fallback` why no finer one was, or None.  `envelope` is the witness
-    path, set when there is at most one witness and no cut.  Every layout
-    holds float64 where H and all witness blocks are real, else
-    complex128."""
-    blocks: list
+    The blocks kept are every symmetry block with witness support, or every
+    block where there are cuts: the magnetization sectors with PPT cuts,
+    the dense H where no split applies.  They live only in `layout` (see
+    `BlockLayout`), packed once: `h_packed` is H and `w_packed` each
+    witness (None where it vanishes) in it.  `mult` says how many blocks of
+    the split each stands for (2 for a conjugate momentum pair), and
+    `order` = `layout.block_order(mult)` gathers the layout's eigenvalues
+    into block order, each block as often as it counts.  Each X_A lives in
+    the blocks of `x_layouts[A]`; `pt[A]` = (to_m, to_x) are the index
+    permutations of its partial transpose into `layout` and back.  `free`
+    holds the fixed spectra of the witness-free blocks and `spectrum` the
+    sorted spectrum of H, each eigenvalue as often as it occurs.  `path` is
+    the split taken ("momentum", "sector" or "dense"; "diagonal" in
+    `diagonal_dual`) and `fallback` why no finer one was, or None.
+    `envelope` is the witness path, set when there is at most one witness
+    and no cut.  Every layout holds float64 where H and all witness blocks
+    are real, else complex128."""
     mult: list
+    order: np.ndarray
     free: np.ndarray
-    spectrum: np.ndarray
     layout: BlockLayout
     h_packed: np.ndarray
     w_packed: list
@@ -245,17 +246,12 @@ class DualProblem:
     n_wit: int
     path: str
     fallback: str | None
+    spectrum: np.ndarray = None
     envelope: "_Envelope | None" = None
 
     @property
     def block_sizes(self) -> list:
-        return [(hb.shape[0], m) for (hb, _), m in zip(self.blocks, self.mult)]
-
-
-def _witness_diagonal(hb, wb):
-    """The eigenvalues of H_b and <i|W_b|i> in its eigenbasis."""
-    ev, v = np.linalg.eigh(hb)
-    return ev, np.real(np.sum(v.conj() * (wb @ v), axis=0))
+        return list(zip(self.layout.sizes, self.mult))
 
 
 def prepare_dual(h, cs: ConstraintSet) -> DualProblem:
@@ -268,34 +264,22 @@ def _prepared(h, cs: ConstraintSet, path, fallback, h_blocks, w_blocks,
               mult, mag) -> DualProblem:
     """The `DualProblem` of a split as `_blocks_for` returns it."""
     n_wit = len(cs.witnesses)
-    witness_path = n_wit <= 1 and not cs.map_slots
-    blocks, kept, free, eigs, w_diags = [], [], [], [], []
+    blocks, kept, free = [], [], []
     for hb, m, *wbs in zip(h_blocks, mult, *w_blocks):
         wbs = [wb if np.abs(wb).max() > 0 else None for wb in wbs]
         if not cs.map_slots and all(wb is None for wb in wbs):
             free.extend([np.linalg.eigvalsh(hb)] * m)
-            continue
-        if witness_path:
-            ev, w_diag = _witness_diagonal(hb, wbs[0])
-            w_diags.extend([w_diag] * m)
         else:
-            ev = np.linalg.eigvalsh(hb)
-        blocks.append((hb, wbs))
-        kept.append(m)
-        eigs.extend([ev] * m)
+            blocks.append((hb, wbs))
+            kept.append(m)
     free = np.concatenate([np.zeros(0)] + free)
-    ev = np.concatenate([free] + eigs)
-    if mag is not None:
-        # with cuts the spectrum is that of the dense H: the grid's top
-        # energy is its mean, pure rounding on a traceless H, and the
-        # golden scans in tests/data hold it to the dense matrix's rounding
-        ev = np.linalg.eigvalsh(_operator_matrix(h))
     dtype = real_dtype_of([hb for hb, _ in blocks]
                           + [wb for _, wbs in blocks for wb in wbs
                              if wb is not None])
     if cs.map_slots:
+        dim = sum(hb.shape[0] for hb, _ in blocks)
         layout, x_layouts, pt = _cut_layouts(mag, cs.map_slots,
-                                             _local_dims(h, ev.size), dtype)
+                                             _local_dims(h, dim), dtype)
     else:
         layout = BlockLayout([hb.shape[0] for hb, _ in blocks], dtype=dtype)
         x_layouts, pt = [], []
@@ -303,12 +287,21 @@ def _prepared(h, cs: ConstraintSet, path, fallback, h_blocks, w_blocks,
                 layout.pack([np.zeros_like(hb) if wbs[i] is None else wbs[i]
                              for hb, wbs in blocks])
                 for i in range(n_wit)]
-    problem = DualProblem(blocks, kept, free, np.sort(ev), layout,
+    problem = DualProblem(kept, layout.block_order(kept), free, layout,
                           layout.pack([hb for hb, _ in blocks]), w_packed,
                           x_layouts, pt, n_wit, path, fallback)
-    if witness_path:
-        w_diag = np.concatenate([np.zeros(free.size)] + w_diags)
-        problem.envelope = _Envelope(problem, ev, w_diag)
+    if cs.map_slots:
+        # with cuts the spectrum is that of the dense H: the grid's top
+        # energy is its mean, pure rounding on a traceless H, and the
+        # golden scans in tests/data hold it to the dense matrix's rounding
+        ev = np.linalg.eigvalsh(_operator_matrix(h))
+    elif n_wit <= 1:
+        problem.envelope = _Envelope(problem)
+        ev = problem.envelope.energies
+    else:
+        ev = np.concatenate([free, layout.eigvalsh(problem.h_packed)
+                             [problem.order]])
+    problem.spectrum = np.sort(ev)
     return problem
 
 
@@ -375,10 +368,8 @@ class _BlockObjective:
         self._last = None    # (point, full point scalars) of value_grad
         p = problem
         self.size = p.n_wit + sum(xl.width for xl in p.x_layouts)
-        mult = np.asarray(p.mult)
         self.counts = None if all(m == 1 for m in p.mult) else np.concatenate(
-            [np.ones(p.free.size, int)]
-            + [np.repeat(mult[ids], b) for b, ids in p.layout.groups])
+            [np.ones(p.free.size, int), np.bincount(p.order)])
 
     def _checked(self, vec, size=None):
         size = self.size if size is None else size
@@ -528,10 +519,10 @@ def _unpack_xs(vec: np.ndarray, off: int, x_layouts) -> list:
 # gradient norm by about eps ||x|| per block entry; far more than that,
 # this multiple of 1 + ||x|| is its margin over tol
 _SPG_GATE_MARGIN = 1e-10
+_SPG_MEMORY = 10  # past values the nonmonotone line search compares with
 
 
-def _spg(obj: _BlockObjective, x0, opts: SolverOptions, memory=10,
-         decides=None):
+def _spg(obj: _BlockObjective, x0, opts: SolverOptions, decides=None):
     """Spectral projected gradient (Barzilai-Borwein steps, nonmonotone
     Armijo line search; Birgin, Martinez & Raydan, SIAM J. Optim. 10, 1196
     (2000)) for a dual objective over its feasible set.
@@ -596,7 +587,7 @@ def _spg(obj: _BlockObjective, x0, opts: SolverOptions, memory=10,
                 termination = "line_search"
                 break
         lam = 1.0
-        fmax = max(hist[-memory:])
+        fmax = max(hist[-_SPG_MEMORY:])
         while True:
             xn = x + lam * d
             fn, gn = fun_grad(xn)
@@ -666,35 +657,32 @@ class _Envelope:
     and (mu, nu) = (-1, s) is a Farkas certificate; the largest such E,
     E_min,W = max_s lam_min(H - sW), is a concave maximization solved once.
     Spectra are cached by s: a cached s bounds every energy.
+    `stacks` holds views of the packed H and W, and the block ids, per
+    stack of the problem's layout; spectra are gathered by its `order`.
     """
 
-    def __init__(self, problem: DualProblem, energies, w_diag):
-        self.problem = problem
-        self.energies = energies  # spec(H) in the layout of `spectrum(s)`
-        self.w_diag = w_diag      # <i|W|i> in the eigenbasis of H
+    def __init__(self, problem: DualProblem):
+        p, layout = problem, problem.layout
+        self.problem = p
         self.spectra = {}
         self.passes = 0
         self.s_last = None        # the last interior optimum
         self.move = np.inf        # how far the last search moved from there
         self._edge = None         # (lam_min(H - s_W W), s_W)
-        # the witness blocks in stacks of one size and type, each
-        # diagonalized in one call; `order` gathers the stacks' eigenvalues
-        # back into block order, each block as often as it counts
-        blocks = [(hb, wbs[0]) for hb, wbs in problem.blocks if wbs]
-        groups = {}
-        for i, (hb, wb) in enumerate(blocks):
-            groups.setdefault((hb.shape[0], np.result_type(hb, wb)),
-                              []).append(i)
-        self.stacks, at, off = [], {}, 0
-        for (b, _), ids in groups.items():
-            self.stacks.append((np.array([blocks[i][0] for i in ids]),
-                                np.array([blocks[i][1] for i in ids]), ids))
-            for i in ids:
-                at[i] = np.arange(off, off + b)
-                off += b
-        self.order = np.concatenate(
-            [np.zeros(0, int)] + [at[i] for i, m in enumerate(problem.mult)
-                                  for _ in range(m)])
+        w_stacks = layout.stacks(p.w_packed[0]) if layout.groups else []
+        self.stacks = [(hs, ws, ids) for hs, ws, (_, ids) in
+                       zip(layout.stacks(p.h_packed), w_stacks,
+                           layout.groups)]
+        # spec(H) and <i|W|i> in its eigenbasis, in the order of
+        # `spectrum(s)`; one stack's eigenvectors are held at a time
+        ev, w_diag = [np.zeros(0)], [np.zeros(0)]
+        for hs, ws, _ in self.stacks:
+            e, v = stacked_eigh(hs)
+            ev.append(e.ravel())
+            w_diag.append((v.conj() * (ws @ v)).sum(axis=1).real.ravel())
+        self.energies = np.concatenate([p.free, np.concatenate(ev)[p.order]])
+        self.w_diag = np.concatenate([np.zeros(p.free.size),
+                                      np.concatenate(w_diag)[p.order]])
 
     def spectrum(self, s: float) -> np.ndarray:
         """spec(H - sW), each eigenvalue as often as it occurs."""
@@ -705,7 +693,7 @@ class _Envelope:
             vals = np.concatenate([np.zeros(0)] + [
                 np.linalg.eigvalsh(hs - s * ws).ravel()
                 for hs, ws, _ in self.stacks])
-            w = np.concatenate([self.problem.free, vals[self.order]])
+            w = np.concatenate([self.problem.free, vals[self.problem.order]])
             if len(self.spectra) >= _SPECTRA_KEPT:
                 del self.spectra[next(iter(self.spectra))]
             self.spectra[s] = w
@@ -811,10 +799,10 @@ class _Envelope:
         From the last optimum, Newton's method on the central-difference
         slope of the bound, then the secant method on that slope; a step
         that leaves the bracket of s* which the slopes' signs give doubles
-        s or bisects the bracket instead.  Returns (s, evaluations, whether
-        the iteration cap stopped it); where a Farkas certificate turned
-        up, s is that point.  Raises `_Decided` at the first bound that
-        makes `decides` true."""
+        s or bisects the bracket instead.  Returns (s, bound(s),
+        evaluations, whether the iteration cap stopped it); where a Farkas
+        certificate turned up, s is that point.  Raises `_Decided` at the
+        first bound that makes `decides` true."""
         seen = {}
 
         def f(s):
@@ -836,7 +824,8 @@ class _Envelope:
         for _ in range(opts.max_iter):
             fm, fp = f(c - h), f(c + h)
             if min(fm, fp) == -np.inf:
-                return min(seen, key=seen.get), len(seen), False
+                s = min(seen, key=seen.get)
+                return s, seen[s], len(seen), False
             d = (fp - fm) / (2.0 * h)
             if d < 0.0:
                 lo = c
@@ -849,16 +838,16 @@ class _Envelope:
                 dd = d - prev[1]
                 step = -d * (c - prev[0]) / dd if dd != 0.0 else np.nan
             if abs(step) <= (h if h <= floor else _S_XTOL * c):
-                f(c + step)
                 self.move = abs(c + step - start)
-                return c + step, len(seen), False
+                return c + step, f(c + step), len(seen), False
             c_new = c + step
             if not lo < c_new < hi:
                 c_new = 2.0 * c if hi == np.inf else 0.5 * (lo + hi)
             prev = c, d
             h, floor = span(c_new, 0.1 * abs(c_new - c))
             c = c_new
-        return min(seen, key=seen.get), len(seen), True
+        s = min(seen, key=seen.get)
+        return s, seen[s], len(seen), True
 
     def _cached_verdict(self, e: float, linear: bool, decides):
         """(s, bound(s)) for a cached s whose bound makes `decides` true,
@@ -924,25 +913,23 @@ class _Envelope:
             found = self._cached_verdict(e, linear, decides)
         if found is None:
             try:
-                s, iterations, capped = self._search(e, linear, opts,
-                                                     decides)
+                s, value, iterations, capped = self._search(e, linear, opts,
+                                                            decides)
             except _Decided as stop:
                 *found, iterations = stop.args
         if found is not None:
             s, value = found
-            if value == -np.inf:
-                return self._farkas(k, s, iterations, passes)
-            return value, self.point(s, e, linear), SolveInfo(
-                False, iterations, np.nan, False, self.passes - passes,
-                "decided")
-        if self.certifies(e, s):
+        if value == -np.inf:  # bound(s) is -inf where (-1, s) certifies
             return self._farkas(k, s, iterations, passes)
         vec = self.point(s, e, linear)
+        if found is not None:
+            return value, vec, SolveInfo(False, iterations, np.nan, False,
+                                         self.passes - passes, "decided")
         self.s_last = s
         if decides is not None:
             # a step that did not decide reads only the value: skip the
             # closing evaluation and its eigh of every witness block
-            return self.bound(s, e, linear), vec, SolveInfo(
+            return value, vec, SolveInfo(
                 not capped, iterations, np.nan, False, self.passes - passes,
                 "max_iter" if capped else "converged")
         f, g = obj.dual_value_grad(vec)
@@ -1147,6 +1134,7 @@ class PPTResult:
 ANDERSON_MEMORY = 10     # iterates (and their images) the extrapolation mixes
 ANDERSON_REG = 1e-10     # Tikhonov weight, relative to the Gram trace
 PPT_CHECK_EVERY = 10     # sweeps between certificates
+PPT_PRIMAL_TOL = 1e-9    # a primal residual below it brings the next check
 
 
 def _simplex_project(w: np.ndarray) -> np.ndarray:
@@ -1204,8 +1192,8 @@ class _Anderson:
         return (g - gamma @ dg).view(self.dtype)
 
 
-def ppt_energy_min(h, cuts, sigma: float = None, tol: float = 1e-9,
-                   cert_tol: float = 1e-5, max_iter: int = 20000) -> PPTResult:
+def ppt_energy_min(h, cuts, cert_tol: float = 1e-5,
+                   max_iter: int = 20000) -> PPTResult:
     """min tr(rho H) over states PSD under partial transposition on every
     cut, by consensus ADMM (alternating projections onto the density and
     PT-PSD sets) with safeguarded Anderson acceleration, bracketed to
@@ -1243,8 +1231,7 @@ def ppt_energy_min(h, cuts, sigma: float = None, tol: float = 1e-9,
     hp = lay.pack(h_blocks)
     h_mean = float(hp[lay.diagonal].real.sum()) / d
     n_c = len(cuts)
-    scale = max(np.abs(hp).max(), 1.0)
-    sigma = sigma if sigma is not None else float(scale)
+    sigma = float(max(np.abs(hp).max(), 1.0))  # the ADMM penalty
     sizes = [lay.size] + [xl.size for xl in x_layouts]
     edges = np.cumsum(sizes * 2)[:-1]
 
@@ -1298,7 +1285,7 @@ def ppt_energy_min(h, cuts, sigma: float = None, tol: float = 1e-9,
     mix.push(x, g)
     best, it, rejected, check_at = None, 1, 0, PPT_CHECK_EVERY
     while True:
-        if it >= check_at or r_prim < tol or it >= max_iter:
+        if it >= check_at or r_prim < PPT_PRIMAL_TOL or it >= max_iter:
             check_at = it + PPT_CHECK_EVERY
             res = bracket(g)
             if best is None or res.residual < best.residual:
@@ -1327,8 +1314,7 @@ def ppt_energy_min(h, cuts, sigma: float = None, tol: float = 1e-9,
 # ---------------------------------------------------------------------------
 # diagonal (ground-state witness) dual
 
-def diagonal_dual(spectrum, alpha: float, ground_count: int, e: float,
-                  tol: float = 1e-9):
+def diagonal_dual(spectrum, alpha: float, ground_count: int, e: float):
     """Minimize ln sum_i exp(mu E_i + nu (alpha - delta_i)) - mu E over
     mu real, nu >= 0, where delta_i = 1 on the first `ground_count`
     entries of the ascending spectrum.  Returns (s_upper, mu*, nu*).
@@ -1349,17 +1335,10 @@ def diagonal_dual(spectrum, alpha: float, ground_count: int, e: float,
     problem = _prepared(None, cs, "diagonal", None, list(w.reshape(-1, 1, 1)),
                         [list((alpha - delta).reshape(-1, 1, 1))],
                         [1] * w.size, None)
-    val, (mu, nu), _ = minimize_dual(None, cs, e, SolverOptions(tol=tol),
+    val, (mu, nu), _ = minimize_dual(None, cs, e,
+                                     SolverOptions(tol=DIAGONAL_TOL),
                                      problem=problem)
     return float(val), float(mu), float(nu)
-
-
-def theorem3_check(alpha: float, beta: float, spectrum) -> bool:
-    """True when ln(alpha) < -beta*E0 - lnZ, i.e. the ground-state
-    witness detects the Gibbs state at inverse temperature beta."""
-    w = np.asarray(spectrum, dtype=float)
-    lnz = gibbs_at(w, beta)[0]
-    return bool(np.log(alpha) < -beta * w.min() - lnz)
 
 
 # ---------------------------------------------------------------------------

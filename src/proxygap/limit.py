@@ -34,6 +34,7 @@ DISPERSION_FACTOR = 1.0
 
 QUAD_ABS_TOL = 1e-10
 QUAD_MAX_INTERVALS = 400  # per integral; more raises
+T_MAX_BISECT_ITERS = 60  # cap on the bisection of each T_max
 
 CALIBRATION_PROBES = ((1.0, 0.0, 1.0), (1.0, 1.0, 1.0), (0.5, 0.5, 2.0),
                       (0.0, 1.0, 1.0), (1.0, 2.0, 0.5))
@@ -347,8 +348,7 @@ def theorem3_expression(r: float, h: float, beta: float,
             - xy_lnz_density(r, h, beta))
 
 
-def theorem3_region(r: float, h_grid, t_grid,
-                    bisect_iters: int = 60) -> Theorem3Region:
+def theorem3_region(r: float, h_grid, t_grid) -> Theorem3Region:
     """Grid of the detection expression over (h, T) and the maximal
     detection temperature per field value."""
     h_grid = np.asarray(h_grid, dtype=float)
@@ -375,7 +375,7 @@ def theorem3_region(r: float, h_grid, t_grid,
                 t_max[i] = t_grid[-1]
             else:
                 lo, hi = t_grid[last], t_grid[last + 1]
-                for _ in range(bisect_iters):
+                for _ in range(T_MAX_BISECT_ITERS):
                     mid = 0.5 * (lo + hi)
                     if f(mid) > 0:
                         lo = mid

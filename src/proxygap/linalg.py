@@ -249,14 +249,16 @@ class BlockLayout:
     `dtype`, float64 for real symmetric blocks and complex128 for Hermitian
     ones.  Each `eigh` then runs once per size, on the whole stack.
 
-    `sizes` are the block dimensions and `index[i]` the basis indices of
-    block i, where the blocks are sets of basis states (one block holds
-    them all); `index` is None where they are not (momentum blocks).
-    `size` counts the packed entries and `width` the real numbers that
-    hold them, twice as many where they are complex."""
+    `sizes` are the block dimensions, in block order, and `index[i]` the
+    basis indices of block i, where the blocks are sets of basis states
+    (one block holds them all); `index` is None where they are not
+    (momentum blocks).  `groups` lists (size, block ids) per stack, the
+    one grouping of blocks by size.  `size` counts the packed entries and
+    `width` the real numbers that hold them, twice as many where they are
+    complex."""
 
     def __init__(self, sizes, index=None, dtype=complex):
-        sizes = [int(b) for b in sizes]
+        self.sizes = sizes = [int(b) for b in sizes]
         self.dim = sum(sizes)
         if index is None and len(sizes) == 1:
             index = [np.arange(self.dim)]
@@ -291,6 +293,17 @@ class BlockLayout:
             out.append(packed[off:off + n].reshape(len(ids), b, b))
             off += n
         return out
+
+    def block_order(self, mult) -> np.ndarray:
+        """The positions in `eigh`'s eigenvalues of each block's, block by
+        block in block order, block i repeated mult[i] times."""
+        at, off = {}, 0
+        for b, ids in self.groups:
+            for i in ids:
+                at[i] = np.arange(off, off + b)
+                off += b
+        return _joined((at[i] for i, m in enumerate(mult) for _ in range(m)),
+                       int)
 
     def pack(self, blocks) -> np.ndarray:
         """The packed vector of the block matrices, given in block order;

@@ -86,8 +86,11 @@ def _brentq(f, xa: float, xb: float, xtol: float, rtol: float,
     raise RuntimeError(f"root finder did not converge in {maxiter} steps")
 
 
-def beta_from_energy(spectrum, e: float, tol: float = 1e-12,
-                     beta_max: float = 1e6) -> float:
+BETA_TOL = 1e-12  # Brent's xtol on beta, times max(1, 1 / spread)
+BETA_MAX = 1e6   # the cap of an inverse temperature
+
+
+def beta_from_energy(spectrum, e: float) -> float:
     """Invert E(beta) = e on the beta >= 0 branch: Brent's method on
     [0, hi], hi the first of 1, 4, 16, ... where E(hi) <= e."""
     w = np.asarray(spectrum, dtype=float)
@@ -104,9 +107,9 @@ def beta_from_energy(spectrum, e: float, tol: float = 1e-12,
     hi = 1.0
     while f(hi) > 0:
         hi *= 4.0
-        if hi > beta_max:
-            return beta_max
-    return float(_brentq(f, 0.0, hi, tol * max(1.0, 1.0 / spread),
+        if hi > BETA_MAX:
+            return BETA_MAX
+    return float(_brentq(f, 0.0, hi, BETA_TOL * max(1.0, 1.0 / spread),
                          4 * np.finfo(float).eps, 200))
 
 
@@ -114,8 +117,8 @@ def gibbs_newton(x: np.ndarray, t: float, beta: float = 0.0, counts=None):
     """The Gibbs state at mean energy t of the spectrum x >= 0, min x = 0,
     eigenvalue i counted counts[i] times (once where counts is None):
     (beta, ln Z, q) with Z = sum_i c_i exp(-beta x_i), q_i = c_i
-    exp(-beta x_i) / Z.  beta = 0 where t >= the mean, 1e6 (the cap of
-    `beta_from_energy`) where t <= 0.  In between, Newton's method on
+    exp(-beta x_i) / Z.  beta = 0 where t >= the mean, BETA_MAX (the cap
+    of `beta_from_energy`) where t <= 0.  In between, Newton's method on
     ln E(beta) = ln t, whose slope is -Var / E, from `beta` (the last
     solve's, close by where the spectrum moved a little); a step that
     leaves the bracket which the signs give bisects it.  Near the root the
@@ -125,7 +128,7 @@ def gibbs_newton(x: np.ndarray, t: float, beta: float = 0.0, counts=None):
     if t >= (x.mean() if counts is None else (c @ x) / c.sum()):
         beta = 0.0
     elif t <= 0.0:
-        beta = 1e6
+        beta = BETA_MAX
     else:
         lo, hi = 0.0, np.inf
         for _ in range(100):

@@ -9,8 +9,8 @@ from proxygap.dual import (GAP_TOLERANCE, GAP_TOLERANCE_LINEAR, GridOptions,
                            SolverOptions, bell_gap_bound, diagonal_dual,
                            gap_energy_scan, gap_lower_bound,
                            lin_dual_minimize, minimize_dual, ppt_energy_min,
-                           prepare_dual, theorem3_check)
-from proxygap.linalg import (Bipartition, HermitianOperator,
+                           prepare_dual)
+from proxygap.linalg import (Bipartition, CooMatrix, HermitianOperator,
                              partial_transpose_matrix)
 from proxygap.models import (HeisenbergParams, XYParams, bell_staircase,
                              energy_extremes, heisenberg_chain,
@@ -20,7 +20,7 @@ from proxygap.thermo import (beta_from_energy, energy_range, gibbs_at,
                              linear_entropy_max, linear_entropy_max_weights)
 from proxygap.witness import (ALL, ConstraintSet, all_bipartitions,
                               dicke_witness, even_odd_bipartition,
-                              projector_witness)
+                              Witness, projector_witness)
 
 
 def _random_constraints(rng, n):
@@ -86,7 +86,7 @@ def test_gradients_match_finite_differences(rng):
             cs = ConstraintSet(map_slots=(even_odd_bipartition(4),))
         problem = prepare_dual(h, cs)
         if case == 1:
-            assert problem.free.size or len(problem.blocks) > 1
+            assert problem.free.size or len(problem.block_sizes) > 1
         if case == 2:
             assert problem.path == "sector"
             assert [xl.dtype for xl in problem.x_layouts] == [np.float64]
@@ -225,12 +225,12 @@ def test_block_path_matches_dense_path(rng, monkeypatch):
     h = heisenberg_chain(HeisenbergParams(4, 2, 2, 1, -0.5))
     cs = ConstraintSet((dicke_witness(4, 2),))
     e = -6.0
-    assert len(prepare_dual(h, cs).blocks) > 1
+    assert len(prepare_dual(h, cs).block_sizes) > 1
     val_block, _, info_b = minimize_dual(h, cs, e)
     # no split: the dense H is the one block
     monkeypatch.setattr(dual_mod, "_blocks_for",
                         lambda h, cs: dual_mod._dense_blocks(h, cs, None))
-    assert len(prepare_dual(h, cs).blocks) == 1
+    assert len(prepare_dual(h, cs).block_sizes) == 1
     val_dense, _, info_d = minimize_dual(h, cs, e)
     assert abs(val_block - val_dense) < 1e-5
 
@@ -368,7 +368,7 @@ def test_xy_ring_with_a_cut_is_one_block():
     problem = prepare_dual(xy_chain(XYParams(n, 0.5, 0.3)), cs)
     assert (problem.path, problem.fallback) == (
         "dense", "does not conserve magnetization")
-    assert [hb.shape for hb, _ in problem.blocks] == [(16, 16)]
+    assert problem.block_sizes == [(16, 1)]
     assert [xl.size for xl in problem.x_layouts] == [16 * 16]
 
 
@@ -402,7 +402,7 @@ def test_split_falls_back_only_where_magnetization_is_not_conserved(
     n = 4
     cs = ConstraintSet((dicke_witness(n, 2),))
     problem = prepare_dual(xy_chain(XYParams(n, 0.5, 0.3)), cs)
-    assert problem.path == "dense" and len(problem.blocks) == 1
+    assert problem.path == "dense" and len(problem.block_sizes) == 1
     assert problem.fallback == "does not conserve magnetization"
     # any other fault in the split is raised, not taken for "no split"
     def broken(*args, **kwargs):
@@ -419,16 +419,16 @@ def test_prepare_dual_records_its_path():
 
     dicke11 = prepare_dual(xxz(11), ConstraintSet((dicke_witness(11, 5),)))
     assert (dicke11.path, dicke11.fallback) == ("momentum", None)
-    assert len(dicke11.blocks) + dicke11.free.size > 11
+    assert len(dicke11.block_sizes) + dicke11.free.size > 11
     # N=4 has states like 0101 with translation period 2
     ring4 = prepare_dual(xxz(4), ConstraintSet((dicke_witness(4, 2),)))
     assert (ring4.path, ring4.fallback) == (
         "sector", "translation orbit with partial period")
-    assert sorted(hb.shape[0] for hb, _ in ring4.blocks) == [4, 4, 6]
+    assert sorted(b for b, _ in ring4.block_sizes) == [4, 4, 6]
     ppt = prepare_dual(xxz(4), ConstraintSet(
         (dicke_witness(4, 2),), (even_odd_bipartition(4),)))
     assert (ppt.path, ppt.fallback) == ("sector", "PPT cuts")
-    assert [hb.shape[0] for hb, _ in ppt.blocks] == [1, 4, 6, 4, 1]
+    assert [b for b, _ in ppt.block_sizes] == [1, 4, 6, 4, 1]
 
 
 @pytest.mark.parametrize("n", [5, 7])
@@ -438,13 +438,12 @@ def test_sparse_and_dense_operators_prepare_the_same_problem(n):
     a = prepare_dual(h, cs)
     b = prepare_dual(HermitianOperator(h.entries, h.local_dims), cs)
     assert a.path == b.path == "momentum"
-    assert len(a.blocks) == len(b.blocks)
-    for (ha, wa), (hb, wb) in zip(a.blocks, b.blocks):
-        np.testing.assert_array_equal(ha, hb)
-        for x, y in zip(wa, wb):
-            assert (x is None) == (y is None)
-            if x is not None:
-                np.testing.assert_array_equal(x, y)
+    assert a.block_sizes == b.block_sizes
+    np.testing.assert_array_equal(a.h_packed, b.h_packed)
+    for x, y in zip(a.w_packed, b.w_packed, strict=True):
+        assert (x is None) == (y is None)
+        if x is not None:
+            np.testing.assert_array_equal(x, y)
     np.testing.assert_array_equal(a.free, b.free)
     np.testing.assert_array_equal(a.spectrum, b.spectrum)
 
@@ -576,10 +575,9 @@ def test_conjugate_pairs_match_the_unpaired_problem(monkeypatch, rng):
     monkeypatch.setattr(dual_mod, "momentum_sector_split", unpaired_split)
     unpaired = prepare_dual(h, cs)
     assert set(unpaired.mult) == {1}
-    assert sum(m * hb.shape[0] for (hb, _), m in
-               zip(paired.blocks, paired.mult)) == \
-        sum(hb.shape[0] for hb, _ in unpaired.blocks)
-    assert len(paired.blocks) < len(unpaired.blocks)
+    assert sum(b * m for b, m in paired.block_sizes) == \
+        sum(b for b, _ in unpaired.block_sizes)
+    assert len(paired.block_sizes) < len(unpaired.block_sizes)
     np.testing.assert_allclose(paired.spectrum, unpaired.spectrum,
                                rtol=0, atol=1e-12 * 50)
     np.testing.assert_allclose(np.sort(paired.free), np.sort(unpaired.free),
@@ -599,6 +597,60 @@ def test_conjugate_pairs_match_the_unpaired_problem(monkeypatch, rng):
                                               linear).dual_value_grad(vec)
             assert abs(va - vb) <= 1e-12 * max(1.0, abs(va))
             np.testing.assert_allclose(ga, gb, rtol=1e-12, atol=1e-12)
+
+
+def _packed_once_case(path):
+    """Momentum blocks with conjugate pairs, sector blocks, or the 1 x 1
+    blocks of `diagonal_dual`."""
+    if path == "momentum":
+        return prepare_dual(_xxz(7), ConstraintSet((dicke_witness(7, 3),)))
+    if path == "sector":
+        return prepare_dual(_xxz(4), ConstraintSet((dicke_witness(4, 2),)))
+    w = np.linalg.eigvalsh(_xxz(4).entries)
+    wit = 0.5 - (np.arange(w.size) < 1)
+    i = np.arange(w.size)
+    cs = ConstraintSet((Witness(CooMatrix(i, i, wit, (w.size, w.size))),))
+    return dual_mod._prepared(None, cs, "diagonal", None,
+                              list(w.reshape(-1, 1, 1)),
+                              [list(wit.reshape(-1, 1, 1))], [1] * w.size,
+                              None)
+
+
+def _nested_arrays(value):
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _nested_arrays(item)
+
+
+@pytest.mark.parametrize("path", ["momentum", "sector", "diagonal"])
+def test_witness_blocks_are_packed_once(path):
+    """Each witness-path block lives in the packed H and W alone: the
+    envelope's stacks are views of them, the problem holds no block
+    matrices, and the eigenvalue multiplicities come from its block
+    order."""
+    problem = _packed_once_case(path)
+    assert problem.path == path
+    assert not hasattr(problem, "blocks")
+    for field, value in vars(problem).items():
+        assert all(a.ndim <= 1 for a in _nested_arrays(value)), field
+    env = problem.envelope
+    assert env.stacks
+    for hs, ws, _ in env.stacks:
+        assert np.shares_memory(hs, problem.h_packed)
+        assert np.shares_memory(ws, problem.w_packed[0])
+    assert sum(hs.size + ws.size for hs, ws, _ in env.stacks) == \
+        problem.h_packed.size + problem.w_packed[0].size
+    # each eigenvalue counted as often as the blocks its block stands for
+    mult = np.asarray(problem.mult)
+    want = np.concatenate([np.ones(problem.free.size, int)] + [
+        np.repeat(mult[ids], b) for b, ids in problem.layout.groups])
+    counts = dual_mod._BlockObjective(problem, 0.0).counts
+    np.testing.assert_array_equal(
+        np.ones(want.size, int) if counts is None else counts, want)
+    assert want.sum() == problem.spectrum.size
+    assert (path == "momentum") == (counts is not None)
 
 
 def _witness_only_cases(rng):
@@ -1157,7 +1209,10 @@ def test_theorem3_boundary_transition():
     e = gibbs_at(w, beta)[1]
     for fac, expect_detect in [(1 - 1e-3, True), (1 + 1e-3, False)]:
         alpha = alpha_crit * fac
-        assert theorem3_check(alpha, beta, w) == expect_detect
+        # Theorem 3: the ground-state witness detects the Gibbs state at
+        # beta exactly when ln(alpha) < -beta E0 - ln Z
+        lnz_gibbs = gibbs_at(w, beta)[0]
+        assert (np.log(alpha) < -beta * w.min() - lnz_gibbs) == expect_detect
         s_up, mu, nu = diagonal_dual(w, alpha, 1, e)
         if expect_detect:
             assert nu > 0
