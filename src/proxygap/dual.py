@@ -53,7 +53,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .linalg import (BlockLayout, CooMatrix, HermitianOperator, LinalgError,
-                     as_coo, is_sparse, pt_permutation, real_dtype_of,
+                     as_coo, pt_permutation, real_dtype_of,
                      stacked_eigh)
 from .models import (conserves_magnetization, is_translation_invariant,
                      momentum_sector_split, popcounts, sector_split_sparse)
@@ -125,29 +125,12 @@ class GapScanResult:
     bisect_decided: int  # of them, settled "detected" before the optimum
 
 
-def _operator_matrix(h) -> np.ndarray:
-    if isinstance(h, HermitianOperator):
-        return h.entries
-    if is_sparse(h):
-        return h.toarray()
-    return np.asarray(h)
-
-
-def _local_dims(h, dim: int):
-    if isinstance(h, HermitianOperator):
-        return h.local_dims
-    n = int(round(np.log2(dim)))
-    if 2 ** n == dim:
-        return (2,) * n
-    return (dim,)
-
-
 # ---------------------------------------------------------------------------
 # the dual problem, prepared once per scan
 
 def _dense_blocks(h, cs: ConstraintSet, fallback: str | None):
     """`_blocks_for`'s result where no split applies."""
-    return ("dense", fallback, [_operator_matrix(h)],
+    return ("dense", fallback, [h.entries],
             [[w.to_dense()] for w in cs.witnesses], [1], None)
 
 
@@ -162,14 +145,14 @@ def _blocks_for(h, cs: ConstraintSet):
     finer path was taken, or is None.  magnetization, the excitation count
     of each basis state, is given where the blocks are its sectors and
     there are cuts, else None."""
-    if not (isinstance(h, HermitianOperator) or is_sparse(h)):
-        return _dense_blocks(h, cs, "array input")
-    hs = as_coo(h.sparse if isinstance(h, HermitianOperator) else h)
-    dims = _local_dims(h, hs.shape[0])
+    if not isinstance(h, HermitianOperator):
+        raise TypeError(f"H must be a HermitianOperator, not "
+                        f"{type(h).__name__}")
+    dims = h.local_dims
     if any(d != 2 for d in dims):
         return _dense_blocks(h, cs, "not qubits")
     n = len(dims)
-    ops = [hs] + [as_coo(w.matrix) for w in cs.witnesses]
+    ops = [as_coo(h.sparse)] + [as_coo(w.matrix) for w in cs.witnesses]
     if not all(conserves_magnetization(o, n) for o in ops):
         return _dense_blocks(h, cs, "does not conserve magnetization")
     mag = None
@@ -234,7 +217,7 @@ class DualProblem:
     `diagonal_dual`) and `fallback` why no finer one was, or None.
     `envelope` is the witness path, set when there is at most one witness
     and no cut.  Every layout holds float64 where H and all witness blocks
-    are real, else complex128."""
+    are real, else complex128.  `beta_at(e)` keeps its last result."""
     mult: list
     order: np.ndarray
     free: np.ndarray
@@ -248,10 +231,19 @@ class DualProblem:
     fallback: str | None
     spectrum: np.ndarray = None
     envelope: "_Envelope | None" = None
+    _last_beta: tuple = (np.nan, np.nan)  # (e, beta_at(e))
 
     @property
     def block_sizes(self) -> list:
         return list(zip(self.layout.sizes, self.mult))
+
+    def beta_at(self, e: float) -> float:
+        """The inverse temperature of the Gibbs state of H at energy e.  A
+        scan row asks for it three times (its beta, S_Gibbs and the
+        witness path's Gibbs maximizer), so the last one is kept."""
+        if self._last_beta[0] != e:
+            self._last_beta = (e, beta_from_energy(self.spectrum, e))
+        return self._last_beta[1]
 
 
 def prepare_dual(h, cs: ConstraintSet) -> DualProblem:
@@ -277,9 +269,8 @@ def _prepared(h, cs: ConstraintSet, path, fallback, h_blocks, w_blocks,
                           + [wb for _, wbs in blocks for wb in wbs
                              if wb is not None])
     if cs.map_slots:
-        dim = sum(hb.shape[0] for hb, _ in blocks)
         layout, x_layouts, pt = _cut_layouts(mag, cs.map_slots,
-                                             _local_dims(h, dim), dtype)
+                                             h.local_dims, dtype)
     else:
         layout = BlockLayout([hb.shape[0] for hb, _ in blocks], dtype=dtype)
         x_layouts, pt = [], []
@@ -294,7 +285,7 @@ def _prepared(h, cs: ConstraintSet, path, fallback, h_blocks, w_blocks,
         # with cuts the spectrum is that of the dense H: the grid's top
         # energy is its mean, pure rounding on a traceless H, and the
         # golden scans in tests/data hold it to the dense matrix's rounding
-        ev = np.linalg.eigvalsh(_operator_matrix(h))
+        ev = np.linalg.eigvalsh(h.entries)
     elif n_wit <= 1:
         problem.envelope = _Envelope(problem)
         ev = problem.envelope.energies
@@ -665,6 +656,7 @@ class _Envelope:
         p, layout = problem, problem.layout
         self.problem = p
         self.spectra = {}
+        self.betas = {}           # beta at (s, e), kept through one solve
         self.passes = 0
         self.s_last = None        # the last interior optimum
         self.move = np.inf        # how far the last search moved from there
@@ -769,20 +761,28 @@ class _Envelope:
         if self.certifies(e, s):
             return -np.inf
         w = self.spectrum(s)
-        e_s = min(max(e, float(w.min())), float(w.mean()))
         if linear:
-            return linear_entropy_max(w, e_s)
-        beta = beta_from_energy(w, e_s)
+            return linear_entropy_max(w, min(max(e, float(w.min())),
+                                             float(w.mean())))
+        beta = self._beta(s, e)
         return gibbs_at(w, beta)[0] + beta * e  # the dual at (-beta, beta s)
+
+    def _beta(self, s: float, e: float) -> float:
+        """beta of the Gibbs state of spec(H - sW) at e capped at its mean,
+        solved once per (s, e) in a solve: `point` reads the one `bound`
+        found."""
+        if (s, e) not in self.betas:
+            w = self.spectrum(s)
+            self.betas[s, e] = beta_from_energy(
+                w, min(max(e, float(w.min())), float(w.mean())))
+        return self.betas[s, e]
 
     def point(self, s: float, e: float, linear: bool) -> np.ndarray:
         """The packed dual point (lam,) mu, nu of the bound at s."""
-        w = self.spectrum(s)
         if linear:
-            lam, mu = _linear_multipliers(w, e)
+            lam, mu = _linear_multipliers(self.spectrum(s), e)
             return np.array([lam, mu, -mu * s])
-        beta = beta_from_energy(w, min(max(e, float(w.min())),
-                                       float(w.mean())))
+        beta = self._beta(s, e)
         return np.array([-beta, beta * s])
 
     def _farkas(self, k: int, s: float, iterations: int, passes: int):
@@ -885,6 +885,7 @@ class _Envelope:
         p = self.problem
         obj = _BlockObjective(p, e, linear)
         k, passes = obj.k, self.passes
+        self.betas.clear()
         if p.n_wit and self.certifies(e, self.edge()[1]):
             return self._farkas(k, self.edge()[1], 0, passes)
         # the entropy maximizer for H alone, in H's eigenbasis
@@ -896,7 +897,7 @@ class _Envelope:
             vec = np.array([lam, mu] + [0.0] * p.n_wit)
             grad = [weights.sum() - 1.0, weights @ eps - e]
         else:
-            beta = beta_from_energy(spec, e)
+            beta = p.beta_at(e)
             weights = np.exp(-beta * (eps - eps.min()))
             weights /= weights.sum()
             value = gibbs_at(spec, beta)[2]
@@ -1064,7 +1065,7 @@ def gap_energy_scan(h, cs: ConstraintSet, grid: GridOptions = None,
     def gap_at(e, verdict=False):
         nonlocal init
         s_ref = (linear_entropy_max(spectrum, e) if linear else
-                 gibbs_at(spectrum, beta_from_energy(spectrum, e))[2])
+                 gibbs_at(spectrum, problem.beta_at(e))[2])
         if e_min_w is not None and e < e_min_w:
             return s_ref, -np.inf, SolveInfo(True, 0, np.nan, True, 0,
                                              "certificate")
@@ -1076,7 +1077,7 @@ def gap_energy_scan(h, cs: ConstraintSet, grid: GridOptions = None,
 
     rows = []
     for e in np.linspace(lo, hi, grid.n_points):
-        beta = beta_from_energy(spectrum, e)
+        beta = problem.beta_at(e)
         s_ref, s_dual, info = gap_at(e)
         delta = s_ref - s_dual
         rows.append(ScanRow(float(e), float(beta), s_ref, s_dual, delta,
@@ -1226,7 +1227,7 @@ def ppt_energy_min(h, cuts, cert_tol: float = 1e-5,
         raise ValueError("need at least one cut")
     _, _, h_blocks, _, _, mag = _blocks_for(h, ConstraintSet(map_slots=cuts))
     d = sum(hb.shape[0] for hb in h_blocks)
-    lay, x_layouts, pt = _cut_layouts(mag, cuts, _local_dims(h, d),
+    lay, x_layouts, pt = _cut_layouts(mag, cuts, h.local_dims,
                                       real_dtype_of(h_blocks))
     hp = lay.pack(h_blocks)
     h_mean = float(hp[lay.diagonal].real.sum()) / d

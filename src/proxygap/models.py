@@ -24,6 +24,11 @@ import numpy as np
 from .linalg import (CooMatrix, HermitianOperator, LinalgError,
                      SpectralDecomposition, as_coo, check_dense_size)
 
+# relative tolerance, against the largest entry (or 1), of the symmetry tests
+# and splits: a conserved charge, the ring translation, a real block
+SYMMETRY_TOL = 1e-10
+DEGENERACY_RTOL = 1e-9  # `energy_extremes`' ground-level width, relative
+
 
 @dataclass(frozen=True)
 class HeisenbergParams:
@@ -170,14 +175,15 @@ def popcounts(n: int) -> np.ndarray:
     return counts
 
 
-def conserves_magnetization(op, n: int, tol: float = 1e-10) -> bool:
-    """Whether no entry of the sparse qubit operator beyond tol of its
-    largest (or of 1) links two excitation numbers."""
+def conserves_magnetization(op, n: int) -> bool:
+    """Whether no entry of the sparse qubit operator beyond SYMMETRY_TOL of
+    its largest (or of 1) links two excitation numbers."""
     c = as_coo(op)
     counts = popcounts(n)
     scale = max(np.abs(c.data).max(initial=0.0), 1.0)
     cross = counts[c.row] != counts[c.col]
-    return bool(np.abs(c.data[cross]).max(initial=0.0) <= tol * scale)
+    return bool(np.abs(c.data[cross]).max(initial=0.0)
+                <= SYMMETRY_TOL * scale)
 
 
 def _dense_block(c: CooMatrix, idx: np.ndarray) -> np.ndarray:
@@ -191,10 +197,10 @@ def _dense_block(c: CooMatrix, idx: np.ndarray) -> np.ndarray:
     return block
 
 
-def sector_split_sparse(h, n: int, tol: float = 1e-10) -> SectorBlocks:
+def sector_split_sparse(h, n: int) -> SectorBlocks:
     """Split a sparse qubit operator conserving total sigma_z into dense
     excitation-sector blocks."""
-    if not conserves_magnetization(h, n, tol):
+    if not conserves_magnetization(h, n):
         raise LinalgError("operator does not commute with total sigma_z")
     c = as_coo(h)
     counts = popcounts(n)
@@ -203,7 +209,8 @@ def sector_split_sparse(h, n: int, tol: float = 1e-10) -> SectorBlocks:
     for mm in range(n + 1):
         idx = np.nonzero(counts == mm)[0]
         block = _dense_block(c, idx)
-        if np.iscomplexobj(block) and np.abs(block.imag).max() < tol * scale:
+        if (np.iscomplexobj(block)
+                and np.abs(block.imag).max() < SYMMETRY_TOL * scale):
             block = block.real.copy()
         sectors.append(Sector(n - 2 * mm, idx, block))
     return SectorBlocks(n, tuple(sectors))
@@ -215,7 +222,7 @@ def translation_table(n: int) -> np.ndarray:
     return (idx >> 1) | ((idx & 1) << (n - 1))
 
 
-def is_translation_invariant(h, n: int, tol: float = 1e-10) -> bool:
+def is_translation_invariant(h, n: int) -> bool:
     """Whether the sparse operator commutes with the ring translation."""
     perm = translation_table(n)
     c = as_coo(h)
@@ -223,10 +230,11 @@ def is_translation_invariant(h, n: int, tol: float = 1e-10) -> bool:
     diff = CooMatrix(np.r_[perm[c.row], c.row], np.r_[perm[c.col], c.col],
                      np.r_[c.data, -c.data], c.shape)
     scale = max(np.abs(c.data).max(initial=0.0), 1.0)
-    return bool(np.abs(diff.data).max(initial=0.0) <= tol * scale)
+    return bool(np.abs(diff.data).max(initial=0.0)
+                <= SYMMETRY_TOL * scale)
 
 
-def momentum_sector_split(ops, n: int, tol: float = 1e-10):
+def momentum_sector_split(ops, n: int):
     """Joint magnetization + momentum block decomposition of commuting
     translation-invariant qubit operators.
 
@@ -253,7 +261,7 @@ def momentum_sector_split(ops, n: int, tol: float = 1e-10):
     counts = popcounts(n)
     omega = np.exp(2j * np.pi / n)
     coos = [as_coo(o) for o in ops]
-    if not all(conserves_magnetization(c, n, tol) for c in coos):
+    if not all(conserves_magnetization(c, n) for c in coos):
         raise LinalgError("operator does not commute with total sigma_z")
     op_scale = max(max(np.abs(c.data).max(initial=0.0) for c in coos), 1.0)
     real = all(not np.iscomplexobj(c.data) or not c.data.imag.any()
@@ -294,7 +302,7 @@ def momentum_sector_split(ops, n: int, tol: float = 1e-10):
             for (rows, colpos, shifts, amps) in per_op:
                 b = np.zeros((r_dim, r_dim), dtype=complex)
                 np.add.at(b, (rows, colpos), amps * omega ** (shifts * k))
-                if np.abs(b - b.conj().T).max() > tol * op_scale:
+                if np.abs(b - b.conj().T).max() > SYMMETRY_TOL * op_scale:
                     raise LinalgError("momentum block not Hermitian")
                 kblocks.append((b + b.conj().T) / 2)
             blocks.append(tuple(kblocks))
@@ -302,10 +310,11 @@ def momentum_sector_split(ops, n: int, tol: float = 1e-10):
     return blocks, mult
 
 
-def energy_extremes(h, degeneracy_rtol: float = 1e-9):
-    """Return (E0, ground vectors as columns, E_max)."""
+def energy_extremes(h):
+    """Return (E0, ground vectors as columns, E_max); the ground space
+    spans every level within DEGENERACY_RTOL * max(|E|, 1) of E0."""
     m = h.entries if isinstance(h, HermitianOperator) else np.asarray(h)
     w, v = np.linalg.eigh(m)
     scale = max(np.abs(w).max(), 1.0)
-    n_ground = int(np.sum(w <= w[0] + degeneracy_rtol * scale))
+    n_ground = int(np.sum(w <= w[0] + DEGENERACY_RTOL * scale))
     return w[0], v[:, :n_ground], w[-1]

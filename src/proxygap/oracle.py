@@ -18,6 +18,8 @@ MAX_ORACLE_QUBITS = 6
 
 _CONVERGE_TOL = 1e-12
 _SWEEP_LIMIT = 500
+_PROJECT_ITERS = 100  # dual Newton steps of `_project_simplex_hyperplane`
+_ASCENT_ITERS = 500   # gradient steps of `max_entropy_separable_lower`
 
 
 @dataclass
@@ -111,14 +113,14 @@ def min_energy_product(h, restarts: int = 200,
     return best_e, ProductStateSample(angles)
 
 
-def _project_simplex_hyperplane(q: np.ndarray, es: np.ndarray, e: float,
-                                iters: int = 100) -> np.ndarray:
+def _project_simplex_hyperplane(q: np.ndarray, es: np.ndarray,
+                                e: float) -> np.ndarray:
     """Euclidean projection onto {p >= 0, sum p = 1, p . es = e}.
 
     Dual Newton on the two multipliers of p = (q - a - b*es)_+.
     """
     a, b = 0.0, 0.0
-    for _ in range(iters):
+    for _ in range(_PROJECT_ITERS):
         p = q - a - b * es
         act = p > 0
         if not act.any():
@@ -143,7 +145,7 @@ def _project_simplex_hyperplane(q: np.ndarray, es: np.ndarray, e: float,
 
 
 def max_entropy_separable_lower(h, e: float, ensemble_size: int = 64,
-                                seed: int = 0, iters: int = 500) -> float:
+                                seed: int = 0) -> float:
     """Heuristic lower bound on the maximal separable entropy at energy e.
 
     Builds a dictionary of locally-optimized product states (random
@@ -193,7 +195,7 @@ def max_entropy_separable_lower(h, e: float, ensemble_size: int = 64,
                                     es, e)
     s, g = entropy_grad(p)
     step = 1.0
-    for _ in range(iters):
+    for _ in range(_ASCENT_ITERS):
         pn = _project_simplex_hyperplane(p + step * g, es, e)
         sn, gn = entropy_grad(pn)
         if sn >= s:

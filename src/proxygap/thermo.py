@@ -201,10 +201,8 @@ def linear_entropy_max(h, e: float) -> float:
     return float(1.0 - (p ** 2).sum())
 
 
-def linear_entropy_max_weights(h, e: float) -> np.ndarray:
-    """Optimal eigenvalue weights of the impurity maximizer."""
-    if isinstance(h, HermitianOperator):
-        w = np.linalg.eigvalsh(h.entries)
-    else:
-        w = np.sort(np.asarray(h, dtype=float))
+def linear_entropy_max_weights(spectrum, e: float) -> np.ndarray:
+    """Optimal eigenvalue weights of the impurity maximizer, in the order
+    of the sorted spectrum."""
+    w = np.sort(np.asarray(spectrum, dtype=float))
     return _linear_entropy_weights(w, float(e))[0]

@@ -113,6 +113,26 @@ def test_gap_scan_summary_records_the_witness_path(tmp_path):
     assert summary["rows_infeasible"] == sum(below) > 0
 
 
+def test_gap_scan_ground_projector_witness_is_a_certificate(tmp_path):
+    # the 4-site Ising ring's ground space holds the product state |++++>,
+    # so its projector witness must allow the ground energy: no row is
+    # infeasible and none is detected
+    cfg = {"model": {"type": "xy", "n": 4, "r": 1, "h": 0},
+           "constraints": {"witnesses": [{"type": "ground-projector"}]},
+           "grid": {"n_points": 6}}
+    cfg_path = _write_config(tmp_path, "cfg.json", cfg)
+    out = tmp_path / "run"
+    assert main(["--out", str(out), "gap-scan", "--config", cfg_path]) == \
+        EXIT_OK
+    with open(out / "gap_scan.csv") as f:
+        rows = list(csv.DictReader(f))
+    summary = json.loads((out / "gap_scan_summary.json").read_text())
+    _assert_rows_consistent(rows, summary["gap_tolerance"])
+    assert summary["rows_infeasible"] == 0
+    assert not any(int(r["detected"]) for r in rows)
+    assert summary["e_min_w"] <= summary["e0"]
+
+
 def test_gap_scan_locates_a_lower_edge_above_the_first_row(tmp_path):
     # the easy-axis ferromagnet's low-T mixture of |0000> and |1111> is
     # separable; the window over all cuts opens above the first grid row

@@ -221,18 +221,23 @@ def test_dual_is_upper_bound_in_detection_window():
     assert gap > 0.1  # deep inside the detection window
 
 
-def test_block_path_matches_dense_path(rng, monkeypatch):
-    h = heisenberg_chain(HeisenbergParams(4, 2, 2, 1, -0.5))
-    cs = ConstraintSet((dicke_witness(4, 2),))
-    e = -6.0
-    assert len(prepare_dual(h, cs).block_sizes) > 1
-    val_block, _, info_b = minimize_dual(h, cs, e)
-    # no split: the dense H is the one block
-    monkeypatch.setattr(dual_mod, "_blocks_for",
-                        lambda h, cs: dual_mod._dense_blocks(h, cs, None))
-    assert len(prepare_dual(h, cs).block_sizes) == 1
-    val_dense, _, info_d = minimize_dual(h, cs, e)
-    assert abs(val_block - val_dense) < 1e-5
+def test_block_path_matches_dense_path(monkeypatch):
+    # the ring takes the sector path with partial translation periods, the
+    # open chain with no translation invariance
+    for params, e in ((HeisenbergParams(4, 2, 2, 1, -0.5), -6.0),
+                      (HeisenbergParams(5, 5, 5, 1, -1, periodic=False),
+                       -24.0)):
+        h = heisenberg_chain(params)
+        cs = ConstraintSet((dicke_witness(params.n, 2),))
+        assert len(prepare_dual(h, cs).block_sizes) > 1
+        val_block, _, info_b = minimize_dual(h, cs, e)
+        # no split: the dense H is the one block
+        with monkeypatch.context() as patch:
+            patch.setattr(dual_mod, "_blocks_for",
+                          lambda h, cs: dual_mod._dense_blocks(h, cs, None))
+            assert len(prepare_dual(h, cs).block_sizes) == 1
+            val_dense, _, info_d = minimize_dual(h, cs, e)
+        assert abs(val_block - val_dense) < 1e-5
 
 
 def test_block_path_reports_projected_gradient():
@@ -429,6 +434,21 @@ def test_prepare_dual_records_its_path():
         (dicke_witness(4, 2),), (even_odd_bipartition(4),)))
     assert (ppt.path, ppt.fallback) == ("sector", "PPT cuts")
     assert [b for b, _ in ppt.block_sizes] == [1, 4, 6, 4, 1]
+    open5 = prepare_dual(
+        heisenberg_chain(HeisenbergParams(5, 5, 5, 1, -1, periodic=False)),
+        ConstraintSet((dicke_witness(5, 2),)))
+    assert (open5.path, open5.fallback) == (
+        "sector", "not translation invariant")
+    assert open5.block_sizes == [(5, 1), (10, 1), (10, 1)]
+    assert open5.free.size == 7
+
+
+def test_prepare_dual_takes_a_hermitian_operator():
+    h = heisenberg_chain(HeisenbergParams(3, -1, -1, -1))
+    with pytest.raises(TypeError, match="HermitianOperator"):
+        prepare_dual(h.entries, ConstraintSet())
+    with pytest.raises(TypeError, match="HermitianOperator"):
+        prepare_dual(h.sparse, ConstraintSet())
 
 
 @pytest.mark.parametrize("n", [5, 7])

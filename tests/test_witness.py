@@ -95,6 +95,19 @@ def test_projector_witness_multi_state_disjoint_support():
     assert abs(w.alpha - 1.0) < 1e-12
 
 
+def test_projector_witness_bounds_overlapping_product_states(rng):
+    # Phi+ and Psi+ have disjoint supports, yet their span holds the
+    # product state |++> = (Phi+ + Psi+)/sqrt(2): alpha must be 1
+    states = np.array([[1, 0, 0, 1], [0, 1, 1, 0.0]]) / np.sqrt(2)
+    w = projector_witness(states, ALL, n_sites=2)
+    wd = w.to_dense()
+    plus = np.full(4, 0.5)
+    assert np.real(plus @ wd @ plus) > -1e-12
+    vecs = random_product_states(rng, 2, 10000)
+    vals = np.real(np.einsum("ki,ij,kj->k", vecs.conj(), wd, vecs))
+    assert vals.min() > -1e-12
+
+
 def test_projector_witness_rejects_non_orthonormal():
     states = np.array([[1, 0, 0, 0], [1, 0, 0, 1.0]])
     with pytest.raises(LinalgError):
