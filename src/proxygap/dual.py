@@ -800,9 +800,12 @@ class _Envelope:
         slope of the bound, then the secant method on that slope; a step
         that leaves the bracket of s* which the slopes' signs give doubles
         s or bisects the bracket instead.  Returns (s, bound(s),
-        evaluations, whether the iteration cap stopped it); where a Farkas
-        certificate turned up, s is that point.  Raises `_Decided` at the
-        first bound that makes `decides` true."""
+        evaluations, whether the iteration cap stopped it): s is the final
+        step, or the least bound evaluated where that step lands higher (a
+        step onto the flat stretch above the mean would otherwise leave a
+        false hole in a window); where a Farkas certificate turned up, s is
+        that point.  Raises `_Decided` at the first bound that makes
+        `decides` true."""
         seen = {}
 
         def f(s):
@@ -838,8 +841,11 @@ class _Envelope:
                 dd = d - prev[1]
                 step = -d * (c - prev[0]) / dd if dd != 0.0 else np.nan
             if abs(step) <= (h if h <= floor else _S_XTOL * c):
-                self.move = abs(c + step - start)
-                return c + step, f(c + step), len(seen), False
+                s = c + step
+                if f(s) > min(seen.values()):  # the step overshot
+                    s = min(seen, key=seen.get)
+                self.move = abs(s - start)
+                return s, seen[s], len(seen), False
             c_new = c + step
             if not lo < c_new < hi:
                 c_new = 2.0 * c if hi == np.inf else 0.5 * (lo + hi)
@@ -1136,6 +1142,7 @@ ANDERSON_MEMORY = 10     # iterates (and their images) the extrapolation mixes
 ANDERSON_REG = 1e-10     # Tikhonov weight, relative to the Gram trace
 PPT_CHECK_EVERY = 10     # sweeps between certificates
 PPT_PRIMAL_TOL = 1e-9    # a primal residual below it brings the next check
+PPT_PENALTY = 3.0        # the ADMM penalty sigma per unit of ||H_c||_F
 
 
 def _simplex_project(w: np.ndarray) -> np.ndarray:
@@ -1207,15 +1214,29 @@ def ppt_energy_min(h, cuts, cert_tol: float = 1e-5,
     (Zhang, O'Donoghue & Boyd, SIAM J. Optim. 30 (2020)).  `iterations`
     counts every sweep, `rejected` the extrapolations thrown away.
 
+    The sweeps run on the traceless part H_c = H - (tr H / d) I, with the
+    penalty sigma = PPT_PENALTY ||H_c||_F (1 where H_c = 0).  On states
+    tr(rho H) = tr(rho H_c) + tr H / d, so the problem is the same, and
+    the sweep reads H only as H_c / sigma: aH + cI (a > 0) takes the same
+    iterates, the same sweeps and u_A, and brackets a value + c.  A
+    penalty in max|H_ij| moved with the energy zero and the units of H,
+    and on the AFM rings was 10-30x too small.
+
     Every PPT_CHECK_EVERY sweeps, the image T(x) gives both sides of a
     bracket, whatever the extrapolation did:
-    - `value` = lam_min(H - sum_A Y_A^(T_A)), Y_A = P_PSD(-sigma u_A): for
-      any PSD Y_A and PPT rho, tr(rho H) >= that, a certified lower bound;
+    - `value` = lam_min(H - sum_A Y_A^(T_A)), Y_A = P_PSD(-sigma u_A), less
+      a rounding margin: for any PSD Y_A and PPT rho, tr(rho H) >= lam_min,
+      a certified lower bound.  lam_min is tr H / d plus the least
+      eigenvalue of M_c = H_c - sum_A Y_A^(T_A), and the margin is that of
+      E_min,W (`_farkas_margin`) on the spectrum of M_c, so a shift of H
+      does not widen it;
     - `rho` = (1 - t) z0 + t I / d, z0 a state by construction and t the
       least weight that makes every partial transpose PSD; `primal_value`
       = tr(rho H) is then attained by a PPT state.
     `residual` = primal_value - value bounds the distance of both to the
-    optimum, and the solve stops once it is <= cert_tol.
+    optimum.  The solve stops once primal_value - lam_min <= cert_tol, so
+    `residual` exceeds cert_tol by at most the margin, 1e-9 (1 + 2 ||M_c||)
+    or less.
 
     rho and its copy z0 live in the magnetization sectors, and each copy
     z_A of rho^(T_A) in the blocks of the cut's twisted charge (see
@@ -1231,8 +1252,10 @@ def ppt_energy_min(h, cuts, cert_tol: float = 1e-5,
                                       real_dtype_of(h_blocks))
     hp = lay.pack(h_blocks)
     h_mean = float(hp[lay.diagonal].real.sum()) / d
+    hc = hp.copy()  # the traceless part H_c = H - (tr H / d) I
+    hc[lay.diagonal] -= h_mean
+    sigma = PPT_PENALTY * float(np.linalg.norm(hc)) or 1.0
     n_c = len(cuts)
-    sigma = float(max(np.abs(hp).max(), 1.0))  # the ADMM penalty
     sizes = [lay.size] + [xl.size for xl in x_layouts]
     edges = np.cumsum(sizes * 2)[:-1]
 
@@ -1242,7 +1265,7 @@ def ppt_energy_min(h, cuts, cert_tol: float = 1e-5,
 
     def sweep(x):
         z0, za, u0, ua = parts(x)
-        acc = (z0 - u0) - hp / sigma
+        acc = (z0 - u0) - hc / sigma
         for zi, ui, (to_m, _) in zip(za, ua, pt):
             acc = acc + (zi - ui)[to_m]
         rho = acc / (1.0 + n_c)
@@ -1267,14 +1290,20 @@ def ppt_energy_min(h, cuts, cert_tol: float = 1e-5,
         t = d * viol / (1.0 + d * viol)
         primal = (1.0 - t) * float(np.vdot(z0, hp).real) + t * h_mean
         ys = [xl.psd_project(-sigma * ui) for ui, xl in zip(ua, x_layouts)]
-        m = hp.copy()
+        m = hc.copy()
         for y, (to_m, _) in zip(ys, pt):
             m = m - y[to_m]
-        lower = float(lay.eigvalsh(lay.hermitian(m)).min())
+        w = lay.eigvalsh(lay.hermitian(m))
+        lo = float(w.min())
+        # lam_min(H - sum Y^T) = lo + tr H / d; value lies below it by the
+        # rounding margin of E_min,W and by the rounding of the sum
+        lam = lo + h_mean
+        lower = (lam - _farkas_margin(lo, -lo, -float(w.max()))
+                 - 2.0 * np.spacing(abs(lo) + abs(h_mean)))
         rho = (1.0 - t) * z0
         rho[lay.diagonal] += t / d
         return PPTResult(lower, primal, primal - lower,
-                         primal - lower <= cert_tol, lay.dense(rho))
+                         primal - lam <= cert_tol, lay.dense(rho))
 
     z0 = np.zeros(lay.size, dtype=lay.dtype)
     z0[lay.diagonal] = 1.0 / d

@@ -355,16 +355,51 @@ def test_ppt_energy_min_reports_a_bracket(params, cuts):
         res.primal_value, abs=1e-12)
 
 
-@pytest.mark.parametrize("n, iterations", [(4, 300), (5, 1000)])
+@pytest.mark.parametrize("n, iterations", [(4, 40), (5, 250), (8, 200)])
 def test_ppt_energy_min_is_accelerated(n, iterations):
     # plain ADMM takes 200 (n=4) and 2850 (n=5) sweeps on these rings
-    # with the even-odd cut, and certifies -5.037649090029933 at n=5
+    # with the even-odd cut, and certifies -5.037649090029933 at n=5; with
+    # the penalty max|H_ij| the accelerated solve took 116, 512 and 530
     h = heisenberg_chain(HeisenbergParams(n, -1, -1, -1))
     res = ppt_energy_min(h, [even_odd_bipartition(n)])
     assert res.converged and res.iterations <= iterations
     assert 0 < res.rejected < res.iterations
     if n == 5:
         assert abs(res.value - -5.037649090029933) <= 1e-5
+
+
+@pytest.mark.parametrize("n, cuts", [
+    (4, all_bipartitions(4)), (5, [even_odd_bipartition(5)]),
+], ids=["afm4-all-cuts", "afm5-even-odd"])
+def test_ppt_energy_min_is_shift_and_scale_invariant(n, cuts):
+    # the sweeps run on the traceless part of H with a penalty in its norm,
+    # so aH + cI takes the same iterates, and value moves to a value + c
+    h = heisenberg_chain(HeisenbergParams(n, -1, -1, -1))
+    tol = 1e-5
+    res = ppt_energy_min(h, cuts, cert_tol=tol)
+    for a in (1e-3, 1e3):
+        for c in (-100.0, 100.0):
+            moved = HermitianOperator(a * h.entries + c * np.eye(h.dim),
+                                      h.local_dims)
+            got = ppt_energy_min(moved, cuts, cert_tol=a * tol)
+            assert got.converged
+            assert got.iterations == res.iterations
+            assert abs(got.value - (a * res.value + c)) <= a * tol
+
+
+@pytest.mark.parametrize("params, cuts", [
+    (HeisenbergParams(3, -1, -1, -0.5), [even_odd_bipartition(3)]),
+    (HeisenbergParams(3, -1, -1, 0.0), [even_odd_bipartition(3)]),
+    (HeisenbergParams(3, -1, -1, 1.0), [even_odd_bipartition(3)]),
+    (HeisenbergParams(4, -1, -1, -1), all_bipartitions(4)),
+], ids=["xxz3-jz-0.5", "xy3", "xxz3-jz1", "afm4-all-cuts"])
+def test_ppt_bracket_is_rounding_safe(params, cuts):
+    # value lies below lam_min by the rounding margin of E_min,W: where the
+    # bracket closes to rounding, the bound stays below the PPT state's
+    # energy (the 3-rings returned residuals of -1.8e-15, -2.2e-16 and
+    # -8.9e-16 with the bare lam_min)
+    res = ppt_energy_min(heisenberg_chain(params), cuts)
+    assert res.converged and res.residual > 0.0
 
 
 def test_xy_ring_with_a_cut_is_one_block():
@@ -1153,6 +1188,20 @@ def test_gap_energy_scan_empty_constraints_no_detection():
     assert not any(r.detected for r in res.rows)
     assert res.e_max_gap is None
     assert res.detection_fraction == 0.0
+
+
+def test_dicke_window_has_no_false_hole():
+    # on this open chain a Newton step of the witness search from s ~ 0.52
+    # lands at s ~ 27.8, on the flat stretch where spec(H - sW) has its mean
+    # below E and the bound is ln 32; the search returns the least bound it
+    # evaluated, bound(0.517) = 0.769, so the row at E0 + 5 % of the spread
+    # is detected and the window has no hole
+    h = heisenberg_chain(HeisenbergParams(5, 5, 5, 1, -1, periodic=False))
+    cs = ConstraintSet((dicke_witness(5, 2),))
+    res = gap_energy_scan(h, cs, GridOptions(n_points=21))
+    assert res.rows[1].s_dual <= 0.77
+    hits = np.flatnonzero([r.detected for r in res.rows])
+    assert hits.size and np.all(np.diff(hits) == 1)
 
 
 def test_gap_energy_scan_window_brackets_detection():
