@@ -1218,9 +1218,8 @@ def ppt_energy_min(h, cuts, cert_tol: float = 1e-5,
     penalty sigma = PPT_PENALTY ||H_c||_F (1 where H_c = 0).  On states
     tr(rho H) = tr(rho H_c) + tr H / d, so the problem is the same, and
     the sweep reads H only as H_c / sigma: aH + cI (a > 0) takes the same
-    iterates, the same sweeps and u_A, and brackets a value + c.  A
-    penalty in max|H_ij| moved with the energy zero and the units of H,
-    and on the AFM rings was 10-30x too small.
+    iterates, the same sweeps and u_A, and brackets a value + c; a penalty
+    read off the entries of H would move with its energy zero and units.
 
     Every PPT_CHECK_EVERY sweeps, the image T(x) gives both sides of a
     bracket, whatever the extrapolation did:

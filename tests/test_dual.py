@@ -332,17 +332,23 @@ def test_ppt_energy_min_reports_its_iterations():
 @pytest.mark.parametrize("params, cuts", [
     (HeisenbergParams(4, -1, -1, -1), all_bipartitions(4)),
     (HeisenbergParams(3, 3, 3, 1), [even_odd_bipartition(3)]),
-], ids=["afm4-all-cuts", "xxz3-even-odd"])
+    (HeisenbergParams(3, -1, -1, -0.5), [even_odd_bipartition(3)]),
+    (HeisenbergParams(3, -1, -1, 0.0), [even_odd_bipartition(3)]),
+    (HeisenbergParams(3, -1, -1, 1.0), [even_odd_bipartition(3)]),
+], ids=["afm4-all-cuts", "xxz3-even-odd", "xxz3-jz-0.5", "xy3", "xxz3-jz1"])
 def test_ppt_energy_min_reports_a_bracket(params, cuts):
     # value is a certified lower bound and primal_value the energy of a PPT
     # state, so the optimum lies within [value, value + residual]: a tighter
-    # solve cannot certify more than that
+    # solve cannot certify more than that.  value lies below lam_min by the
+    # rounding margin of E_min,W, so a bracket that closes to rounding stays
+    # the right way round (the last three returned residuals of -1.8e-15,
+    # -2.2e-16 and -8.9e-16 with the bare lam_min)
     h = heisenberg_chain(params)
     res = ppt_energy_min(h, cuts)
     tight = ppt_energy_min(h, cuts, cert_tol=1e-9)
     assert res.converged and tight.converged
     assert tight.value <= res.value + res.residual
-    assert res.value <= res.primal_value
+    assert res.value < res.primal_value
     assert res.residual == res.primal_value - res.value
     # rho is a state, PSD under every partial transpose, of that energy
     assert np.trace(res.rho).real == pytest.approx(1.0, abs=1e-12)
@@ -385,21 +391,6 @@ def test_ppt_energy_min_is_shift_and_scale_invariant(n, cuts):
             assert got.converged
             assert got.iterations == res.iterations
             assert abs(got.value - (a * res.value + c)) <= a * tol
-
-
-@pytest.mark.parametrize("params, cuts", [
-    (HeisenbergParams(3, -1, -1, -0.5), [even_odd_bipartition(3)]),
-    (HeisenbergParams(3, -1, -1, 0.0), [even_odd_bipartition(3)]),
-    (HeisenbergParams(3, -1, -1, 1.0), [even_odd_bipartition(3)]),
-    (HeisenbergParams(4, -1, -1, -1), all_bipartitions(4)),
-], ids=["xxz3-jz-0.5", "xy3", "xxz3-jz1", "afm4-all-cuts"])
-def test_ppt_bracket_is_rounding_safe(params, cuts):
-    # value lies below lam_min by the rounding margin of E_min,W: where the
-    # bracket closes to rounding, the bound stays below the PPT state's
-    # energy (the 3-rings returned residuals of -1.8e-15, -2.2e-16 and
-    # -8.9e-16 with the bare lam_min)
-    res = ppt_energy_min(heisenberg_chain(params), cuts)
-    assert res.converged and res.residual > 0.0
 
 
 def test_xy_ring_with_a_cut_is_one_block():
