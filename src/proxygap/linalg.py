@@ -213,11 +213,12 @@ def partial_transpose_matrix(m: np.ndarray, local_dims, subset) -> np.ndarray:
 
 def stacked_eigh(stack: np.ndarray):
     """np.linalg.eigh of a (k, b, b) stack of Hermitian matrices in one
-    call.  numpy's divide-and-conquer driver (zheevd) can fail to converge
-    on a finite Hermitian matrix; the stack is then redone matrix by matrix
-    with scipy's MRRR routine (zheevr), which solves the one kept in
-    tests/data; only this fallback imports scipy.  A stack of 1 x 1 blocks
-    needs no call: each block is its eigenvalue, with eigenvector 1."""
+    call.  numpy's divide-and-conquer driver (zheevd, dsyevd for a real
+    symmetric stack) can fail to converge on a finite Hermitian matrix; the
+    stack is then redone matrix by matrix with scipy's MRRR routine (zheevr,
+    or dsyevr), which solves the one kept in tests/data; only this fallback
+    imports scipy.  A stack of 1 x 1 blocks needs no call: each block is
+    its eigenvalue, with eigenvector 1."""
     if stack.shape[-1] == 1:
         return stack.real[..., 0].copy(), np.ones_like(stack)
     try:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import Bipartition, CooMatrix, LinalgError
+from .models import excitation_sector_indices
 
 ALL = "all"
 
@@ -56,42 +57,33 @@ def even_odd_bipartition(n: int) -> Bipartition:
     return Bipartition(set(range(0, n, 2)), n)
 
 
-def _subset_to_index(subset, n: int) -> int:
-    idx = 0
-    for i in subset:
-        idx |= 1 << (n - 1 - i)
-    return idx
-
-
 def dicke_witness(n: int, m: int) -> Witness:
     """Linear witness detecting the n-qubit Dicke state with m excitations.
 
     Sums, over unordered pairs of m-subsets sharing m-1 indices, the
     hopping terms -|d_beta><d_alpha| - h.c. plus the projectors onto the
     intersection and union configurations, all with a 1/2 prefactor.
-    Supported on excitation sectors m-1, m, m+1.
+    Supported on excitation sectors m-1, m, m+1.  Built by bit operations
+    on the basis states of popcount m: a pair moves an excitation from a
+    site `out` of alpha to a site `into` outside it, and is taken once,
+    from its lower index alpha (`into` < `out`).
     """
     if not 1 <= m <= n - 1:
         raise ValueError("need 1 <= m <= n-1")
-    rows, cols, vals = [], [], []
-    for alpha in itertools.combinations(range(n), m):
-        aset = set(alpha)
-        ia = _subset_to_index(aset, n)
-        for out in alpha:
-            for into in range(n):
-                if into in aset:
-                    continue
-                bset = (aset - {out}) | {into}
-                ib = _subset_to_index(bset, n)
-                if ib < ia:
-                    continue  # unordered pairs once
-                icap = _subset_to_index(aset & bset, n)
-                icup = _subset_to_index(aset | bset, n)
-                rows += [ia, ib, icap, icup]
-                cols += [ib, ia, icap, icup]
-                vals += [-0.5, -0.5, 0.5, 0.5]
+    into, out = np.triu_indices(n, 1)
+    alpha = excitation_sector_indices(n, m)[:, None]
+    bit_in, bit_out = 1 << (n - 1 - into), 1 << (n - 1 - out)
+    moves = ((alpha & bit_out) != 0) & ((alpha & bit_in) == 0)
+    ia = np.broadcast_to(alpha, moves.shape)[moves]
+    bit_in = np.broadcast_to(bit_in, moves.shape)[moves]
+    icap = ia ^ np.broadcast_to(bit_out, moves.shape)[moves]
+    ib, icup = icap | bit_in, ia | bit_in
+    half = np.full(ia.size, 0.5)
     d = 2 ** n
-    return Witness(CooMatrix(rows, cols, vals, (d, d)))
+    return Witness(CooMatrix(np.concatenate([ia, ib, icap, icup]),
+                             np.concatenate([ib, ia, icap, icup]),
+                             np.concatenate([-half, -half, half, half]),
+                             (d, d)))
 
 
 def _cut_matrices(states: np.ndarray, cut: Bipartition) -> np.ndarray:

@@ -38,6 +38,24 @@ def chiral_current(n):
     return out
 
 
+def z_hop(n):
+    """sum_i Z_i (s+_{i+1} s-_{i+2} + h.c.) on the ring, as scipy CSR:
+    real, Hermitian, translation invariant and conserving magnetization,
+    but not symmetric under the site reflection, which moves Z to the
+    other end of the hop."""
+    z = sp.csr_matrix(np.diag([1.0, -1.0]))
+    plus = sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    out = sp.csr_matrix((2 ** n, 2 ** n))
+    for i in range(n):
+        ops = [sp.identity(2, format="csr")] * n
+        ops[i], ops[(i + 1) % n], ops[(i + 2) % n] = z, plus, plus.T
+        term = ops[0]
+        for o in ops[1:]:
+            term = sp.kron(term, o, format="csr")
+        out = out + term + term.T
+    return out
+
+
 def random_state(rng, d, k=None):
     shape = (d,) if k is None else (k, d)
     v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)

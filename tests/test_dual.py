@@ -605,13 +605,27 @@ def _xxz(n):
     return heisenberg_chain(HeisenbergParams(n, n, n, 1, -1))
 
 
+def test_dicke_block_prepares_real_momentum_blocks():
+    # the dicke-block workload: real H and W that commute with the site
+    # reflection, so every momentum block is real symmetric and the whole
+    # witness path runs in float64
+    n = 11
+    problem = prepare_dual(_xxz(n), ConstraintSet((dicke_witness(n, 5),)))
+    assert (problem.path, problem.fallback) == ("momentum", None)
+    assert problem.layout.dtype == np.float64
+    assert problem.h_packed.dtype == problem.w_packed[0].dtype == np.float64
+    assert all(hs.dtype == ws.dtype == np.float64
+               for hs, ws, _ in problem.envelope.stacks)
+
+
 def test_conjugate_pairs_match_the_unpaired_problem(monkeypatch, rng):
-    # real H and W: momentum blocks k and n - k are conjugate, so one of
-    # each pair is kept with multiplicity 2
+    # real H and W: momentum blocks k and n - k are conjugate (equal in the
+    # RK-fixed basis), so one of each pair is kept with multiplicity 2
     n = 7
     h, cs = _xxz(n), ConstraintSet((dicke_witness(n, 3),))
     paired = prepare_dual(h, cs)
     assert sorted(set(paired.mult)) == [1, 2]
+    assert paired.layout.dtype == np.float64
     split = dual_mod.momentum_sector_split
 
     def unpaired_split(ops, n):  # an imaginary op in the split: no pairs
