@@ -1,49 +1,52 @@
 """Certified upper bounds on constrained maximum entropy via Lagrangian
 duality, entropy gaps, detection windows, and the PPT minimum energy.
 
-Both entropy duals are one spectral function F of one exponent,
+Every certificate is a point x = (nu_i, Y_A) of a generalized grand
+canonical ensemble, nu_i >= 0 on the witnesses W_i and Y_A PSD on the
+cuts, and a spectral function at energy E of
 
-    l(y, X_A) = F(sum_k y_k A_k + sum_A X_A^(T_A)) - b.y,
+    m = H - sum_i nu_i W_i - sum_A Y_A^(T_A).
 
-minimized over scalars y (nu_i >= 0 on the witnesses) and PSD X_A.  The
-reduced von Neumann dual has F = ln tr exp:
+Every state with tr(rho H) = E that meets the constraints has
+tr(rho m) <= E, so the maximal entropy under that one constraint bounds
+its entropy: the Gibbs entropy (von Neumann) or the maximal impurity
+(linear) of spec(m) at E, capped at its mean.  It is the Lagrangian dual
 
-    l(mu, nu_i, X_A) = ln tr exp(mu H + sum_i nu_i W_i + sum_A X_A^(T_A)) - mu E
+    l(mu, nu_i, X_A) = ln tr exp(mu H + sum_i nu_i W_i + sum_A X_A^(T_A))
+                       - mu E
 
-and the linear-entropy dual has F = 1 + 1/4 tr (.)_+^2, a trace multiplier
-lam on the identity, and b.y = lam + mu E.  Any feasible point is a valid
+at (mu, nu, X) = (-beta, beta nu, beta Y) minimized over beta; the
+linear-entropy dual has F = 1 + 1/4 tr (.)_+^2 in place of ln tr exp, and
+a trace multiplier lam.  Any feasible point is therefore a valid
 certificate (weak duality), so even a non-converged minimization yields a
-usable upper bound.  A feasible point with lam_max(M) < b.y, M the
-exponent, is a Farkas certificate: every state that met the constraints
-would have b.y <= tr(rho M) <= lam_max(M), so none exists, the dual is
-unbounded below and the solve returns -inf.
+usable upper bound.  Where E < lam_min(m) no state meets the constraints
+at all: x is a Farkas certificate, the dual is unbounded below and the
+solve returns -inf.  One rounding rule, `_certified_min`, turns a computed
+spectrum into a certified lam_min: for that verdict, for E_min,W and for
+the lower side of the PPT bracket.
 
-Both solvers minimize over a generalized grand canonical ensemble: at
-(mu, nu_i, X_A) = (-beta, beta nu_i, beta Y_A), minimized over beta, the
-dual is the Gibbs entropy (or maximal impurity) at E of the spectrum of
-H - sum_i nu_i W_i - sum_A Y_A^(T_A), capped at its mean.  With at most
-one witness and no cuts, the witness path searches nu >= 0 on
+With at most one witness and no cuts, the witness path searches nu >= 0 on
 eigenvalues alone; otherwise spectral projected gradient (SPG) runs over
-nu >= 0 and PSD Y_A.  Both take and return the full certificate as one
-packed vector, (lam,) mu, nu_i and the packed blocks of each X_A.
+nu >= 0 and PSD Y_A.  Both return x as one packed vector: nu_i, then the
+packed blocks of each Y_A.
 
 A prepared problem is real when H and every witness block are: its
-blocks, each X_A and every eigendecomposition are then real symmetric
-(float64), and the packed vector holds each entry of X_A once; otherwise
+blocks, each Y_A and every eigendecomposition are then real symmetric
+(float64), and the packed vector holds each entry of Y_A once; otherwise
 all of them are complex Hermitian, and the vector holds the real and
-imaginary parts of each entry.  Restricting a real problem to real X_A
+imaginary parts of each entry.  Restricting a real problem to real Y_A
 loses nothing: the partial transpose commutes with complex conjugation,
-so the dual takes the same value at X_A and at their conjugates, and by
+so the dual takes the same value at Y_A and at their conjugates, and by
 convexity no more at their real parts, the midpoint.
 
-With cuts, when H and every witness conserve total S_z on qubits, the
-exponent lives in the magnetization sectors and each X_A in the blocks of
-the twisted charge S_z^B - S_z^A (Vollbrecht & Werner, PRA 64, 062307
-(2001): twirling by the product unitaries exp(i phi S_z) keeps every cut
-PPT, so the restriction loses nothing).  X_A^(T_A) is then an index
-permutation, and every eigendecomposition runs on stacks of equal-size
-blocks; otherwise each is one dense block.  `ppt_energy_min` runs in the
-same layouts.
+With cuts, when H and every witness conserve total S_z on qubits, m lives
+in the magnetization sectors and each Y_A in the blocks of the twisted
+charge S_z^B - S_z^A (Vollbrecht & Werner, PRA 64, 062307 (2001):
+twirling by the product unitaries exp(i phi S_z) keeps every cut PPT, so
+the restriction loses nothing).  Y_A^(T_A) is then an index permutation,
+and every eigendecomposition runs on stacks of equal-size blocks;
+otherwise each is one dense block.  `ppt_energy_min` runs in the same
+layouts.
 """
 from __future__ import annotations
 
@@ -63,8 +66,8 @@ from .witness import ConstraintSet, Witness
 
 GAP_TOLERANCE = 1e-4       # nats; "detected" threshold, von Neumann path
 GAP_TOLERANCE_LINEAR = 1e-6  # converged linear duals lie ~1e-12 above optimum
-# relative margin by which lam_max(M) must undercut b.y before a point counts
-# as a Farkas certificate: covers the rounding of eigh and of b.y
+# a computed lam_min(m) is certified FARKAS_MARGIN (|lam_min| + ||m||_2)
+# below its value: covers the rounding of eigh and of composing m
 FARKAS_MARGIN = 1e-9
 DIAGONAL_TOL = 1e-9  # `diagonal_dual`'s solver tolerance
 
@@ -299,73 +302,48 @@ def _prepared(h, cs: ConstraintSet, path, fallback, h_blocks, w_blocks,
 # ---------------------------------------------------------------------------
 # the dual objective
 
-def _farkas_margin(by: float, w_max: float, w_min: float) -> float:
-    """How far lam_max(M) must undercut b.y, for M with eigenvalues in
-    [w_min, w_max], before the point counts as a Farkas certificate."""
-    return FARKAS_MARGIN * (1.0 + abs(by) + max(w_max, -w_min))
-
-
-def _log_tr_exp(w, c=None):
-    """ln sum_i c_i exp(w_i) and its gradient, c_i exp(w_i) / Z; c are
-    the multiplicities of the eigenvalues, all 1 when None."""
-    shift = w.max()
-    ew = np.exp(w - shift)
-    if c is not None:
-        ew *= c
-    z = ew.sum()
-    return np.log(z) + shift, ew / z
-
-
-def _quarter_square_plus(w, c=None):
-    """1 + 1/4 sum_i c_i (w_i)_+^2 and its gradient c_i (w_i)_+ / 2."""
-    wp = np.maximum(w, 0.0)
-    cwp = wp if c is None else c * wp
-    return 0.25 * float(cwp @ wp) + 1.0, 0.5 * cwp
+def _certified_min(w: np.ndarray) -> float:
+    """lam_min of the matrix whose computed spectrum is w, less its
+    rounding margin FARKAS_MARGIN (|lam_min| + ||m||_2): a lower bound on
+    every eigenvalue, which scales with the matrix."""
+    lo = float(w.min())
+    return lo - FARKAS_MARGIN * (abs(lo) + max(-lo, float(w.max())))
 
 
 class _BlockObjective:
-    """The dual over the blocks of a problem.
+    """The grand canonical dual over the blocks of a problem, at energy e.
 
-    `dual_value_grad` takes a full packed point (lam,) mu, nu_i, X_A (lam,
-    the multiplier of tr(rho) = 1, only for the linear entropy).  The
-    exponent M is built in the problem's `layout`, where each X_A^(T_A) is
-    an index permutation of X_A, and diagonalized one stack of equal-size
-    blocks at a time; a witness-free block adds mu times its fixed
-    spectrum, and a block that stands for a conjugate pair counts twice.
-    With G = v F'(w) v^+, the gradient is tr(G A_k) - b_k in each scalar
-    and G^(T_A) in each X_A.
+    `value_grad`, which SPG minimizes, takes x = (nu_i >= 0, PSD Y_A),
+    `size` packed entries.  `_eigh` builds m = H - sum nu_i W_i - sum
+    Y_A^(T_A) in the problem's `layout`, where each Y_A^(T_A) is an index
+    permutation of Y_A, and diagonalizes it one stack of equal-size blocks
+    at a time; a witness-free block adds its fixed spectrum, and a block
+    that stands for a conjugate pair counts twice.  The value is the Gibbs
+    entropy at e of spec(m) capped at its mean, the full dual at (-beta,
+    beta nu, beta Y) minimized over beta; for the linear entropy, the
+    maximal impurity with weights (a + b w)_+, the full dual at (lam, mu,
+    nu, X) = (2a, 2b, -2b nu, -2b Y) minimized over (a, b).  By the
+    envelope theorem its gradient is beta (or -2b) times tr(rho W_i) and
+    rho^(T_A), rho that maximizer.
 
-    `value_grad`, which SPG minimizes, takes nu_i >= 0 and PSD Y_A (`size`
-    entries): the full dual at (-beta, beta nu, beta Y) minimized over
-    beta, the Gibbs entropy at e of the spectrum w of m = H - sum nu_i W_i
-    - sum Y_A^(T_A) capped at its mean; for the linear entropy, at (2a, 2b,
-    -2b nu, -2b Y) minimized over (a, b), the maximal impurity with weights
-    (a + b w)_+.  By the envelope theorem its gradient is beta (or -2b)
-    times tr(rho W_i) and rho^(T_A); `certificate` gives the full point.
-
-    Each evaluation records lam_max(M) - b.y, at (0,) -1, nu, Y for
-    `value_grad`; below -margin it proves that no state meets the
+    Each evaluation records `floor`, the certified lam_min(m)
+    (`_certified_min`); e below it proves that no state meets the
     constraints.  A vector of the wrong length raises ValueError."""
 
     def __init__(self, problem: DualProblem, e: float, linear: bool = False):
         self.problem = problem
         self.e = e
         self.linear = linear
-        self.spectral = _quarter_square_plus if linear else _log_tr_exp
-        self.k = 2 if linear else 1  # leading scalars of a full point
-        self.slack = np.inf
-        self.margin = 0.0
+        self.floor = -np.inf
         self.beta = 0.0      # Newton's start for the next Gibbs solve
-        self._last = None    # (point, full point scalars) of value_grad
         p = problem
         self.size = p.n_wit + sum(xl.width for xl in p.x_layouts)
         self.counts = None if all(m == 1 for m in p.mult) else np.concatenate(
             [np.ones(p.free.size, int), np.bincount(p.order)])
 
-    def _checked(self, vec, size=None):
-        size = self.size if size is None else size
-        if np.shape(vec) != (size,):
-            raise ValueError(f"a packed point of this problem has {size}"
+    def _checked(self, vec):
+        if np.shape(vec) != (self.size,):
+            raise ValueError(f"a packed point of this problem has {self.size}"
                              f" entries, not shape {np.shape(vec)}")
         return vec
 
@@ -394,36 +372,26 @@ class _BlockObjective:
         minimizer."""
         return float(np.linalg.norm(self.step(vec, g, 1.0)))
 
-    def dual_grad_norm(self, vec, g) -> float:
-        """The full form's projected gradient norm: (lam,) mu are free."""
-        k = self.k
-        return float(np.hypot(np.linalg.norm(g[:k]),
-                              self.grad_norm(vec[k:], g[k:])))
-
     def proves_infeasible(self) -> bool:
         """Whether the last point evaluated, if feasible, proves that no
         state meets the constraints at energy e."""
-        return self.slack < -self.margin
+        return self.e < self.floor
 
-    def _eigh(self, mu, tail, lam=0.0):
-        """The spectrum w of M = lam I + mu H + sum nu_i W_i + sum
-        X_A^(T_A), tail = (nu_i, X_A), the witness-free blocks' first, and
-        the eigenvector stacks of the rest; records lam_max(M) - b.y."""
+    def _eigh(self, vec):
+        """The spectrum w of m = H - sum nu_i W_i - sum Y_A^(T_A) at vec =
+        (nu_i, Y_A), the witness-free blocks' first, and the eigenvector
+        stacks of the rest; records its certified lam_min as `floor`."""
         p = self.problem
-        m = mu * p.h_packed
-        if lam:
-            m[p.layout.diagonal] += lam
-        for nu, wp in zip(tail[:p.n_wit], p.w_packed):
+        m = p.h_packed.copy()
+        for nu, wp in zip(self._checked(vec)[:p.n_wit], p.w_packed):
             if nu != 0.0 and wp is not None:
-                m += nu * wp
-        for x, (to_m, _) in zip(_unpack_xs(tail, p.n_wit, p.x_layouts), p.pt):
-            m += x[to_m]
+                m -= nu * wp
+        for y, (to_m, _) in zip(_unpack_xs(vec, p.n_wit, p.x_layouts), p.pt):
+            m -= y[to_m]
         w, vecs = p.layout.eigh(p.layout.hermitian(m))
         if p.free.size:
-            w = np.concatenate([mu * p.free + lam, w])
-        by, w_max = lam + mu * self.e, float(w.max())
-        self.slack = w_max - by
-        self.margin = _farkas_margin(by, w_max, float(w.min()))
+            w = np.concatenate([p.free, w])
+        self.floor = _certified_min(w)
         return w, vecs
 
     def _traces(self, weights, vecs):
@@ -435,25 +403,11 @@ class _BlockObjective:
                for wp in p.w_packed]
         return g, w_g, [g[to_x].view(float) for _, to_x in p.pt]
 
-    def dual_value_grad(self, vec):
-        """The full form's value and gradient at (lam,) mu, nu_i, X_A."""
-        k, free = self.k, self.problem.free
-        lam, mu = (vec[0] if self.linear else 0.0), vec[k - 1]
-        w, vecs = self._eigh(mu, self._checked(vec, k + self.size)[k:], lam)
-        f, weights = self.spectral(w, self.counts)
-        g, w_g, gxs = self._traces(weights, vecs)
-        h_g = float(weights[:free.size] @ free) + \
-            float(np.vdot(g, self.problem.h_packed).real)
-        grad = ([weights.sum() - 1.0] if self.linear else []) + \
-            [h_g - self.e] + w_g
-        return float(f - lam - mu * self.e), np.concatenate([grad] + gxs)
-
     def value_grad(self, vec):
-        """The grand canonical form's value and gradient at (nu_i, Y_A)."""
-        # at (0,) -1, nu, Y the exponent is -m, and the slack e - lam_min(m)
-        w, vecs = self._eigh(-1.0, self._checked(vec))
-        lo = -float(w.max())
-        x, t = -w - lo, self.e - lo  # spec(m) and e, from lam_min(m)
+        """The value and gradient at vec = (nu_i, Y_A)."""
+        w, vecs = self._eigh(vec)
+        lo = float(w.min())
+        x, t = w - lo, self.e - lo  # spec(m) and e, from lam_min(m)
         c = 1 if self.counts is None else self.counts
         if self.linear:  # weights (lam + mu w)_+ / 2
             lam, mu = _linear_multipliers(
@@ -461,35 +415,13 @@ class _BlockObjective:
             q = np.maximum(0.5 * (lam + mu * x), 0.0)
             rho = c * q
             f = 1.0 + rho @ q - lam - mu * t
-            scale, scalars = -mu, (lam - mu * lo, mu)
+            scale = -mu
         else:
             self.beta, lnz, rho = gibbs_newton(x, t, self.beta, self.counts)
             f = lnz + self.beta * t
-            scale, scalars = self.beta, (-self.beta,)
-        self._last = vec, scalars
+            scale = self.beta
         _, w_g, gxs = self._traces(rho, vecs)
         return float(f), scale * np.concatenate([w_g] + gxs)
-
-    def reduce(self, full):
-        """(nu, Y) = (nu, X) / (-mu) of a full point, whose beta = -mu
-        starts the next Gibbs solve; zero where it is None, of another
-        length, or has mu >= 0."""
-        k = self.k
-        if np.shape(full) != (k + self.size,) or full[k - 1] >= 0.0:
-            return np.zeros(self.size)
-        if not self.linear:
-            self.beta = -full[0]
-        return full[k:] / -full[k - 1]
-
-    def certificate(self, vec, farkas: bool = False):
-        """The full point of `value_grad`'s value at vec = (nu, Y), or
-        the Farkas certificate (0,) -1, nu, Y."""
-        if farkas:
-            return np.concatenate([(0.0, -1.0)[2 - self.k:], vec])
-        if self._last is None or self._last[0] is not vec:
-            self.value_grad(vec)
-        scalars = self._last[1]
-        return np.concatenate([scalars, -scalars[-1] * vec])
 
 
 # ---------------------------------------------------------------------------
@@ -637,16 +569,12 @@ class _Envelope:
     """The dual with at most one witness W and no cuts, as a one-parameter
     family of Gibbs spectra (the generalized grand canonical ensemble).
 
-    For s >= 0 every state with tr(rho H) = E and tr(rho W) >= 0 has
-    tr(rho (H - sW)) <= E.  The maximal entropy under that one constraint,
-    the Gibbs entropy (or maximal impurity) of spec(H - sW) at E capped at
-    its mean, is therefore an upper bound: for the von Neumann entropy it
-    is the dual at (mu, nu) = (-beta, beta s) minimized over beta, for the
-    linear entropy the dual at the matching (lam, mu, nu).  It is
-    quasiconvex in s, so a bracketed 1-D search over eigenvalues alone
+    The point is nu = s >= 0 and m = H - sW, and its bound, the Gibbs
+    entropy (or maximal impurity) of spec(H - sW) at E capped at its mean,
+    is quasiconvex in s, so a bracketed 1-D search over eigenvalues alone
     reaches the dual optimum.  Where E < lam_min(H - sW) no state is left
-    and (mu, nu) = (-1, s) is a Farkas certificate; the largest such E,
-    E_min,W = max_s lam_min(H - sW), is a concave maximization solved once.
+    and s is a Farkas certificate; the largest such E, E_min,W = max_s
+    lam_min(H - sW), is a concave maximization solved once.
     Spectra are cached by s: a cached s bounds every energy.
     `stacks` holds views of the packed H and W, and the block ids, per
     stack of the problem's layout; spectra are gathered by its `order`.
@@ -743,21 +671,18 @@ class _Envelope:
         return self._edge
 
     def certifies(self, e: float, s: float) -> bool:
-        """Whether (mu, nu) = (-1, s) proves that no state with
-        tr(rho W) >= 0 has energy e: e < lam_min(H - sW), beyond rounding."""
-        w = self.spectrum(s)
-        lo = float(w.min())
-        return e - lo < -_farkas_margin(e, -lo, -float(w.max()))
+        """Whether s proves that no state with tr(rho W) >= 0 has energy
+        e: e < lam_min(H - sW), beyond rounding."""
+        return e < _certified_min(self.spectrum(s))
 
     def e_min_w(self) -> float:
         """The certified lowest feasible energy: below it every state
         violates the witness."""
-        lo, s_w = self.edge()
-        return lo - _farkas_margin(lo, -lo, -float(self.spectrum(s_w).max()))
+        return _certified_min(self.spectrum(self.edge()[1]))
 
     def bound(self, s: float, e: float, linear: bool) -> float:
-        """The maximal entropy at tr(rho (H - sW)) <= e; -inf where (-1, s)
-        is a Farkas certificate."""
+        """The maximal entropy at tr(rho (H - sW)) <= e; -inf where s is a
+        Farkas certificate."""
         if self.certifies(e, s):
             return -np.inf
         w = self.spectrum(s)
@@ -769,28 +694,19 @@ class _Envelope:
 
     def _beta(self, s: float, e: float) -> float:
         """beta of the Gibbs state of spec(H - sW) at e capped at its mean,
-        solved once per (s, e) in a solve: `point` reads the one `bound`
-        found."""
+        solved once per (s, e) in a solve: the walk over cached spectra and
+        the search that follows it may ask for the same bound."""
         if (s, e) not in self.betas:
             w = self.spectrum(s)
             self.betas[s, e] = beta_from_energy(
                 w, min(max(e, float(w.min())), float(w.mean())))
         return self.betas[s, e]
 
-    def point(self, s: float, e: float, linear: bool) -> np.ndarray:
-        """The packed dual point (lam,) mu, nu of the bound at s."""
-        if linear:
-            lam, mu = _linear_multipliers(self.spectrum(s), e)
-            return np.array([lam, mu, -mu * s])
-        beta = self._beta(s, e)
-        return np.array([-beta, beta * s])
-
-    def _farkas(self, k: int, s: float, iterations: int, passes: int):
-        """The solve's result at the certificate (mu, nu) = (-1, s)."""
-        vec = np.zeros(k + 1)
-        vec[k - 1:] = -1.0, s
-        return -np.inf, vec, SolveInfo(True, iterations, np.nan, True,
-                                       self.passes - passes, "certificate")
+    def _farkas(self, s: float, iterations: int, passes: int):
+        """The solve's result at the certificate nu = s."""
+        return -np.inf, np.array([s]), SolveInfo(
+            True, iterations, np.nan, True, self.passes - passes,
+            "certificate")
 
     def _search(self, e: float, linear: bool, opts: SolverOptions,
                 decides=None):
@@ -883,38 +799,34 @@ class _Envelope:
 
     def solve(self, e: float, opts: SolverOptions, linear: bool,
               decides=None):
-        """The witness-path solve: (value, packed point, SolveInfo).  Given
-        `decides`, the first s, cached or searched, whose bound makes it
-        true ends the solve, as "decided" (or at a Farkas certificate
-        where that bound is -inf); where none does, the solve returns the
-        optimum's bound with no gradient (grad_norm nan)."""
+        """The witness-path solve: (value, (s,), SolveInfo), nu = s the
+        point.  Given `decides`, the first s, cached or searched, whose
+        bound makes it true ends the solve, as "decided" (or at a Farkas
+        certificate where that bound is -inf); where none does, the solve
+        returns the optimum's bound with no gradient (grad_norm nan).  A
+        full solve returns bound(s), as a bisection step does, with the
+        projected gradient norm of `_BlockObjective` at (s,)."""
         p = self.problem
-        obj = _BlockObjective(p, e, linear)
-        k, passes = obj.k, self.passes
+        passes = self.passes
         self.betas.clear()
         if p.n_wit and self.certifies(e, self.edge()[1]):
-            return self._farkas(k, self.edge()[1], 0, passes)
+            return self._farkas(self.edge()[1], 0, passes)
         # the entropy maximizer for H alone, in H's eigenbasis
         spec, eps = p.spectrum, self.energies
         if linear:
             lam, mu = _linear_multipliers(spec, e)
             weights = 0.5 * np.maximum(lam + mu * eps, 0.0)
             value = linear_entropy_max(spec, e)
-            vec = np.array([lam, mu] + [0.0] * p.n_wit)
-            grad = [weights.sum() - 1.0, weights @ eps - e]
         else:
             beta = p.beta_at(e)
             weights = np.exp(-beta * (eps - eps.min()))
             weights /= weights.sum()
             value = gibbs_at(spec, beta)[2]
-            vec = np.array([-beta] + [0.0] * p.n_wit)
-            grad = [weights @ eps - e]
-        w_mean = float(weights @ self.w_diag)
-        if w_mean >= 0.0:  # it meets the witness: no search
-            g = np.array(grad + [w_mean] * p.n_wit)
-            return value, vec, SolveInfo(True, 0, obj.dual_grad_norm(vec, g),
-                                         False, self.passes - passes,
-                                         "gibbs_feasible")
+        if weights @ self.w_diag >= 0.0:
+            # it meets the witness: no search, and at nu = 0 the gradient,
+            # a positive multiple of tr(rho W) >= 0, projects to zero
+            return value, np.zeros(p.n_wit), SolveInfo(
+                True, 0, 0.0, False, self.passes - passes, "gibbs_feasible")
         found, iterations = None, 0
         if decides is not None:
             found = self._cached_verdict(e, linear, decides)
@@ -926,9 +838,9 @@ class _Envelope:
                 *found, iterations = stop.args
         if found is not None:
             s, value = found
-        if value == -np.inf:  # bound(s) is -inf where (-1, s) certifies
-            return self._farkas(k, s, iterations, passes)
-        vec = self.point(s, e, linear)
+        if value == -np.inf:  # bound(s) is -inf where s certifies
+            return self._farkas(s, iterations, passes)
+        vec = np.array([s])
         if found is not None:
             return value, vec, SolveInfo(False, iterations, np.nan, False,
                                          self.passes - passes, "decided")
@@ -939,13 +851,14 @@ class _Envelope:
             return value, vec, SolveInfo(
                 not capped, iterations, np.nan, False, self.passes - passes,
                 "max_iter" if capped else "converged")
-        f, g = obj.dual_value_grad(vec)
-        pg_norm = obj.dual_grad_norm(vec, g)
+        obj = _BlockObjective(p, e, linear)
+        pg_norm = obj.grad_norm(vec, obj.value_grad(vec)[1])
         converged = pg_norm <= 10 * opts.tol
         termination = ("max_iter" if capped else
                        "converged" if converged else "line_search")
-        return f, vec, SolveInfo(converged, iterations, pg_norm, False,
-                                 self.passes - passes, termination)
+        return float(value), vec, SolveInfo(converged, iterations, pg_norm,
+                                            False, self.passes - passes,
+                                            termination)
 
 
 class _Decided(Exception):
@@ -962,25 +875,26 @@ def _minimize(h, cs: ConstraintSet, e: float, opts: SolverOptions,
     if problem.envelope is not None:
         return problem.envelope.solve(e, opts, linear, decides)
     obj = _BlockObjective(problem, e, linear)
-    x, f, info = _spg(obj, obj.reduce(init), opts, decides=decides)
-    return f, obj.certificate(x, info.infeasible), info
+    x, f, info = _spg(obj, np.zeros(obj.size) if init is None else init,
+                      opts, decides=decides)
+    return f, x, info
 
 
 def minimize_dual(h, cs: ConstraintSet, e: float, opts: SolverOptions = None,
                   init: np.ndarray = None, problem: DualProblem = None,
                   decides=None):
-    """Minimize the von Neumann dual; returns (s_upper, vec, info), vec the
-    packed point mu, nu_i, X_A.
+    """Minimize the von Neumann dual; returns (s_upper, x, info), x the
+    packed point (nu_i, Y_A) whose bound s_upper is.
 
     With at most one witness and no cuts the witness path solves it (see
-    `_Envelope`; `init` is not used there).  Otherwise SPG minimizes the
-    grand canonical form over (nu, Y) (see `_BlockObjective`), from
-    (nu, Y) = (nu, X) / (-mu) of `init`, a vec of an earlier solve, or
-    from nu = Y = 0, where the value is S_Gibbs(E).  The returned vec is
-    (-beta, beta nu, beta Y) at its end point.  `problem` is
-    `prepare_dual(h, cs)`, to prepare once for many solves.  Where no
-    state meets the constraints at energy e, the solve returns -inf at a
-    Farkas certificate (-1, nu, Y) with `info.infeasible` set.
+    `_Envelope`); it searches from its own last optimum, and `init` is not
+    used there.  Otherwise SPG minimizes over (nu, Y) (see
+    `_BlockObjective`), from `init`, an x of an earlier solve of the same
+    problem, or from nu = Y = 0, where the value is S_Gibbs(E); an `init`
+    of another length raises ValueError.  `problem` is `prepare_dual(h,
+    cs)`, to prepare once for many solves.  Where no state meets the
+    constraints at energy e, the solve returns -inf at a Farkas
+    certificate x, lam_min(m) > e, with `info.infeasible` set.
 
     `decides`, a predicate on a dual value, asks a yes-or-no question
     instead of the optimum: the solve stops at the first feasible point
@@ -1006,14 +920,14 @@ def lin_dual_minimize(h, cs: ConstraintSet, e: float,
     The dual is 1/4 tr(lam*I + mu*H + sum nu_i W_i + X0 + sum X_A^(T_A))^2
     + 1 - lam - mu*E over lam, mu real, nu >= 0, X0 and X_A PSD; the slack
     X0 = (.)_- is eliminated in closed form, leaving the positive part.
-    SPG minimizes its grand canonical form, the maximal impurity at E of
-    the spectrum of H - sum nu_i W_i - sum Y_A^(T_A), whose weights
-    (a + b w)_+ give the full point (lam, mu, nu, X) = (2a, 2b, -2b nu,
-    -2b Y).  Returns (value, vec, info), vec that packed point lam, mu,
-    nu_i, X_A; `init` and `problem` are as in `minimize_dual`, whose
-    witness path this dual shares.  The value is -inf at a Farkas
-    certificate (0, -1, nu, Y), and `decides` stops the solve early, as
-    in `minimize_dual`."""
+    SPG minimizes it over the grand canonical point (nu, Y): the maximal
+    impurity at E of the spectrum of m = H - sum nu_i W_i - sum
+    Y_A^(T_A), whose weights (a + b w)_+ give the full point (lam, mu, nu,
+    X) = (2a, 2b, -2b nu, -2b Y).  Returns (value, x, info), x = (nu_i,
+    Y_A); `init`, `problem` and the witness path are as in
+    `minimize_dual`.  The value is -inf at a Farkas certificate x,
+    lam_min(m) > e, and `decides` stops the solve early, as in
+    `minimize_dual`."""
     return _minimize(h, cs, e, opts, init, problem, True, decides)
 
 
@@ -1226,16 +1140,16 @@ def ppt_energy_min(h, cuts, cert_tol: float = 1e-5,
     - `value` = lam_min(H - sum_A Y_A^(T_A)), Y_A = P_PSD(-sigma u_A), less
       a rounding margin: for any PSD Y_A and PPT rho, tr(rho H) >= lam_min,
       a certified lower bound.  lam_min is tr H / d plus the least
-      eigenvalue of M_c = H_c - sum_A Y_A^(T_A), and the margin is that of
-      E_min,W (`_farkas_margin`) on the spectrum of M_c, so a shift of H
-      does not widen it;
+      eigenvalue of M_c = H_c - sum_A Y_A^(T_A), certified as E_min,W is
+      (`_certified_min`) on the spectrum of M_c, so a shift of H does not
+      widen the margin and a scale of H scales it;
     - `rho` = (1 - t) z0 + t I / d, z0 a state by construction and t the
       least weight that makes every partial transpose PSD; `primal_value`
       = tr(rho H) is then attained by a PPT state.
     `residual` = primal_value - value bounds the distance of both to the
     optimum.  The solve stops once primal_value - lam_min <= cert_tol, so
-    `residual` exceeds cert_tol by at most the margin, 1e-9 (1 + 2 ||M_c||)
-    or less.
+    `residual` exceeds cert_tol by at most the margin, 2e-9 ||M_c||_2 and
+    the rounding of the sum.
 
     rho and its copy z0 live in the magnetization sectors, and each copy
     z_A of rho^(T_A) in the blocks of the cut's twisted charge (see
@@ -1295,9 +1209,9 @@ def ppt_energy_min(h, cuts, cert_tol: float = 1e-5,
         w = lay.eigvalsh(lay.hermitian(m))
         lo = float(w.min())
         # lam_min(H - sum Y^T) = lo + tr H / d; value lies below it by the
-        # rounding margin of E_min,W and by the rounding of the sum
+        # certified margin of lam_min(M_c) and by the rounding of the sum
         lam = lo + h_mean
-        lower = (lam - _farkas_margin(lo, -lo, -float(w.max()))
+        lower = (_certified_min(w) + h_mean
                  - 2.0 * np.spacing(abs(lo) + abs(h_mean)))
         rho = (1.0 - t) * z0
         rho[lay.diagonal] += t / d
@@ -1346,12 +1260,13 @@ def ppt_energy_min(h, cuts, cert_tol: float = 1e-5,
 def diagonal_dual(spectrum, alpha: float, ground_count: int, e: float):
     """Minimize ln sum_i exp(mu E_i + nu (alpha - delta_i)) - mu E over
     mu real, nu >= 0, where delta_i = 1 on the first `ground_count`
-    entries of the ascending spectrum.  Returns (s_upper, mu*, nu*).
+    entries of the ascending spectrum.  Returns (s_upper, nu*); mu* is
+    -beta of the Gibbs state of E_i - nu* (alpha - delta_i) at e.
 
     This is the witness path on H = diag(E_i) with the witness
     W = diag(alpha - delta_i), split into 1 x 1 blocks; s_upper is -inf,
-    at the Farkas certificate (-1, nu), where no state at energy e has
-    ground weight <= alpha."""
+    at the Farkas certificate nu, where no state at energy e has ground
+    weight <= alpha."""
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
     w = np.sort(np.asarray(spectrum, dtype=float))
@@ -1364,28 +1279,30 @@ def diagonal_dual(spectrum, alpha: float, ground_count: int, e: float):
     problem = _prepared(None, cs, "diagonal", None, list(w.reshape(-1, 1, 1)),
                         [list((alpha - delta).reshape(-1, 1, 1))],
                         [1] * w.size, None)
-    val, (mu, nu), _ = minimize_dual(None, cs, e,
-                                     SolverOptions(tol=DIAGONAL_TOL),
-                                     problem=problem)
-    return float(val), float(mu), float(nu)
+    val, (nu,), _ = minimize_dual(None, cs, e,
+                                  SolverOptions(tol=DIAGONAL_TOL),
+                                  problem=problem)
+    return float(val), float(nu)
 
 
 # ---------------------------------------------------------------------------
 # entropy-gap lower bounds
 
-def gap_lower_bound(h, cs: ConstraintSet, beta: float,
-                    vec: np.ndarray) -> float:
-    """ln [tr exp(-beta H) / tr exp(-beta H + sum nu_i W_i + sum X^(T_A))]
-    for any feasible packed point (mu, nu_i >= 0, PSD X_A in the blocks of
-    `prepare_dual(h, cs).x_layouts`) of the von Neumann dual, mu ignored;
-    no optimization involved."""
-    vec = np.array(vec, dtype=float)
-    if np.any(vec[1:1 + len(cs.witnesses)] < -1e-12):
+def gap_lower_bound(h, cs: ConstraintSet, beta: float, x: np.ndarray) -> float:
+    """ln Z_H(beta) - ln tr exp(-beta m), m = H - sum nu_i W_i - sum
+    Y_A^(T_A), for any feasible packed point x = (nu_i >= 0, PSD Y_A in the
+    blocks of `prepare_dual(h, cs).x_layouts`): S_Gibbs(E) less the dual at
+    (-beta, beta nu, beta Y), a lower bound on the entropy gap at the
+    energy E of beta; no optimization involved."""
+    x = np.asarray(x, dtype=float)
+    if np.any(x[:len(cs.witnesses)] < -1e-12):
         raise ValueError("witness multipliers must be nonnegative")
-    vec[0] = -beta
     problem = prepare_dual(h, cs)
-    ln_tr = _BlockObjective(problem, 0.0).dual_value_grad(vec)[0]
-    return float(gibbs_at(problem.spectrum, beta)[0] - ln_tr)
+    obj = _BlockObjective(problem, 0.0)
+    w = obj._eigh(x)[0]
+    if obj.counts is not None:
+        w = np.repeat(w, obj.counts)
+    return float(gibbs_at(problem.spectrum, beta)[0] - gibbs_at(w, beta)[0])
 
 
 def bell_gap_bound(beta: float, d: float, nu: float) -> float:

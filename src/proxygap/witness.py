@@ -99,12 +99,6 @@ def _cut_matrices(states: np.ndarray, cut: Bipartition) -> np.ndarray:
     return t.reshape(-1, 2 ** len(a_sites), 2 ** len(b_sites))
 
 
-def max_schmidt_overlap(psi: np.ndarray, cut: Bipartition) -> float:
-    """Largest squared Schmidt coefficient of psi across the cut."""
-    m = _cut_matrices(np.asarray(psi, dtype=complex).reshape(1, -1), cut)
-    return float(np.linalg.norm(m[0], 2) ** 2)
-
-
 def _product_overlap_bound(states: np.ndarray, cut: Bipartition) -> float:
     """min(lam_max(tr_B P), lam_max(tr_A P)) >= <a b|P|a b> for P the
     projector onto the span of the rows of `states` and any product state

@@ -45,18 +45,16 @@ def _random_matrix(rng, d, dtype):
     return m + 1j * rng.standard_normal((d, d)) if dtype.kind == "c" else m
 
 
-def _random_vec(rng, problem, linear):
-    """Packed dual variables: (lam,) mu, nu_i >= 0, PSD X_A in the blocks
-    of its layout (the blocks of a PSD matrix are PSD)."""
+def _random_point(rng, problem):
+    """A packed point: nu_i >= 0 and PSD Y_A in the blocks of its layout
+    (the blocks of a PSD matrix are PSD)."""
     d = problem.spectrum.size
-    xs = []
+    ys = []
     for xl in problem.x_layouts:
         m = _random_matrix(rng, d, xl.dtype)
         m = (m @ m.conj().T / d).ravel()[xl.positions()]
-        xs.append(_packed(xl.psd_project(m)))
-    vec = np.concatenate([[rng.standard_normal()],
-                          np.abs(rng.standard_normal(problem.n_wit))] + xs)
-    return np.concatenate(([rng.standard_normal()], vec)) if linear else vec
+        ys.append(_packed(xl.psd_project(m)))
+    return np.concatenate([np.abs(rng.standard_normal(problem.n_wit))] + ys)
 
 
 def _xxz_witness_case(rng):
@@ -68,9 +66,10 @@ def _xxz_witness_case(rng):
 
 
 def test_gradients_match_finite_differences(rng):
-    """Gradients of both spectral duals vs central differences at >= 50
-    random points: on dense complex problems, on symmetry blocks, and on
-    the real sector blocks of the AFM 4-ring with its even-odd cut."""
+    """Gradients of both duals vs central differences at 60 random points
+    (nu, Y), with e inside the spectrum of m = H - sum nu_i W_i - sum
+    Y_A^(T_A): on dense complex problems, on symmetry blocks, and on the
+    real sector blocks of the AFM 4-ring with its even-odd cut."""
     checked = 0
     while checked < 60:
         linear = checked % 2 == 1
@@ -90,31 +89,30 @@ def test_gradients_match_finite_differences(rng):
         if case == 2:
             assert problem.path == "sector"
             assert [xl.dtype for xl in problem.x_layouts] == [np.float64]
-        w = problem.spectrum
-        e = float(w.mean() - rng.random() * np.ptp(w) / 4)
+        x = _random_point(rng, problem)
+        w = np.linalg.eigvalsh(_dense_m(h, cs, x))
+        e = float(w.min() + rng.uniform(0.1, 0.8) * (w.mean() - w.min()))
         obj = dual_mod._BlockObjective(problem, e, linear)
-        vec = _random_vec(rng, problem, linear)
-        val, grad = obj.dual_value_grad(vec)
+        val, grad = obj.value_grad(x)
         eps = 1e-6
         scale = max(1.0, abs(val))
 
         def slope(direction):
-            return (obj.dual_value_grad(vec + eps * direction)[0] -
-                    obj.dual_value_grad(vec - eps * direction)[0]) / (2 * eps)
+            return (obj.value_grad(x + eps * direction)[0] -
+                    obj.value_grad(x - eps * direction)[0]) / (2 * eps)
 
-        n_scalar = vec.size - sum(xl.width for xl in problem.x_layouts)
-        for i in range(n_scalar):
-            direction = np.zeros(vec.size)
+        for i in range(problem.n_wit):
+            direction = np.zeros(x.size)
             direction[i] = 1.0
             assert abs(slope(direction) - grad[i]) < 2e-6 * scale
-        off = n_scalar
+        off = problem.n_wit
         d = problem.spectrum.size
         for xl in problem.x_layouts:
             # a random Hermitian direction for the matrix variable
             dm = _random_matrix(rng, d, xl.dtype)
             dm = ((dm + dm.conj().T) / 2).ravel()[xl.positions()]
             dm /= np.linalg.norm(dm)
-            direction = np.zeros(vec.size)
+            direction = np.zeros(x.size)
             direction[off:off + xl.width] = _packed(dm)
             off += xl.width
             assert abs(slope(direction) - grad @ direction) < 2e-6 * scale
@@ -143,9 +141,8 @@ def test_grand_canonical_gradients_match_finite_differences(rng):
             assert problem.path == "momentum" and 2 in problem.mult
         for linear in (False, True):
             for _ in range(4):
-                x = 0.3 * _random_vec(rng, problem, False)[1:]
-                m = -_dense_exponent(h, cs, np.r_[-1.0, x], 1)
-                w = np.linalg.eigvalsh(m)
+                x = 0.3 * _random_point(rng, problem)
+                w = np.linalg.eigvalsh(_dense_m(h, cs, x))
                 e = float(w.min() + rng.uniform(0.1, 0.8)
                           * (w.mean() - w.min()))
                 obj = dual_mod._BlockObjective(problem, e, linear)
@@ -177,19 +174,45 @@ def test_empty_constraints_recover_gibbs(rng):
         assert abs(val - s_gibbs) < 1e-6
 
 
+def _full_dual(obj, point):
+    """The full dual at a packed point (lam,) mu < 0, nu_i, X_A, rebuilt
+    from the evaluator's spectrum: the exponent lam I + mu H + sum nu_i W_i
+    + sum X_A^(T_A) is lam + mu m((nu, X) / (-mu)), so the dual is
+    F(lam + mu spec m) - lam - mu e, F = ln tr exp or 1 + 1/4 tr (.)_+^2."""
+    lam, mu, x = ((point[0], point[1], point[2:]) if obj.linear
+                  else (0.0, point[0], point[1:]))
+    assert mu < 0.0
+    w = obj._eigh(x / -mu)[0]
+    if obj.counts is not None:
+        w = np.repeat(w, obj.counts)
+    z = lam + mu * w
+    if obj.linear:
+        f = 1.0 + 0.25 * float(np.maximum(z, 0.0) @ np.maximum(z, 0.0))
+    else:
+        f = float(np.log(np.exp(z - z.max()).sum()) + z.max())
+    return f - lam - mu * obj.e
+
+
 def test_dual_convexity_midpoints(rng):
-    """l((p+q)/2) <= (l(p) + l(q))/2 on 100 random pairs, both duals."""
+    """l((p+q)/2) <= (l(p) + l(q))/2 on 100 random pairs, both full duals,
+    rebuilt from the evaluator's spectrum at mu < 0."""
     h = heisenberg_chain(HeisenbergParams(3, -1, -1, -1))
     cs = ConstraintSet((dicke_witness(3, 1),), (even_odd_bipartition(3),))
     problem = prepare_dual(h, cs)
     e = -1.5
+
+    def full_point(linear):  # (lam,) mu < 0, nu_i >= 0, PSD X_A
+        scalars = [-abs(rng.standard_normal())]
+        if linear:
+            scalars.insert(0, rng.standard_normal())
+        return np.concatenate([scalars, _random_point(rng, problem)])
+
     for i in range(100):
         obj = dual_mod._BlockObjective(problem, e, linear=i % 2 == 1)
-        p = _random_vec(rng, problem, obj.linear)
-        q = _random_vec(rng, problem, obj.linear)
-        f_p = obj.dual_value_grad(p)[0]
-        f_q = obj.dual_value_grad(q)[0]
-        f_m = obj.dual_value_grad(0.5 * (p + q))[0]
+        p, q = full_point(obj.linear), full_point(obj.linear)
+        f_p = _full_dual(obj, p)
+        f_q = _full_dual(obj, q)
+        f_m = _full_dual(obj, 0.5 * (p + q))
         assert f_m <= 0.5 * (f_p + f_q) + 1e-9
 
 
@@ -249,7 +272,7 @@ def test_block_path_reports_projected_gradient():
     e = float(w.min() + 0.8 * (w.mean() - w.min()))
     opts = SolverOptions()
     val, vec, info = minimize_dual(h, cs, e, opts)
-    assert vec[1] == 0.0
+    assert vec.tolist() == [0.0]
     assert abs(val - gibbs_at(w, beta_from_energy(w, e))[2]) < 1e-9
     assert info.grad_norm <= 10 * opts.tol
     assert info.converged
@@ -279,7 +302,7 @@ def _sector_cases():
 
 def test_sector_layout_matches_one_block_layout(rng, monkeypatch):
     """Values and gradients of both duals with cuts agree to 1e-12 at
-    random feasible points, blocked and forced into one block."""
+    random feasible points (nu, Y), blocked and forced into one block."""
     for h, cs in _sector_cases():
         blocked = prepare_dual(h, cs)
         assert (blocked.path, blocked.fallback) == ("sector", "PPT cuts")
@@ -290,16 +313,16 @@ def test_sector_layout_matches_one_block_layout(rng, monkeypatch):
             [h.dim ** 2] * len(cs.map_slots)
         np.testing.assert_array_equal(blocked.spectrum, dense.spectrum)
         w = blocked.spectrum
+        k = blocked.n_wit
         for linear in (False, True):
-            k = (2 if linear else 1) + blocked.n_wit
             for _ in range(5):
                 e = float(w.mean() - rng.random() * np.ptp(w) / 4)
-                vec = _random_vec(rng, blocked, linear)
+                x = _random_point(rng, blocked)
                 vb, gb = dual_mod._BlockObjective(
-                    blocked, e, linear).dual_value_grad(vec)
+                    blocked, e, linear).value_grad(x)
                 vd, gd = dual_mod._BlockObjective(
-                    dense, e, linear).dual_value_grad(
-                    _as_one_block(vec, blocked, dense, k))
+                    dense, e, linear).value_grad(
+                    _as_one_block(x, blocked, dense, k))
                 assert abs(vb - vd) <= 1e-12 * max(1.0, abs(vb))
                 np.testing.assert_allclose(
                     _as_one_block(gb, blocked, dense, k), gd,
@@ -379,11 +402,12 @@ def test_ppt_energy_min_is_accelerated(n, iterations):
 ], ids=["afm4-all-cuts", "afm5-even-odd"])
 def test_ppt_energy_min_is_shift_and_scale_invariant(n, cuts):
     # the sweeps run on the traceless part of H with a penalty in its norm,
-    # so aH + cI takes the same iterates, and value moves to a value + c
+    # so aH + cI takes the same iterates, and value moves to a value + c;
+    # the rounding margin of value scales with a, down to a = 1e-6
     h = heisenberg_chain(HeisenbergParams(n, -1, -1, -1))
     tol = 1e-5
     res = ppt_energy_min(h, cuts, cert_tol=tol)
-    for a in (1e-3, 1e3):
+    for a in (1e-6, 1e-3, 1e3):
         for c in (-100.0, 100.0):
             moved = HermitianOperator(a * h.entries + c * np.eye(h.dim),
                                       h.local_dims)
@@ -515,33 +539,29 @@ def test_scan_splits_once(monkeypatch):
     assert counts[0] == counts[1] > 0
 
 
-def _dense_exponent(h, cs, vec, k):
-    """The dense M = lam I + mu H + sum nu_i W_i + sum X_A^(T_A) of a full
-    packed point vec = (lam,) mu, nu_i, X_A (k = 2 with lam, else 1),
-    after checking that it is feasible: nu >= 0 and every X_A PSD."""
+def _dense_m(h, cs, x):
+    """The dense m = H - sum nu_i W_i - sum Y_A^(T_A) of a packed point
+    x = (nu_i, Y_A), after checking that it is feasible: nu >= 0 and every
+    Y_A PSD."""
     n_wit = len(cs.witnesses)
-    lam, mu, nus = (vec[0] if k == 2 else 0.0), vec[k - 1], vec[k:k + n_wit]
     x_layouts = prepare_dual(h, cs).x_layouts
-    xs = [xl.dense(x) for x, xl in zip(
-        dual_mod._unpack_xs(vec, k + n_wit, x_layouts), x_layouts)]
-    assert vec.size == k + n_wit + sum(xl.width for xl in x_layouts)
-    assert np.all(nus >= 0.0)
-    m = lam * np.eye(h.entries.shape[0]) + mu * h.entries
-    for nu, wit in zip(nus, cs.witnesses):
-        m = m + nu * wit.to_dense()
-    for x, cut in zip(xs, cs.map_slots):
-        assert np.linalg.eigvalsh(x).min() >= -1e-12 * np.abs(x).max()
-        m = m + partial_transpose_matrix(x, h.local_dims, cut.subset_mask)
+    ys = [xl.dense(y) for y, xl in zip(
+        dual_mod._unpack_xs(x, n_wit, x_layouts), x_layouts)]
+    assert x.size == n_wit + sum(xl.width for xl in x_layouts)
+    assert np.all(x[:n_wit] >= 0.0)
+    m = h.entries
+    for nu, wit in zip(x[:n_wit], cs.witnesses):
+        m = m - nu * wit.to_dense()
+    for y, cut in zip(ys, cs.map_slots):
+        assert np.linalg.eigvalsh(y).min() >= -1e-12 * np.abs(y).max()
+        m = m - partial_transpose_matrix(y, h.local_dims, cut.subset_mask)
     return (m + m.conj().T) / 2
 
 
-def _assert_farkas_certificate(h, cs, e, vec, linear=False):
-    """The packed point vec = (lam,) mu, nu_i, X_A is feasible and its
-    dense exponent M has lam_max(M) < b.y, so no state meets the
-    constraints at energy e."""
-    lam, mu = (vec[0], vec[1]) if linear else (0.0, vec[0])
-    m = _dense_exponent(h, cs, vec, 2 if linear else 1)
-    assert np.linalg.eigvalsh(m).max() < lam + mu * e
+def _assert_farkas_certificate(h, cs, e, x):
+    """The packed point x = (nu_i, Y_A) is feasible and its dense m has
+    lam_min(m) > e, so no state meets the constraints at energy e."""
+    assert np.linalg.eigvalsh(_dense_m(h, cs, x)).min() > e
 
 
 def test_spg_stops_at_farkas_certificate():
@@ -565,7 +585,7 @@ def test_linear_dual_stops_at_farkas_certificate():
     val, vec, info = lin_dual_minimize(h, cs, e, opts)
     assert info.infeasible and info.converged and val == -np.inf
     assert info.iterations < opts.max_iter // 10
-    _assert_farkas_certificate(h, cs, e, vec, linear=True)
+    _assert_farkas_certificate(h, cs, e, vec)
 
 
 def test_linear_dual_certifies_the_witness_only_dicke_ring():
@@ -581,7 +601,7 @@ def test_linear_dual_certifies_the_witness_only_dicke_ring():
     val, vec, info = lin_dual_minimize(h, cs, e, opts, problem=problem)
     assert info.infeasible and info.converged and val == -np.inf
     assert info.iterations < opts.max_iter // 10
-    _assert_farkas_certificate(h, cs, e, vec, linear=True)
+    _assert_farkas_certificate(h, cs, e, vec)
 
 
 def test_witness_path_stops_at_farkas_certificate():
@@ -650,11 +670,11 @@ def test_conjugate_pairs_match_the_unpaired_problem(monkeypatch, rng):
     for linear in (False, True):
         for _ in range(10):
             e = float(w.mean() - rng.random() * np.ptp(w) / 4)
-            vec = _random_vec(rng, paired, linear)
+            x = _random_point(rng, paired)
             va, ga = dual_mod._BlockObjective(paired, e,
-                                              linear).dual_value_grad(vec)
+                                              linear).value_grad(x)
             vb, gb = dual_mod._BlockObjective(unpaired, e,
-                                              linear).dual_value_grad(vec)
+                                              linear).value_grad(x)
             assert abs(va - vb) <= 1e-12 * max(1.0, abs(va))
             np.testing.assert_allclose(ga, gb, rtol=1e-12, atol=1e-12)
 
@@ -760,7 +780,7 @@ def test_two_witnesses_route_to_spg():
         e = float(w.min() + frac * (w.mean() - w.min()))
         val, vec, info = minimize_dual(h, both, e, problem=problem)
         assert info.termination in ("converged", "max_iter", "line_search")
-        assert vec.size == 3 and np.all(vec[1:] >= 0.0)
+        assert vec.size == 2 and np.all(vec >= 0.0)
         for wit in wits:
             one = ConstraintSet((wit,))
             assert prepare_dual(h, one).envelope is not None
@@ -778,12 +798,12 @@ def test_gibbs_feasible_rows_skip_the_search():
     e = float(w.min() + 0.8 * (w.mean() - w.min()))
     val, vec, info = minimize_dual(h, cs, e, problem=problem)
     assert info.termination == "gibbs_feasible" and info.evaluations == 0
-    assert info.certificate == "bound"
-    assert vec[1] == 0.0 and vec[0] == -beta_from_energy(w, e)
+    assert info.certificate == "bound" and info.grad_norm == 0.0
+    assert vec.tolist() == [0.0]
     assert val == gibbs_at(w, beta_from_energy(w, e))[2]
     val, vec, info = lin_dual_minimize(h, cs, e, problem=problem)
     assert info.termination == "gibbs_feasible" and info.evaluations == 0
-    assert vec[2] == 0.0 and val == linear_entropy_max(w, e)
+    assert vec.tolist() == [0.0] and val == linear_entropy_max(w, e)
     assert problem.envelope.passes == passes
 
 
@@ -863,10 +883,9 @@ def test_decided_bisection_steps_are_certificates(monkeypatch, path):
     for e, (value, point, info) in decided:
         assert not info.converged and not info.infeasible
         obj = dual_mod._BlockObjective(problem, e)
-        np.testing.assert_allclose(obj.project(point[1:]), point[1:], rtol=0,
+        np.testing.assert_allclose(obj.project(point), point, rtol=0,
                                    atol=1e-12 * max(1.0, np.abs(point).max()))
-        assert obj.dual_value_grad(point)[0] == pytest.approx(value,
-                                                              rel=1e-12)
+        assert obj.value_grad(point)[0] == pytest.approx(value, rel=1e-12)
         s_ref = gibbs_at(w, beta_from_energy(w, e))[2]
         assert s_ref - value > GAP_TOLERANCE
         assert s_ref - solve(h, cs, e, problem=problem)[0] > GAP_TOLERANCE
@@ -875,15 +894,10 @@ def test_decided_bisection_steps_are_certificates(monkeypatch, path):
             {False, True}
 
 
-def _assert_projected_grad_norm(problem, e, linear, vec, info):
-    # the witness path reports the full form's norm, SPG the grand
-    # canonical form's, at the (nu, Y) of the point it returns
+def _assert_projected_grad_norm(problem, e, linear, x, info):
+    # the witness path and SPG both report the norm at the point returned
     obj = dual_mod._BlockObjective(problem, e, linear)
-    if problem.envelope is not None:
-        norm = obj.dual_grad_norm(vec, obj.dual_value_grad(vec)[1])
-    else:
-        x = obj.reduce(vec)
-        norm = obj.grad_norm(x, obj.value_grad(x)[1])
+    norm = obj.grad_norm(x, obj.value_grad(x)[1])
     assert info.grad_norm == pytest.approx(norm, rel=1e-9)
 
 
@@ -924,13 +938,12 @@ def test_packed_points_of_the_wrong_length_are_rejected(rng):
         map_slots=(even_odd_bipartition(4),)))
     xl = problem.x_layouts[0]
     obj = dual_mod._BlockObjective(problem, -3.2)
-    vec = _random_vec(rng, problem, False)[1:]
+    vec = _random_point(rng, problem)
     assert vec.size == obj.size == xl.width == xl.size
     g = obj.value_grad(vec)[1]
     as_complex = _packed(vec.astype(complex))
     for bad in (vec[:-1], np.r_[vec, 0.0], as_complex):
         for call in (obj.value_grad, obj.project,
-                     lambda v: obj.dual_value_grad(np.r_[-1.0, v]),
                      lambda v: obj.grad_norm(v, np.resize(g, v.size)),
                      lambda v: obj.grad_norm(vec, v)):
             with pytest.raises(ValueError, match="packed point"):
@@ -991,7 +1004,7 @@ def test_projected_steps_bound_the_gradient_norm(rng, rotated):
     ts = np.logspace(-3, 3, 25)
     obj = dual_mod._BlockObjective(problem, -2.0)
     for _ in range(20):
-        x = _random_vec(rng, problem, False)[1:]
+        x = _random_point(rng, problem)
         g = rng.standard_normal(x.size) * 10.0 ** rng.uniform(-4, 1)
         pg = obj.grad_norm(x, g)
         norms = np.array([np.linalg.norm(obj.step(x, g, t)) for t in ts])
@@ -1064,6 +1077,19 @@ def test_spg_warm_starts_from_the_vector_it_returns():
         assert abs(again - val) <= 1e-12
 
 
+def test_init_of_the_wrong_length_is_rejected():
+    # an init that is not a point of the problem raises, rather than
+    # restarting the solve from zero
+    ring = heisenberg_chain(HeisenbergParams(4, -1, -1, -1))
+    cs = ConstraintSet(map_slots=(even_odd_bipartition(4),))
+    problem = prepare_dual(ring, cs)
+    size = problem.x_layouts[0].width
+    for solve in (minimize_dual, lin_dual_minimize):
+        for init in (np.zeros(3), np.zeros(size + 1)):
+            with pytest.raises(ValueError, match="packed point"):
+                solve(ring, cs, -3.2, init=init, problem=problem)
+
+
 @pytest.fixture(scope="module")
 def ring4_ppt_emin():
     h = heisenberg_chain(HeisenbergParams(4, -1, -1, -1))
@@ -1098,14 +1124,14 @@ def test_near_edge_rows_certify_or_converge(ring4_ppt_emin, case):
     val, vec, info = lin_dual_minimize(h, cs, e)
     assert val == -np.inf and info.certificate == "farkas"
     assert info.iterations < 100
-    _assert_farkas_certificate(h, cs, e, vec, linear=True)
+    _assert_farkas_certificate(h, cs, e, vec)
 
 
 def test_spg_returns_full_certificates(rng):
-    """Every SPG solve returns the full point (lam,) mu, nu, X_A: feasible,
-    with the reported S_dual as its full dual value, or a Farkas
-    certificate at a -inf row; its grand canonical point (nu, X) / (-mu)
-    maps back to it."""
+    """Every SPG solve returns a feasible point (nu, Y): the reported
+    S_dual is its dual value, or at a -inf row it is a Farkas
+    certificate, lam_min(m) > e; as init, a converged one starts a solve
+    that stays there."""
     infeasible = 0
     for name, h, cs in _grand_canonical_cases():
         problem = prepare_dual(h, cs)
@@ -1116,20 +1142,16 @@ def test_spg_returns_full_certificates(rng):
                 solve = lin_dual_minimize if linear else minimize_dual
                 val, vec, info = solve(h, cs, e, problem=problem)
                 obj = dual_mod._BlockObjective(problem, e, linear)
-                k = obj.k
-                _dense_exponent(h, cs, vec, k)  # nu >= 0, PSD X_A
+                _dense_m(h, cs, vec)  # nu >= 0, PSD Y_A
                 if val == -np.inf:
                     infeasible += 1
-                    assert info.certificate == "farkas" and vec[k - 1] == -1
-                    _assert_farkas_certificate(h, cs, e, vec, linear)
+                    assert info.certificate == "farkas"
+                    _assert_farkas_certificate(h, cs, e, vec)
                     continue
                 assert info.certificate == "bound", (name, e, linear)
-                assert obj.dual_value_grad(vec)[0] == pytest.approx(
+                assert obj.value_grad(vec)[0] == pytest.approx(
                     val, rel=1e-10)
-                x = obj.reduce(vec)
                 scale = max(1.0, np.abs(vec).max())
-                np.testing.assert_allclose(obj.certificate(x), vec, rtol=0,
-                                           atol=1e-12 * scale)
                 if info.converged:  # as init, it starts a converged solve
                     again, vec2, _ = solve(h, cs, e, init=vec,
                                            problem=problem)
@@ -1248,7 +1270,7 @@ def test_diagonal_dual_matches_full_dual(rng):
         wit = projector_witness(psi, ALL, n_sites=n)
         alpha = wit.alpha
         e = float(w.mean() - (0.3 + 0.4 * rng.random()) * (w.mean() - w[0]))
-        s_diag, mu, nu = diagonal_dual(w, alpha, vecs.shape[1], e)
+        s_diag, nu = diagonal_dual(w, alpha, vecs.shape[1], e)
         s_full, _, info = minimize_dual(h, ConstraintSet((wit,)), e)
         assert abs(s_diag - s_full) < 1e-6
         assert nu >= -1e-12
@@ -1267,10 +1289,14 @@ def test_diagonal_dual_at_d_1024():
     refs = {0.5: (6.470494601321975, -2.0055788318329735, 0.6978623805760235),
             2.0: (6.471119747831022, -2.0000000000000004, 0.0)}
     for fac, (s_ref, mu_ref, nu_ref) in refs.items():
-        s_up, mu, nu = diagonal_dual(w, fac * alpha_crit, 1, e)
+        s_up, s = diagonal_dual(w, fac * alpha_crit, 1, e)
+        # the full point (mu, nu) = (-beta, beta s), beta that of the Gibbs
+        # state of spec(H - sW) at e
+        wit = fac * alpha_crit - (np.arange(w.size) < 1)
+        beta = beta_from_energy(w - s * wit, e)
         assert abs(s_up - s_ref) <= 1e-11
-        assert mu == pytest.approx(mu_ref, rel=1e-8)
-        assert nu == pytest.approx(nu_ref, rel=1e-8, abs=1e-12)
+        assert -beta == pytest.approx(mu_ref, rel=1e-8)
+        assert beta * s == pytest.approx(nu_ref, rel=1e-8, abs=1e-12)
 
 
 def test_theorem3_boundary_transition():
@@ -1287,7 +1313,7 @@ def test_theorem3_boundary_transition():
         # beta exactly when ln(alpha) < -beta E0 - ln Z
         lnz_gibbs = gibbs_at(w, beta)[0]
         assert (np.log(alpha) < -beta * w.min() - lnz_gibbs) == expect_detect
-        s_up, mu, nu = diagonal_dual(w, alpha, 1, e)
+        s_up, nu = diagonal_dual(w, alpha, 1, e)
         if expect_detect:
             assert nu > 0
             assert s_up < gibbs_at(w, beta)[2] - 1e-12
@@ -1304,15 +1330,12 @@ def test_gap_lower_bound_certifies():
     s_gibbs = gibbs_at(w, beta)[2]
     val, vec, _ = minimize_dual(h, cs, e)
     xl = prepare_dual(h, cs).x_layouts[0]
-    assert vec.size == 1 + xl.width
-    feas = np.concatenate([vec[:1], _packed(xl.psd_project(
-        dual_mod._unpack_xs(vec, 1, [xl])[0]))])
+    assert vec.size == xl.width
+    feas = _packed(xl.psd_project(dual_mod._unpack_xs(vec, 0, [xl])[0]))
     bound = gap_lower_bound(h, cs, beta, feas)
     assert bound <= (s_gibbs - val) + 1e-8
-    # the trivial point certifies nothing, whatever its mu
-    zero = np.zeros(1 + xl.width)
-    zero[0] = 3.0
-    assert abs(gap_lower_bound(h, cs, beta, zero)) < 1e-12
+    # the trivial point certifies nothing
+    assert abs(gap_lower_bound(h, cs, beta, np.zeros(xl.width))) < 1e-12
 
 
 def test_bell_gap_bound_values_and_monotonicity():

@@ -8,8 +8,7 @@ from proxygap.models import (dicke_state, excitation_sector_indices,
                              popcounts, sector_split_sparse)
 from proxygap.witness import (ALL, Witness, all_bipartitions,
                               dicke_field_range, dicke_witness,
-                              even_odd_bipartition, max_schmidt_overlap,
-                              projector_witness)
+                              even_odd_bipartition, projector_witness)
 
 
 def test_all_bipartitions_count():
@@ -22,13 +21,6 @@ def test_all_bipartitions_count():
 def test_even_odd_bipartition():
     cut = even_odd_bipartition(5)
     assert cut.subset_mask == frozenset({0, 2, 4})
-
-
-def test_max_schmidt_overlap_known_values():
-    bell = np.array([1, 0, 0, 1]) / np.sqrt(2)
-    assert abs(max_schmidt_overlap(bell, Bipartition({0}, 2)) - 0.5) < 1e-12
-    prod = np.kron([1, 0], [0.6, 0.8])
-    assert abs(max_schmidt_overlap(prod, Bipartition({0}, 2)) - 1.0) < 1e-12
 
 
 def test_dicke_witness_sector_structure():
@@ -59,9 +51,15 @@ def test_dicke_witness_nonnegative_on_product_states(rng):
 
 
 def test_projector_witness_singlet_alpha():
+    # for one state alpha is its largest squared Schmidt coefficient
     singlet = np.array([0, 1, -1, 0]) / np.sqrt(2)
     w = projector_witness(singlet, ALL, n_sites=2)
     assert abs(w.alpha - 0.5) < 1e-12
+    cut = [Bipartition({0}, 2)]
+    bell = np.array([1, 0, 0, 1]) / np.sqrt(2)
+    assert abs(projector_witness(bell, cut).alpha - 0.5) < 1e-12
+    prod = np.kron([1, 0], [0.6, 0.8])
+    assert abs(projector_witness(prod, cut).alpha - 1.0) < 1e-12
 
 
 def test_projector_witness_alpha_local_unitary_invariant(rng):
