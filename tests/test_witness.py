@@ -23,6 +23,15 @@ def test_even_odd_bipartition():
     assert cut.subset_mask == frozenset({0, 2, 4})
 
 
+def test_max_schmidt_overlap_known_values():
+    # for one state, alpha is its largest squared Schmidt coefficient
+    cut = [Bipartition({0}, 2)]
+    bell = np.array([1, 0, 0, 1]) / np.sqrt(2)
+    assert abs(projector_witness(bell, cut).alpha - 0.5) < 1e-12
+    prod = np.kron([1, 0], [0.6, 0.8])
+    assert abs(projector_witness(prod, cut).alpha - 1.0) < 1e-12
+
+
 def test_dicke_witness_sector_structure():
     n, m = 5, 2
     w = dicke_witness(n, m).to_dense()
@@ -51,15 +60,9 @@ def test_dicke_witness_nonnegative_on_product_states(rng):
 
 
 def test_projector_witness_singlet_alpha():
-    # for one state alpha is its largest squared Schmidt coefficient
     singlet = np.array([0, 1, -1, 0]) / np.sqrt(2)
     w = projector_witness(singlet, ALL, n_sites=2)
     assert abs(w.alpha - 0.5) < 1e-12
-    cut = [Bipartition({0}, 2)]
-    bell = np.array([1, 0, 0, 1]) / np.sqrt(2)
-    assert abs(projector_witness(bell, cut).alpha - 0.5) < 1e-12
-    prod = np.kron([1, 0], [0.6, 0.8])
-    assert abs(projector_witness(prod, cut).alpha - 1.0) < 1e-12
 
 
 def test_projector_witness_alpha_local_unitary_invariant(rng):
