@@ -16,6 +16,13 @@ it are conjecture-conditional.
 Every integral runs through `_quad_batch`, an adaptive 15-point
 Gauss-Kronrod rule that integrates a batch of integrands in numpy array
 passes; the overlap density integrates its whole xi grid in one batch.
+
+The detection expression f(beta) = -ln(alpha)/N - beta E0/N - lnZ/N is
+increasing and concave in beta (lnZ is convex), with slope
+f'(beta) = (c/pi) int eps (1 - tanh(c beta eps)) dk >= 0.  So a Newton
+step lands on the undetected side of the root and a chord across a bracket
+on the detected side: `theorem3_region` closes each T_max bracket from
+both ends with one quadrature batch per pass.
 """
 from __future__ import annotations
 
@@ -34,7 +41,7 @@ DISPERSION_FACTOR = 1.0
 
 QUAD_ABS_TOL = 1e-10
 QUAD_MAX_INTERVALS = 400  # per integral; more raises
-T_MAX_BISECT_ITERS = 60  # cap on the bisection of each T_max
+T_MAX_NEWTON_PASSES = 60  # cap on the quadrature passes of each T_max
 
 CALIBRATION_PROBES = ((1.0, 0.0, 1.0), (1.0, 1.0, 1.0), (0.5, 0.5, 2.0),
                       (0.0, 1.0, 1.0), (1.0, 2.0, 0.5))
@@ -213,6 +220,25 @@ def _lnz_integrals(r: float, h: float, betas: np.ndarray,
     return _quad_batch(f, (0.0, np.pi), betas.size)
 
 
+def _lnz_slope_integrals(r: float, h: float, betas: np.ndarray,
+                         factor: float = DISPERSION_FACTOR):
+    """(pi lnZ/N, pi d/dbeta (-beta E0/N - lnZ/N)) at each of `betas`, in
+    one quadrature batch.  The slope integrand c eps (1 - tanh(c beta eps))
+    is taken as 2 c eps / (1 + e^(2x)) = 2 c eps e^(-2x) / (1 + e^(-2x)),
+    which neither overflows nor rounds to 0 where tanh rounds to 1."""
+    n = betas.size
+
+    def f(owner, k):
+        eps = _dispersion(k, r, h)
+        x = (betas[owner % n] * factor)[:, None] * eps
+        decay = np.exp(-2.0 * x)
+        return np.where((owner < n)[:, None], np.logaddexp(x, -x),
+                        2.0 * factor * eps * decay / (1.0 + decay))
+
+    both = _quad_batch(f, (0.0, np.pi), 2 * n)
+    return both[:n], both[n:]
+
+
 def xy_e0_density(r: float, h: float,
                   factor: float = DISPERSION_FACTOR) -> float:
     """Ground energy per site of the XY chain in the thermodynamic limit."""
@@ -310,7 +336,9 @@ def wei_alpha_density(r: float, h: float, xi_grid=None) -> float:
                                   np.sin(xi / 2) ** 2)
 
     # value depends on xi only through cos^2(xi/2) and sin^2(xi/2), so
-    # value(xi) = value(2 pi - xi): search [0, pi] at step pi/360
+    # value(xi) = value(2 pi - xi): search [0, pi] at step pi/360.  The
+    # value is stationary at its maximum, so refining xi to 1e-7 moves it
+    # by about |value''| 1e-14 / 2, below its quadrature's precision
     if xi_grid is None:
         xi_grid = np.linspace(0.0, np.pi, 361)
     xi_grid = np.asarray(xi_grid, dtype=float)
@@ -322,7 +350,7 @@ def wei_alpha_density(r: float, h: float, xi_grid=None) -> float:
     k = int(np.argmax(vals))
     span = abs(xi_grid[1] - xi_grid[0]) if len(xi_grid) > 1 else np.pi
     _, best = _minimize_bounded(lambda xi: -float(values(np.array([xi]))[0]),
-                                xi_grid[k] - span, xi_grid[k] + span, 1e-10)
+                                xi_grid[k] - span, xi_grid[k] + span, 1e-7)
     return max(-best, float(vals[k]))
 
 
@@ -350,40 +378,65 @@ def theorem3_expression(r: float, h: float, beta: float,
 
 def theorem3_region(r: float, h_grid, t_grid) -> Theorem3Region:
     """Grid of the detection expression over (h, T) and the maximal
-    detection temperature per field value."""
+    detection temperature per field value.
+
+    t_max is the last grid T where the expression is positive, or, where
+    it turns nonpositive at the next grid T, the midpoint of a T bracket
+    narrower than 1e-12 max(1, T) with the expression positive at its low
+    end and nonpositive at its high end; nan where it is never positive.
+    The bracket closes in beta = 1/T: each pass integrates lnZ and the
+    slope at two points in one batch, a Newton step from the undetected
+    end (which f's concavity keeps on that side) and the chord across the
+    bracket (which it keeps on the detected side), each replaced by the
+    bracket's midpoint where it does not fall strictly inside.  Once the
+    two lie within half the target width of each other, the pass
+    evaluates two points that straddle them at that half width."""
     h_grid = np.asarray(h_grid, dtype=float)
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(t_grid <= 0):
         raise ValueError("temperatures must be positive")
     expr = np.zeros((h_grid.size, t_grid.size))
     t_max = np.full(h_grid.size, np.nan)
+    betas = 1.0 / t_grid
     for i, h in enumerate(h_grid):
         alpha = wei_alpha_density(r, h)
         e0 = xy_e0_density(r, h)
-
-        def f(t):
-            beta = 1.0 / t
-            return -alpha - beta * e0 - xy_lnz_density(r, h, beta)
-
-        betas = 1.0 / t_grid
-        expr[i] = (-alpha - betas * e0
-                   - _lnz_integrals(r, h, betas) / np.pi)
+        lnz, slope = _lnz_slope_integrals(r, h, betas)
+        expr[i] = -alpha - betas * e0 - lnz / np.pi
         pos = expr[i] > 0
-        if pos.any():
-            last = np.nonzero(pos)[0][-1]
-            if last == t_grid.size - 1:
-                t_max[i] = t_grid[-1]
-            else:
-                lo, hi = t_grid[last], t_grid[last + 1]
-                for _ in range(T_MAX_BISECT_ITERS):
-                    mid = 0.5 * (lo + hi)
-                    if f(mid) > 0:
-                        lo = mid
-                    else:
-                        hi = mid
-                    if hi - lo < 1e-12 * max(1.0, hi):
-                        break
-                t_max[i] = 0.5 * (lo + hi)
+        if not pos.any():
+            continue
+        last = np.nonzero(pos)[0][-1]
+        if last == t_grid.size - 1:
+            t_max[i] = t_grid[-1]
+            continue
+        # f(lo) <= 0 < f(hi) in beta; d_lo = f'(lo)
+        lo, f_lo, d_lo = betas[last + 1], expr[i, last + 1], \
+            slope[last + 1] / np.pi
+        hi, f_hi = betas[last], expr[i, last]
+        for _ in range(T_MAX_NEWTON_PASSES):
+            if 1.0 / lo - 1.0 / hi < 1e-12 * max(1.0, 1.0 / lo):
+                break
+            width = 1e-12 * max(1.0, 1.0 / lo) * lo * hi  # the same, in beta
+            mid = 0.5 * (lo + hi)
+            newton = lo - f_lo / d_lo if d_lo > 0 else mid
+            chord = lo - f_lo * (hi - lo) / (f_hi - f_lo)
+            x = [p if lo < p < hi else mid for p in (newton, chord)]
+            if abs(x[1] - x[0]) < 0.5 * width:
+                # the root lies between them: straddle it
+                c = 0.5 * (x[0] + x[1])
+                x = [p for p in (c - 0.25 * width, c + 0.25 * width)
+                     if lo < p < hi] or [mid]
+            x = np.array(x)
+            lnz, slope = _lnz_slope_integrals(r, h, x)
+            for b, fb, db in zip(x, -alpha - x * e0 - lnz / np.pi,
+                                 slope / np.pi):
+                if fb > 0:
+                    if b < hi:
+                        hi, f_hi = b, fb
+                elif b > lo:
+                    lo, f_lo, d_lo = b, fb, db
+        t_max[i] = 0.5 * (1.0 / lo + 1.0 / hi)
     return Theorem3Region(r, h_grid, t_grid, expr, t_max)
 
 

@@ -218,6 +218,100 @@ def test_overlap_density_regression_anchor():
                                                         abs=1e-9)
 
 
+# wei_alpha_density as computed with the refinement's former 1e-10 xi
+# tolerance; 1e-7 moves it by at most 1.4e-16
+@pytest.mark.parametrize("r,h,value", [(1.0, 0.5, -0.0003002555713176626),
+                                       (1.0, 1.0, -0.02157705052654029),
+                                       (1.0, 1.1, -0.06121202131615934),
+                                       (1.0, 1.4, -0.038026524269839365),
+                                       (1.0, 2.0, -0.016872636732910493),
+                                       (0.5, 0.8, -0.0003839689841935133)])
+def test_overlap_density_pinned(r, h, value):
+    assert abs(wei_alpha_density(r, h) - value) <= 1e-14
+
+
+def _count_quad_batches(monkeypatch):
+    calls = []
+    quad_batch = limit._quad_batch
+
+    def counted(f, breaks, n):
+        calls.append(n)
+        return quad_batch(f, breaks, n)
+
+    monkeypatch.setattr(limit, "_quad_batch", counted)
+    return calls
+
+
+@pytest.mark.parametrize("h", [1.0, 1.4])
+def test_region_takes_few_quadrature_passes(monkeypatch, h):
+    # the bench region (bench/configs/thermo-limit.json): the xi
+    # refinement stops at the value's precision and T_max closes its
+    # bracket from both ends
+    calls = _count_quad_batches(monkeypatch)
+    wei_alpha_density(1.0, h)
+    refinement = len(calls) - 1  # after the grid's batch
+    assert refinement <= 8
+    del calls[:]
+    theorem3_region(1.0, [h], [0.05, 0.1, 0.2, 0.5, 1.0, 2.0])
+    # alpha, E0 and the temperature grid come before the T_max passes
+    assert len(calls) - (refinement + 1) - 2 <= 8
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("r,h", [(1.0, 1.0), (1.0, 1.4), (0.5, 0.8)])
+def test_lnz_slope_matches_central_differences(r, h):
+    # f'(beta) = -E0/N - d(lnZ/N)/dbeta; at beta = 50 and h = 1.4 every
+    # c beta eps exceeds 19, where 1 - tanh rounds to 0, and at beta = 200
+    # e^(2 c beta eps) overflows
+    betas = np.array([0.5, 5.0, 50.0, 200.0])
+    lnz, slope = limit._lnz_slope_integrals(r, h, betas)
+    e0 = xy_e0_density(r, h)
+    for beta, lz, s in zip(betas, lnz / np.pi, slope / np.pi):
+        assert lz == pytest.approx(xy_lnz_density(r, h, beta), rel=1e-14)
+        step = 1e-4 * beta
+        diff = (xy_lnz_density(r, h, beta + step)
+                - xy_lnz_density(r, h, beta - step)) / (2 * step)
+        assert abs(s - (-e0 - diff)) <= 1e-7
+        assert s > 0
+
+
+def _bisect_t_max(r, h, lo, hi):
+    # the oracle: bisect the expression in T until no double lies between
+    alpha = wei_alpha_density(r, h)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        if theorem3_expression(r, h, 1.0 / mid, alpha_density=alpha) > 0:
+            lo = mid
+        else:
+            hi = mid
+
+
+@pytest.mark.parametrize("r,h", [(1.0, 0.5), (1.0, 1.0), (1.0, 1.4),
+                                 (0.5, 0.8)])
+def test_t_max_brackets_the_sign_change(r, h):
+    t_grid = np.geomspace(1e-3, 4.0, 25)
+    tm = theorem3_region(r, [h], t_grid).t_max[0]
+    assert t_grid[0] < tm < t_grid[-1]
+    alpha = wei_alpha_density(r, h)
+    assert theorem3_expression(r, h, 1.0 / (tm * (1 - 1e-10)),
+                               alpha_density=alpha) > 0
+    assert theorem3_expression(r, h, 1.0 / (tm * (1 + 1e-10)),
+                               alpha_density=alpha) <= 0
+    j = np.searchsorted(t_grid, tm)
+    want = _bisect_t_max(r, h, t_grid[j - 1], t_grid[j])
+    assert abs(tm - want) <= 1e-11 * want
+
+
+def test_t_max_at_the_grid_ends():
+    # t_max(h = 0.5) = 0.166 and t_max(h = 1.4) = 0.614 at r = 1: the
+    # first field never detects on this grid, the second detects on all of it
+    region = theorem3_region(1.0, [0.5, 1.4], [0.2, 0.3, 0.5])
+    assert np.isnan(region.t_max[0]) and np.all(region.expression[0] <= 0)
+    assert region.t_max[1] == 0.5 and np.all(region.expression[1] > 0)
+
+
 def test_theorem3_expression_composition():
     r, h, beta, alpha = 1.0, 0.5, 2.0, -0.002
     direct = (-alpha - beta * xy_e0_density(r, h)
