@@ -206,32 +206,23 @@ def xy_lnz_density(r: float, h: float, beta: float,
         raise ValueError("beta must be nonnegative")
     if beta == 0.0:
         return float(np.log(2.0))
-    return float(_lnz_integrals(r, h, np.array([beta]), factor)[0] / np.pi)
-
-
-def _lnz_integrals(r: float, h: float, betas: np.ndarray,
-                   factor: float = DISPERSION_FACTOR) -> np.ndarray:
-    """pi lnZ/N at each of the inverse temperatures `betas`, in one
-    quadrature batch."""
-    def f(owner, k):
-        x = (betas[owner] * factor)[:, None] * _dispersion(k, r, h)
-        return np.logaddexp(x, -x)  # ln(2 cosh x)
-
-    return _quad_batch(f, (0.0, np.pi), betas.size)
+    lnz, _ = _lnz_slope_integrals(r, h, np.array([beta]), factor)
+    return float(lnz[0] / np.pi)
 
 
 def _lnz_slope_integrals(r: float, h: float, betas: np.ndarray,
                          factor: float = DISPERSION_FACTOR):
     """(pi lnZ/N, pi d/dbeta (-beta E0/N - lnZ/N)) at each of `betas`, in
-    one quadrature batch.  The slope integrand c eps (1 - tanh(c beta eps))
-    is taken as 2 c eps / (1 + e^(2x)) = 2 c eps e^(-2x) / (1 + e^(-2x)),
-    which neither overflows nor rounds to 0 where tanh rounds to 1."""
+    one quadrature batch.  With x = c beta eps, the slope integrand
+    c eps (1 - tanh x) is taken as 2 c eps e^(-2x) / (1 + e^(-2x)), which
+    neither overflows nor rounds to 0 where tanh x rounds to 1."""
     n = betas.size
 
     def f(owner, k):
         eps = _dispersion(k, r, h)
         x = (betas[owner % n] * factor)[:, None] * eps
         decay = np.exp(-2.0 * x)
+        # ln(2 cosh x) for the first n integrals, the slope for the rest
         return np.where((owner < n)[:, None], np.logaddexp(x, -x),
                         2.0 * factor * eps * decay / (1.0 + decay))
 
@@ -417,7 +408,7 @@ def theorem3_region(r: float, h_grid, t_grid) -> Theorem3Region:
         for _ in range(T_MAX_NEWTON_PASSES):
             if 1.0 / lo - 1.0 / hi < 1e-12 * max(1.0, 1.0 / lo):
                 break
-            width = 1e-12 * max(1.0, 1.0 / lo) * lo * hi  # the same, in beta
+            width = 1e-12 * max(1.0, 1.0 / lo) * lo * hi  # that, in beta
             mid = 0.5 * (lo + hi)
             newton = lo - f_lo / d_lo if d_lo > 0 else mid
             chord = lo - f_lo * (hi - lo) / (f_hi - f_lo)

@@ -230,7 +230,11 @@ def test_overlap_density_pinned(r, h, value):
     assert abs(wei_alpha_density(r, h) - value) <= 1e-14
 
 
-def _count_quad_batches(monkeypatch):
+@pytest.mark.parametrize("h", [1.0, 1.4])
+def test_region_takes_few_quadrature_passes(monkeypatch, h):
+    # the bench region (bench/configs/thermo-limit.json): the xi
+    # refinement stops at the value's precision and T_max closes its
+    # bracket from both ends
     calls = []
     quad_batch = limit._quad_batch
 
@@ -239,15 +243,6 @@ def _count_quad_batches(monkeypatch):
         return quad_batch(f, breaks, n)
 
     monkeypatch.setattr(limit, "_quad_batch", counted)
-    return calls
-
-
-@pytest.mark.parametrize("h", [1.0, 1.4])
-def test_region_takes_few_quadrature_passes(monkeypatch, h):
-    # the bench region (bench/configs/thermo-limit.json): the xi
-    # refinement stops at the value's precision and T_max closes its
-    # bracket from both ends
-    calls = _count_quad_batches(monkeypatch)
     wei_alpha_density(1.0, h)
     refinement = len(calls) - 1  # after the grid's batch
     assert refinement <= 8
