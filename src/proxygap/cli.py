@@ -213,7 +213,10 @@ def cmd_thermo_limit(args) -> int:
         t_grid = np.asarray(cfg["t_grid"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad thermo-limit config: {exc}")
-    region = limit.theorem3_region(r, h_grid, t_grid)
+    try:
+        region = limit.theorem3_region(r, h_grid, t_grid)
+    except ValueError as exc:
+        raise ConfigError(f"bad thermo-limit config: {exc}")
     limit.export_region_csv(region, os.path.join(args.out,
                                                  "theorem3_region.csv"))
     with open(os.path.join(args.out, "t_max.csv"), "w") as f:

@@ -15,7 +15,9 @@ it are conjecture-conditional.
 
 Every integral runs through `_quad_batch`, an adaptive 15-point
 Gauss-Kronrod rule that integrates a batch of integrands in numpy array
-passes; the overlap density integrates its whole xi grid in one batch.
+passes.  The overlap density integrates a 13-point xi grid in one batch
+and refines the grid's best point by Brent's method, whose first step is
+the parabola through that point and its two neighbours.
 
 The detection expression f(beta) = -ln(alpha)/N - beta E0/N - lnZ/N is
 increasing and concave in beta (lnZ is convex), with slope
@@ -50,6 +52,9 @@ CALIBRATION_PROBES = ((1.0, 0.0, 1.0), (1.0, 1.0, 1.0), (0.5, 0.5, 2.0),
 # singularity at mu = 0 (for h <= 1), so that no pass is spent halving
 # down to it
 _OVERLAP_BREAKS = (0.0,) + tuple(10.0 ** -k for k in range(12, 2, -1)) + (0.5,)
+
+# the overlap density's coarse xi grid on [0, pi], step pi/12
+_XI_GRID = np.linspace(0.0, np.pi, 13)
 
 # the 15-point Gauss-Kronrod rule on [-1, 1] and its embedded 7-point
 # Gauss rule (Piessens et al., QUADPACK, Springer 1983: qk15)
@@ -140,17 +145,26 @@ def _quad_batch(f, breaks, n: int) -> np.ndarray:
             for a, b in zip((owner, lo, hi, val, err), halves))
 
 
-def _minimize_bounded(f, lo: float, hi: float, xatol: float):
+def _minimize_bounded(f, lo: float, hi: float, xatol: float, start=None):
     """(x, f(x)) at a local minimum of f on [lo, hi]: Brent's method,
     golden-section steps safeguarding parabolic ones (Brent, Algorithms
     for Minimization without Derivatives, 1973, ch. 5), stopped when the
-    bracket around x is within 2 (sqrt(eps) |x| + xatol / 3)."""
+    bracket around x is within 2 (sqrt(eps) |x| + xatol / 3).
+
+    Without `start` the search begins with one evaluation at the golden
+    section of [lo, hi].  `start` = ((x, fx), (w, fw), (v, fv)) gives three
+    points already evaluated in [lo, hi], x the least and w the next; the
+    first step is then the parabola's vertex through them."""
     sqrt_eps = math.sqrt(2.2e-16)
     golden = 0.5 * (3.0 - math.sqrt(5.0))
     a, b = lo, hi
-    x = w = v = a + golden * (b - a)
-    fx = fw = fv = f(x)
-    d = e = 0.0
+    if start is None:
+        x = w = v = a + golden * (b - a)
+        fx = fw = fv = f(x)
+        d = e = 0.0
+    else:
+        (x, fx), (w, fw), (v, fv) = start
+        d = e = b - a  # admit a parabolic first step
     while True:
         xm = 0.5 * (a + b)
         tol1 = sqrt_eps * abs(x) + xatol / 3.0
@@ -312,37 +326,48 @@ def _overlap_integrals(r: float, h: float, c2, s2) -> np.ndarray:
     return 2.0 * _quad_batch(f, _OVERLAP_BREAKS, c2.size)
 
 
-def wei_alpha_density(r: float, h: float, xi_grid=None) -> float:
+def wei_alpha_density(r: float, h: float) -> float:
     """Conjectured density lim ln(alpha)/N of the best product overlap
     with the XY ground state.
 
     2 max_xi int_0^(1/2) ln|cos(th) cos^2(xi/2) + sin(th) sin^2(xi/2)
     cot(pi mu)| dmu with 2*th = atan2(r sin 2pi mu, h - cos 2pi mu).
+
+    The value depends on xi only through cos^2(xi/2) and sin^2(xi/2), so
+    value(-xi) = value(xi) = value(2 pi - xi): one batch integrates the
+    grid _XI_GRID on [0, pi], and Brent's method refines xi to 1e-7 within
+    one grid step of the grid's best point, starting from the parabola
+    through it and its two neighbours (beyond 0 or pi, the mirror of the
+    inner one).  The value is stationary at its maximum, so 1e-7 moves it
+    by about |value''| 1e-14 / 2, below its quadrature's precision.
+    Raises FloatingPointError where any integral evaluated is not finite.
     """
     if not 0.0 <= r <= 1.0:
         raise ValueError("anisotropy r must lie in [0, 1]")
 
     def values(xi):
-        return _overlap_integrals(r, h, np.cos(xi / 2) ** 2,
+        vals = _overlap_integrals(r, h, np.cos(xi / 2) ** 2,
                                   np.sin(xi / 2) ** 2)
+        if not np.all(np.isfinite(vals)):
+            raise FloatingPointError(
+                "non-integrable log singularity in the overlap density "
+                f"at (r={r}, h={h})")
+        return vals
 
-    # value depends on xi only through cos^2(xi/2) and sin^2(xi/2), so
-    # value(xi) = value(2 pi - xi): search [0, pi] at step pi/360.  The
-    # value is stationary at its maximum, so refining xi to 1e-7 moves it
-    # by about |value''| 1e-14 / 2, below its quadrature's precision
-    if xi_grid is None:
-        xi_grid = np.linspace(0.0, np.pi, 361)
-    xi_grid = np.asarray(xi_grid, dtype=float)
-    vals = values(xi_grid)
-    if not np.all(np.isfinite(vals)):
-        raise FloatingPointError(
-            "non-integrable log singularity in the overlap density "
-            f"at (r={r}, h={h})")
+    vals = values(_XI_GRID)
     k = int(np.argmax(vals))
-    span = abs(xi_grid[1] - xi_grid[0]) if len(xi_grid) > 1 else np.pi
-    _, best = _minimize_bounded(lambda xi: -float(values(np.array([xi]))[0]),
-                                xi_grid[k] - span, xi_grid[k] + span, 1e-7)
-    return max(-best, float(vals[k]))
+    step = _XI_GRID[1]
+    # the neighbours; beyond 0 or pi, the mirror of the inner one
+    left = vals[k - 1] if k > 0 else vals[1]
+    right = vals[k + 1] if k < vals.size - 1 else vals[-2]
+    w, v = (k - 1, k + 1) if left >= right else (k + 1, k - 1)
+    xi = _XI_GRID[k]
+    start = ((xi, -vals[k]),
+             (xi + (w - k) * step, -max(left, right)),
+             (xi + (v - k) * step, -min(left, right)))
+    _, best = _minimize_bounded(lambda x: -float(values(np.array([x]))[0]),
+                                xi - step, xi + step, 1e-7, start)
+    return -best
 
 
 @dataclass
@@ -381,9 +406,15 @@ def theorem3_region(r: float, h_grid, t_grid) -> Theorem3Region:
     bracket (which it keeps on the detected side), each replaced by the
     bracket's midpoint where it does not fall strictly inside.  Once the
     two lie within half the target width of each other, the pass
-    evaluates two points that straddle them at that half width."""
+    evaluates two points that straddle them at that half width.
+
+    Raises ValueError where r, a field or a temperature is not finite, or
+    a temperature is not positive."""
     h_grid = np.asarray(h_grid, dtype=float)
     t_grid = np.asarray(t_grid, dtype=float)
+    if not (math.isfinite(r) and np.all(np.isfinite(h_grid))
+            and np.all(np.isfinite(t_grid))):
+        raise ValueError("r, fields and temperatures must be finite")
     if np.any(t_grid <= 0):
         raise ValueError("temperatures must be positive")
     expr = np.zeros((h_grid.size, t_grid.size))

@@ -393,6 +393,17 @@ def test_thermo_limit_command(tmp_path):
     assert [float(r["h"]) for r in tmax_rows] == [0.5, 1.0]
 
 
+@pytest.mark.parametrize("r,t_grid", [(1.0, [0.1, math.nan]),
+                                      (1.0, [0.0, 0.1]),
+                                      (1.5, [0.1, 1.0])])
+def test_thermo_limit_bad_region_exits_2(tmp_path, r, t_grid):
+    # json writes nan as NaN, which json.load reads back
+    cfg_path = _write_config(tmp_path, "cfg.json", {
+        "r": r, "h_grid": [0.5, 1.0], "t_grid": t_grid})
+    assert main(["--out", str(tmp_path / "run"), "thermo-limit",
+                 "--config", cfg_path]) == EXIT_CONFIG
+
+
 def test_cli_import_leaves_out_scipy_optimize_integrate_special():
     # the program's own root finder, minimiser and quadrature replace
     # these three subpackages; importing them costs every process time

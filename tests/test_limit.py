@@ -76,18 +76,51 @@ def test_overlap_density_nonpositive_sampled():
         wei_alpha_density(1.5, 0.0)
 
 
-def test_overlap_density_xi_symmetry():
-    grid = np.linspace(0.0, 2 * np.pi, 360, endpoint=False)
-    a = wei_alpha_density(1.0, 0.5, xi_grid=grid)
-    b = wei_alpha_density(1.0, 0.5, xi_grid=-grid)
-    assert abs(a - b) < 1e-8
+def _overlap_values(r, h, xi):
+    xi = np.asarray(xi, dtype=float)
+    return limit._overlap_integrals(r, h, np.cos(xi / 2) ** 2,
+                                    np.sin(xi / 2) ** 2)
+
+
+@pytest.mark.parametrize("r,h", [(1.0, 0.5), (0.5, 0.8)])
+def test_overlap_density_xi_symmetry(r, h):
+    # the value depends on xi only through cos^2(xi/2) and sin^2(xi/2)
+    xi = np.array([0.3, 1.0, 2.0, 3.0])
+    at = _overlap_values(r, h, xi)
+    np.testing.assert_allclose(_overlap_values(r, h, -xi), at,
+                               rtol=0, atol=1e-14)
+    np.testing.assert_allclose(_overlap_values(r, h, 2 * np.pi - xi), at,
+                               rtol=0, atol=1e-14)
+
+
+def _grid_search_alpha(r, h, xi_grid):
+    # the reference search: every point of a fine xi grid in one batch,
+    # and the best one refined by Brent's method, unseeded, within one
+    # grid step
+    vals = _overlap_values(r, h, xi_grid)
+    k = int(np.argmax(vals))
+    span = xi_grid[1] - xi_grid[0]
+    _, best = limit._minimize_bounded(
+        lambda xi: -float(_overlap_values(r, h, [xi])[0]),
+        xi_grid[k] - span, xi_grid[k] + span, 1e-7)
+    return max(-best, float(vals[k]))
 
 
 @pytest.mark.parametrize("r,h", [(1.0, 1.0), (1.0, 1.4), (0.5, 0.8)])
 def test_overlap_density_half_period_grid_matches_full_period(r, h):
     full = np.linspace(0.0, 2 * np.pi, 720, endpoint=False)
-    assert abs(wei_alpha_density(r, h)
-               - wei_alpha_density(r, h, xi_grid=full)) < 1e-14
+    assert abs(wei_alpha_density(r, h) - _grid_search_alpha(r, h, full)) \
+        < 1e-14
+
+
+@pytest.mark.parametrize("r", [0.0, 0.25, 0.5, 0.9, 1.0])
+def test_overlap_density_matches_the_fine_grid_search(r):
+    # the coarse grid and its seeded refinement find the maximum that a
+    # 361-point grid on [0, pi] finds, across the critical field h = 1
+    fine = np.linspace(0.0, np.pi, 361)
+    for h in (-0.5, 0.3, 0.99, 1.0, 1.01, 1.4, 2.5, 5.0):
+        assert abs(wei_alpha_density(r, h) - _grid_search_alpha(r, h, fine)) \
+            < 1e-14, h
 
 
 def test_overlap_density_rejects_non_finite_quadrature(monkeypatch):
@@ -95,6 +128,19 @@ def test_overlap_density_rejects_non_finite_quadrature(monkeypatch):
                         lambda f, breaks, n: np.full(n, np.nan))
     with pytest.raises(FloatingPointError):
         wei_alpha_density(1.0, 0.5)
+
+
+def test_overlap_density_rejects_non_finite_refinement(monkeypatch):
+    # the grid's batch is finite; a single-xi refinement value is not
+    overlap_integrals = limit._overlap_integrals
+
+    def nan_on_one_xi(r, h, c2, s2):
+        vals = overlap_integrals(r, h, c2, s2)
+        return np.full(1, np.nan) if vals.size == 1 else vals
+
+    monkeypatch.setattr(limit, "_overlap_integrals", nan_on_one_xi)
+    with pytest.raises(FloatingPointError):
+        wei_alpha_density(1.0, 1.0)
 
 
 # reference integrals: scipy's adaptive quad, told where the kinks, jumps
@@ -200,12 +246,34 @@ def test_quad_batch_stops_non_finite_integrals_and_caps_intervals():
         limit._quad_batch(lambda i, x: 1.0 / x, (0.0, 1.0), 1)
 
 
+def _counted(f):
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return f(x)
+    return g, calls
+
+
 def test_minimize_bounded_finds_interior_and_edge_minima():
     x, fx = limit._minimize_bounded(lambda x: (x - 0.3) ** 2 + 1.0,
                                     -1.0, 2.0, 1e-10)
     assert abs(x - 0.3) < 1e-7 and fx == pytest.approx(1.0, abs=1e-14)
     x, _ = limit._minimize_bounded(lambda x: x, 0.1, 10.0, 1e-10)
     assert abs(x - 0.1) < 1e-7
+    # seeded with three points already evaluated, x the least and w the
+    # next: the same minimum, in no more evaluations than unseeded
+    for f, lo, hi, seed, want in [
+            (lambda x: (x - 0.3) ** 2 + 1.0, 0.0, 0.5, (0.25, 0.5, 0.0), 0.3),
+            (lambda x: x, 0.1, 10.0, (0.1, 5.0, 10.0), 0.1)]:
+        g, unseeded = _counted(f)
+        x, fx = limit._minimize_bounded(g, lo, hi, 1e-10)
+        assert abs(x - want) < 1e-7
+        g, seeded = _counted(f)
+        start = tuple((p, f(p)) for p in seed)
+        x, fx = limit._minimize_bounded(g, lo, hi, 1e-10, start)
+        assert abs(x - want) < 1e-7 and fx == f(x)
+        assert len(seeded) <= len(unseeded)
 
 
 def test_overlap_density_strong_field_vanishes():
@@ -347,3 +415,11 @@ def test_region_detects_near_critical_ising(tmp_path):
 def test_region_rejects_nonpositive_temperature():
     with pytest.raises(ValueError):
         theorem3_region(1.0, [0.5], [0.0, 1.0])
+
+
+@pytest.mark.parametrize("r,h,t", [(1.0, 0.5, np.nan), (1.0, 0.5, np.inf),
+                                   (1.0, np.inf, 1.0), (1.0, np.nan, 1.0),
+                                   (np.nan, 0.5, 1.0)])
+def test_region_rejects_non_finite_inputs(r, h, t):
+    with pytest.raises(ValueError, match="finite"):
+        theorem3_region(r, [h], [0.1, t])
