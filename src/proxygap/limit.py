@@ -356,18 +356,15 @@ def wei_alpha_density(r: float, h: float) -> float:
 
     vals = values(_XI_GRID)
     k = int(np.argmax(vals))
-    step = _XI_GRID[1]
+    xi, step = _XI_GRID[k], _XI_GRID[1]
     # the neighbours; beyond 0 or pi, the mirror of the inner one
-    left = vals[k - 1] if k > 0 else vals[1]
-    right = vals[k + 1] if k < vals.size - 1 else vals[-2]
-    w, v = (k - 1, k + 1) if left >= right else (k + 1, k - 1)
-    xi = _XI_GRID[k]
-    start = ((xi, -vals[k]),
-             (xi + (w - k) * step, -max(left, right)),
-             (xi + (v - k) * step, -min(left, right)))
+    left = (xi - step, -(vals[k - 1] if k > 0 else vals[1]))
+    right = (xi + step, -(vals[k + 1] if k < vals.size - 1 else vals[-2]))
+    w, v = sorted((left, right), key=lambda p: p[1])
     _, best = _minimize_bounded(lambda x: -float(values(np.array([x]))[0]),
-                                xi - step, xi + step, 1e-7, start)
-    return -best
+                                xi - step, xi + step, 1e-7,
+                                ((xi, -vals[k]), w, v))
+    return float(-best)
 
 
 @dataclass
