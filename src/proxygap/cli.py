@@ -135,7 +135,10 @@ def cmd_gap_scan(args) -> int:
     grid = _grid_options(cfg, h.n_sites)
     opts = _solver_options(cfg)
     t0 = time.time()
-    res = dual.gap_energy_scan(h, cs, grid, opts)
+    try:
+        res = dual.gap_energy_scan(h, cs, grid, opts)
+    except dual.GridError as exc:
+        raise ConfigError(f"bad grid spec: {exc}")
     wall = time.time() - t0
     n = h.n_sites
     csv_path = os.path.join(args.out, "gap_scan.csv")

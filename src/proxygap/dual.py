@@ -584,7 +584,7 @@ class _Envelope:
         p, layout = problem, problem.layout
         self.problem = p
         self.spectra = {}
-        self.betas = {}           # beta at (s, e), kept through one solve
+        self.bounds = {}          # bound at (s, e), kept through one solve
         self.passes = 0
         self.s_last = None        # the last interior optimum
         self.move = np.inf        # how far the last search moved from there
@@ -682,25 +682,20 @@ class _Envelope:
 
     def bound(self, s: float, e: float, linear: bool) -> float:
         """The maximal entropy at tr(rho (H - sW)) <= e; -inf where s is a
-        Farkas certificate."""
-        if self.certifies(e, s):
-            return -np.inf
+        Farkas certificate.  Kept per (s, e) through one solve."""
+        if (s, e) in self.bounds:
+            return self.bounds[s, e]
         w = self.spectrum(s)
-        if linear:
-            return linear_entropy_max(w, min(max(e, float(w.min())),
-                                             float(w.mean())))
-        beta = self._beta(s, e)
-        return gibbs_at(w, beta)[0] + beta * e  # the dual at (-beta, beta s)
-
-    def _beta(self, s: float, e: float) -> float:
-        """beta of the Gibbs state of spec(H - sW) at e capped at its mean,
-        solved once per (s, e) in a solve: the walk over cached spectra and
-        the search that follows it may ask for the same bound."""
-        if (s, e) not in self.betas:
-            w = self.spectrum(s)
-            self.betas[s, e] = beta_from_energy(
-                w, min(max(e, float(w.min())), float(w.mean())))
-        return self.betas[s, e]
+        lo = float(w.min())
+        if self.certifies(e, s):
+            value = -np.inf
+        elif linear:
+            value = linear_entropy_max(w, min(max(e, lo), float(w.mean())))
+        else:  # the value of `_BlockObjective` at (s,): ln Z + beta (e - lo)
+            beta, lnz, _ = gibbs_newton(w - lo, e - lo)
+            value = lnz + beta * (e - lo)
+        self.bounds[s, e] = value
+        return value
 
     def _farkas(self, s: float, iterations: int, passes: int):
         """The solve's result at the certificate nu = s."""
@@ -781,12 +776,9 @@ class _Envelope:
         ss = sorted(self.spectra)
         if not ss:
             return None
-        values = {}
 
         def bound(i):
-            if i not in values:
-                values[i] = self.bound(ss[i], e, linear)
-            return values[i]
+            return self.bound(ss[i], e, linear)
 
         i = min(bisect_left(ss, self.s_last or 0.0), len(ss) - 1)
         while not decides(bound(i)):
@@ -808,7 +800,7 @@ class _Envelope:
         projected gradient norm of `_BlockObjective` at (s,)."""
         p = self.problem
         passes = self.passes
-        self.betas.clear()
+        self.bounds.clear()
         if p.n_wit and self.certifies(e, self.edge()[1]):
             return self._farkas(self.edge()[1], 0, passes)
         # the entropy maximizer for H alone, in H's eigenbasis
@@ -934,6 +926,10 @@ def lin_dual_minimize(h, cs: ConstraintSet, e: float,
 # ---------------------------------------------------------------------------
 # energy scans
 
+class GridError(ValueError):
+    """A scan grid end that is not finite or lies outside [E0, mean]."""
+
+
 @dataclass
 class GridOptions:
     n_points: int = 40
@@ -963,7 +959,8 @@ def gap_energy_scan(h, cs: ConstraintSet, grid: GridOptions = None,
     its solve stops at the first feasible point whose value passes that
     test (termination "decided": by weak duality the point certifies
     detection); a step that does not detect still runs the full solve.
-    The result counts the steps and the decided ones."""
+    The result counts the steps and the decided ones.  A grid end outside
+    [E0, mean], or not finite, raises `GridError` before any solve."""
     grid = grid or GridOptions()
     opts = opts or SolverOptions()
     problem = prepare_dual(h, cs)
@@ -976,6 +973,9 @@ def gap_energy_scan(h, cs: ConstraintSet, grid: GridOptions = None,
     spread = e_inf - e0
     lo = grid.e_lo if grid.e_lo is not None else e0 + 1e-6 * spread
     hi = grid.e_hi if grid.e_hi is not None else e_inf
+    for end in (lo, hi):  # the slack of `beta_from_energy`, which NaN fails
+        if not e0 - 1e-12 * spread < end <= e_inf + 1e-12 * spread:
+            raise GridError(f"grid end {end} outside [{e0}, {e_inf}]")
     linear = grid.entropy.startswith("lin")
     gap_tol = grid.resolved_gap_tolerance()
 

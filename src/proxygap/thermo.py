@@ -1,7 +1,8 @@
 """Exact Gibbs thermodynamics from a finite spectrum.
 
 All exponentials are shifted by the max exponent before exponentiation;
-entropies are in nats and S = beta*E + ln Z throughout.
+entropies are in nats and S = beta*E + ln Z throughout.  `gibbs_newton`
+alone inverts E(beta) = e, on a spectrum shifted to its minimum.
 """
 from __future__ import annotations
 
@@ -36,94 +37,33 @@ def energy_range(spectrum):
     return float(w.min()), float(w.mean())
 
 
-def _brentq(f, xa: float, xb: float, xtol: float, rtol: float,
-            maxiter: int) -> float:
-    """A root of f in [xa, xb], where f changes sign: Brent's zeroin
-    (Brent, Algorithms for Minimization without Derivatives, 1973, ch. 4)
-    step for step as scipy.optimize.brentq runs it, so the two return the
-    same float.  Stops when the bracket is within xtol + rtol |x|."""
-    xpre, xcur = xa, xb
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if (fpre != 0.0 and fcur != 0.0
-                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2.0
-        sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = (-fcur * (fblk * dblk - fpre * dpre)
-                        / (dblk * dpre * (fblk - fpre)))
-            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-                spre, scur = scur, stry  # good short step
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = f(xcur)
-    raise RuntimeError(f"root finder did not converge in {maxiter} steps")
-
-
-BETA_TOL = 1e-12  # Brent's xtol on beta, times max(1, 1 / spread)
 BETA_MAX = 1e6   # the cap of an inverse temperature
 
 
 def beta_from_energy(spectrum, e: float) -> float:
-    """Invert E(beta) = e on the beta >= 0 branch: Brent's method on
-    [0, hi], hi the first of 1, 4, 16, ... where E(hi) <= e."""
+    """Invert E(beta) = e on the beta >= 0 branch: `gibbs_newton` on the
+    spectrum shifted to its minimum, capped at BETA_MAX."""
     w = np.asarray(spectrum, dtype=float)
     e0, e_inf = energy_range(w)
     spread = max(e_inf - e0, 1e-300)
-    if e > e_inf + 1e-12 * spread or e <= e0 - 1e-12 * spread:
+    if not e0 - 1e-12 * spread < e <= e_inf + 1e-12 * spread:
         raise ValueError(f"energy {e} outside ({e0}, {e_inf}]")
-    if e >= e_inf:
+    if e >= e_inf:  # the shifted mean may round below e - e0
         return 0.0
-
-    def f(beta):
-        return gibbs_at(w, beta)[1] - e
-
-    hi = 1.0
-    while f(hi) > 0:
-        hi *= 4.0
-        if hi > BETA_MAX:
-            return BETA_MAX
-    return float(_brentq(f, 0.0, hi, BETA_TOL * max(1.0, 1.0 / spread),
-                         4 * np.finfo(float).eps, 200))
+    return float(min(gibbs_newton(w - e0, e - e0)[0], BETA_MAX))
 
 
 def gibbs_newton(x: np.ndarray, t: float, beta: float = 0.0, counts=None):
     """The Gibbs state at mean energy t of the spectrum x >= 0, min x = 0,
     eigenvalue i counted counts[i] times (once where counts is None):
     (beta, ln Z, q) with Z = sum_i c_i exp(-beta x_i), q_i = c_i
-    exp(-beta x_i) / Z.  beta = 0 where t >= the mean, BETA_MAX (the cap
-    of `beta_from_energy`) where t <= 0.  In between, Newton's method on
-    ln E(beta) = ln t, whose slope is -Var / E, from `beta` (the last
-    solve's, close by where the spectrum moved a little); a step that
-    leaves the bracket which the signs give bisects it.  Near the root the
-    error squares each step, so the step from a residual below 1e-8 is the
-    last."""
+    exp(-beta x_i) / Z.  beta = 0 where t >= the mean, BETA_MAX where
+    t <= 0.  In between, Newton's method on ln E(beta) = ln t, whose slope
+    is -Var / E, from `beta` (the last solve's, close by where the spectrum
+    moved a little); a step that leaves the bracket which the signs give
+    bisects it.  Near the root the error squares each step, so the step
+    from a residual below 1e-8 is the last; where 100 steps end short of
+    it (t is NaN, say), RuntimeError."""
     c = 1.0 if counts is None else counts
     if t >= (x.mean() if counts is None else (c @ x) / c.sum()):
         beta = 0.0
@@ -149,6 +89,8 @@ def gibbs_newton(x: np.ndarray, t: float, beta: float = 0.0, counts=None):
                 beta += step
             else:
                 beta = 0.5 * (lo + hi) if hi < np.inf else 2.0 * lo
+        else:
+            raise RuntimeError(f"no beta at energy {t} in 100 steps")
     q = c * np.exp(-beta * x)
     z = q.sum()
     return beta, math.log(z), q / z

@@ -243,6 +243,33 @@ def test_gap_scan_rows_match_the_golden_csv(tmp_path, name):
                                 abs_tol=1e-10 * scale), (key, row, ref)
 
 
+@pytest.mark.parametrize("name", sorted(GOLDEN_SCANS))
+def test_gap_scan_s_dual_never_exceeds_s_gibbs(tmp_path, name):
+    # S_Gibbs is attained by a feasible state wherever the gap is zero, so
+    # an upper bound below it is a rounding error: allow 4 ulp, no more
+    cfg_path = _write_config(tmp_path, "cfg.json", GOLDEN_SCANS[name])
+    out = tmp_path / "run"
+    assert main(["--out", str(out), "gap-scan", "--config", cfg_path]) == \
+        EXIT_OK
+    with open(out / "gap_scan.csv") as f:
+        rows = list(csv.DictReader(f))
+    for r in rows:
+        delta, s_gibbs = float(r["delta_S"]), float(r["S_gibbs"])
+        if math.isfinite(delta):
+            assert delta >= -4 * math.ulp(s_gibbs), r
+
+
+@pytest.mark.parametrize("e_lo", [math.nan, math.inf, -100.0])
+def test_gap_scan_bad_grid_end_exits_2(tmp_path, e_lo):
+    # a grid end that is not finite or lies below E0 is a config error,
+    # raised before any solve
+    cfg = json.loads(json.dumps(GOLDEN_SCANS["linear-ring"]))
+    cfg["grid"]["e_lo"] = e_lo
+    cfg_path = _write_config(tmp_path, "cfg.json", cfg)
+    assert main(["--out", str(tmp_path / "run"), "gap-scan",
+                 "--config", cfg_path]) == EXIT_CONFIG
+
+
 def test_gap_scan_summary_counts_decided_bisection_steps(tmp_path):
     # a bisection step that detects stops at its first certifying point
     cfg_path = _write_config(tmp_path, "cfg.json",

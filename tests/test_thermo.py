@@ -59,32 +59,18 @@ def test_beta_energy_roundtrip(w, frac):
         assert abs(gibbs_at(w, beta)[1] - e) < 1e-6 * max(1.0, abs(e))
 
 
-def test_beta_from_energy_matches_scipy_brentq_bit_for_bit():
-    # the same bracket and tolerances as beta_from_energy, solved by scipy
-    rng = np.random.default_rng(2024)
-    for trial in range(60):
-        w = rng.normal(size=int(rng.integers(2, 120))) \
-            * rng.uniform(0.01, 50.0)
-        if trial % 3 == 0:
-            w = np.round(w)  # degenerate levels
-        e0, e_inf = energy_range(w)
-        spread = e_inf - e0
-        for frac in (1e-9, 1e-6, 1e-3, 0.2, 0.5, 0.8, 1 - 1e-6, 1 - 1e-12):
-            e = e0 + frac * spread
-
-            def f(beta):
-                return gibbs_at(w, beta)[1] - e
-
-            hi = 1.0
-            while f(hi) > 0 and hi <= 1e6:
-                hi *= 4.0
-            if hi > 1e6:
-                expect = 1e6
-            else:
-                expect = brentq(f, 0.0, hi,
-                                xtol=1e-12 * max(1.0, 1.0 / spread),
-                                rtol=4 * np.finfo(float).eps, maxiter=200)
-            assert beta_from_energy(w, e) == expect
+@pytest.mark.parametrize("shift", [0.0, -21.0, 1000.0])
+@pytest.mark.parametrize("g0,g1", [(1, 1), (1, 5), (3, 2)])
+def test_beta_from_energy_two_level_closed_form(shift, g0, g1):
+    # levels shift (g0 times) and shift + 1 (g1 times): the mean energy
+    # shift + t has beta = ln(g1 (1 - t) / (g0 t)), to rounding, however
+    # far the spectrum sits from zero
+    w = np.array([shift] * g0 + [shift + 1.0] * g1)
+    for t in np.geomspace(1e-9, 0.3, 25):
+        e = shift + t
+        t = e - shift  # the gap that e represents, exactly
+        expect = np.log(g1 * (1.0 - t) / (g0 * t))
+        assert beta_from_energy(w, e) == pytest.approx(expect, rel=1e-13)
 
 
 def test_beta_from_energy_rejects_out_of_range():
@@ -93,6 +79,9 @@ def test_beta_from_energy_rejects_out_of_range():
         beta_from_energy(w, 0.9)  # above the infinite-temperature mean
     with pytest.raises(ValueError):
         beta_from_energy(w, -0.5)
+    for e in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            beta_from_energy(w, e)
 
 
 def _entropy_at_energy(w, e):
@@ -179,13 +168,20 @@ def test_impurity_multipliers_reproduce_the_weights(rng):
 
 
 def test_gibbs_newton_solves_for_the_energy(rng):
-    # every warm start, with or without counts, reaches beta_from_energy's
-    # root, ln Z and normalized weights of the shifted spectrum
+    # every warm start, with or without counts, reaches scipy's root of
+    # E(beta) = e on the shifted spectrum, its ln Z and normalized weights
     for _ in range(100):
         w = np.sort(rng.standard_normal(int(rng.integers(2, 20))) * 3)
         x, e0, mean = w - w.min(), w.min(), w.mean()
         e = e0 + rng.random() ** 3 * (mean - e0)
-        beta = beta_from_energy(w, e)
+
+        def f(beta):
+            return gibbs_at(x, beta)[1] - (e - e0)
+
+        hi = 1.0
+        while f(hi) > 0:
+            hi *= 2.0
+        beta = brentq(f, 0.0, hi, xtol=1e-15, rtol=4 * np.finfo(float).eps)
         start = beta * 10.0 ** rng.uniform(-3, 3) if rng.random() < 0.9 \
             else 0.0
         got, lnz, q = gibbs_newton(x, e - e0, start)
@@ -200,6 +196,8 @@ def test_gibbs_newton_solves_for_the_energy(rng):
     x = np.array([0.0, 1.0, 3.0])
     assert gibbs_newton(x, 4.0 / 3.0, 1.0)[0] == 0.0  # at the mean
     assert gibbs_newton(x, -1e-12, 1.0)[0] == 1e6
+    with pytest.raises(RuntimeError):
+        gibbs_newton(x, np.nan)
 
 
 def test_linear_entropy_rejects_out_of_range():
