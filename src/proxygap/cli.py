@@ -231,16 +231,15 @@ def cmd_thermo_limit(args) -> int:
 
 
 def cmd_bell_gap(args) -> int:
-    if args.config:
-        cfg = _load_config(args.config)
+    cfg = _load_config(args.config) if args.config else {}
+    try:
         beta = float(cfg.get("beta", 1.0))
         nu = float(cfg.get("nu", 5.0))
         d_list = [int(d) for d in cfg.get("d_list", [2 ** k for k in
                                                      range(5, 21)])]
-    else:
-        beta, nu = 1.0, 5.0
-        d_list = [2 ** k for k in range(5, 21)]
-    rows = [(d, dual.bell_gap_bound(beta, d, nu)) for d in d_list]
+        rows = [(d, dual.bell_gap_bound(beta, d, nu)) for d in d_list]
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad bell-gap config: {exc}")
     with open(os.path.join(args.out, "bell_gap.csv"), "w") as f:
         f.write("d,gap_bound\n")
         for d, v in rows:
@@ -256,7 +255,11 @@ def cmd_oracle(args) -> int:
     cfg = _load_config(args.config)
     h = _build_model(cfg)
     cs = _build_constraints(cfg, h)
-    energies = cfg.get("energies")
+    try:
+        energies = [float(e) for e in cfg.get("energies") or []]
+        ensemble_size = int(cfg.get("ensemble_size", 64))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad oracle config: {exc}")
     if not energies:
         raise ConfigError("oracle config needs an 'energies' list")
     if cfg.get("per_site"):
@@ -266,15 +269,14 @@ def cmd_oracle(args) -> int:
     def one(e):
         try:
             lower = oracle.max_entropy_separable_lower(
-                h, e, seed=args.seed,
-                ensemble_size=int(cfg.get("ensemble_size", 64)))
+                h, e, seed=args.seed, ensemble_size=ensemble_size)
         except ValueError as exc:
             return {"E": e, "infeasible": str(exc)}
         upper, _, info = dual.minimize_dual(h, cs, e, problem=problem)
         return {"E": e, "oracle_lower": lower, "dual_upper": upper,
                 "margin": upper - lower, "dual_converged": info.converged}
 
-    rows = [one(float(e)) for e in energies]
+    rows = [one(e) for e in energies]
     out = {"kind": "heuristic sandwich (oracle lower / dual upper)",
            "seed": args.seed, "rows": rows}
     with open(os.path.join(args.out, "oracle_sandwich.json"), "w") as f:

@@ -45,8 +45,9 @@ charge S_z^B - S_z^A (Vollbrecht & Werner, PRA 64, 062307 (2001):
 twirling by the product unitaries exp(i phi S_z) keeps every cut PPT, so
 the restriction loses nothing).  Y_A^(T_A) is then an index permutation,
 and every eigendecomposition runs on stacks of equal-size blocks;
-otherwise each is one dense block.  `ppt_energy_min` runs in the same
-layouts.
+otherwise each is one dense block.  `prepare_dual` alone reads H: every
+spectrum comes from its blocks, and `ppt_energy_min` prepares through it
+and runs in the same layouts.
 """
 from __future__ import annotations
 
@@ -77,9 +78,6 @@ class SolveInfo:
     converged: bool
     iterations: int
     grad_norm: float  # of the projected gradient; nan if not evaluated
-    # the returned point is a Farkas certificate: no state meets the
-    # constraints at this energy, and the bound is -inf
-    infeasible: bool = False
     # spectrum passes on the witness path, objective calls in SPG
     evaluations: int = 0
     # "converged", "max_iter", "line_search", "certificate",
@@ -88,6 +86,12 @@ class SolveInfo:
     # caller's `decides`; a valid bound, not the optimum)
     termination: str = "converged"
     backtracks: int = 0  # line-search halvings in SPG; 0 on the witness path
+
+    @property
+    def infeasible(self) -> bool:
+        """The returned point is a Farkas certificate: no state meets the
+        constraints at this energy, and the bound is -inf."""
+        return self.termination == "certificate"
 
     @property
     def certificate(self) -> str:
@@ -284,12 +288,7 @@ def _prepared(h, cs: ConstraintSet, path, fallback, h_blocks, w_blocks,
     problem = DualProblem(kept, layout.block_order(kept), free, layout,
                           layout.pack([hb for hb, _ in blocks]), w_packed,
                           x_layouts, pt, n_wit, path, fallback)
-    if cs.map_slots:
-        # with cuts the spectrum is that of the dense H: the grid's top
-        # energy is its mean, pure rounding on a traceless H, and the
-        # golden scans in tests/data hold it to the dense matrix's rounding
-        ev = np.linalg.eigvalsh(h.entries)
-    elif n_wit <= 1:
+    if n_wit <= 1 and not cs.map_slots:
         problem.envelope = _Envelope(problem)
         ev = problem.envelope.energies
     else:
@@ -478,9 +477,9 @@ def _spg(obj: _BlockObjective, x0, opts: SolverOptions, decides=None):
         # a Farkas certificate takes precedence over a decided value; as
         # on the witness path, it reports no gradient
         if obj.proves_infeasible():
-            return xv, -np.inf, SolveInfo(True, it, np.nan, True, calls,
+            return xv, -np.inf, SolveInfo(True, it, np.nan, calls,
                                           "certificate", backtracks)
-        return xv, fv, SolveInfo(False, it, grad_norm(xv, gv), False, calls,
+        return xv, fv, SolveInfo(False, it, grad_norm(xv, gv), calls,
                                  "decided", backtracks)
 
     x = project(x0)
@@ -535,8 +534,8 @@ def _spg(obj: _BlockObjective, x0, opts: SolverOptions, decides=None):
         _, g = fun_grad(x)
     if pg_norm is None:
         pg_norm = grad_norm(x, g)
-    return x, f, SolveInfo(pg_norm <= tol * 10, it, float(pg_norm), False,
-                           calls, termination, backtracks)
+    return x, f, SolveInfo(pg_norm <= tol * 10, it, float(pg_norm), calls,
+                           termination, backtracks)
 
 
 @dataclass
@@ -700,8 +699,7 @@ class _Envelope:
     def _farkas(self, s: float, iterations: int, passes: int):
         """The solve's result at the certificate nu = s."""
         return -np.inf, np.array([s]), SolveInfo(
-            True, iterations, np.nan, True, self.passes - passes,
-            "certificate")
+            True, iterations, np.nan, self.passes - passes, "certificate")
 
     def _search(self, e: float, linear: bool, opts: SolverOptions,
                 decides=None):
@@ -818,7 +816,7 @@ class _Envelope:
             # it meets the witness: no search, and at nu = 0 the gradient,
             # a positive multiple of tr(rho W) >= 0, projects to zero
             return value, np.zeros(p.n_wit), SolveInfo(
-                True, 0, 0.0, False, self.passes - passes, "gibbs_feasible")
+                True, 0, 0.0, self.passes - passes, "gibbs_feasible")
         found, iterations = None, 0
         if decides is not None:
             found = self._cached_verdict(e, linear, decides)
@@ -834,14 +832,14 @@ class _Envelope:
             return self._farkas(s, iterations, passes)
         vec = np.array([s])
         if found is not None:
-            return value, vec, SolveInfo(False, iterations, np.nan, False,
+            return value, vec, SolveInfo(False, iterations, np.nan,
                                          self.passes - passes, "decided")
         self.s_last = s
         if decides is not None:
             # a step that did not decide reads only the value: skip the
             # closing evaluation and its eigh of every witness block
             return value, vec, SolveInfo(
-                not capped, iterations, np.nan, False, self.passes - passes,
+                not capped, iterations, np.nan, self.passes - passes,
                 "max_iter" if capped else "converged")
         obj = _BlockObjective(p, e, linear)
         pg_norm = obj.grad_norm(vec, obj.value_grad(vec)[1])
@@ -849,8 +847,7 @@ class _Envelope:
         termination = ("max_iter" if capped else
                        "converged" if converged else "line_search")
         return float(value), vec, SolveInfo(converged, iterations, pg_norm,
-                                            False, self.passes - passes,
-                                            termination)
+                                            self.passes - passes, termination)
 
 
 class _Decided(Exception):
@@ -987,7 +984,7 @@ def gap_energy_scan(h, cs: ConstraintSet, grid: GridOptions = None,
         s_ref = (linear_entropy_max(spectrum, e) if linear else
                  gibbs_at(spectrum, problem.beta_at(e))[2])
         if e_min_w is not None and e < e_min_w:
-            return s_ref, -np.inf, SolveInfo(True, 0, np.nan, True, 0,
+            return s_ref, -np.inf, SolveInfo(True, 0, np.nan, 0,
                                              "certificate")
         # the very test that flags a row detected, so no verdict disagrees
         decides = (lambda value: s_ref - value > gap_tol) if verdict else None
@@ -1159,11 +1156,10 @@ def ppt_energy_min(h, cuts, cert_tol: float = 1e-5,
     cuts = tuple(cuts)
     if not cuts:
         raise ValueError("need at least one cut")
-    _, _, h_blocks, _, _, mag = _blocks_for(h, ConstraintSet(map_slots=cuts))
-    d = sum(hb.shape[0] for hb in h_blocks)
-    lay, x_layouts, pt = _cut_layouts(mag, cuts, h.local_dims,
-                                      real_dtype_of(h_blocks))
-    hp = lay.pack(h_blocks)
+    prob = prepare_dual(h, ConstraintSet(map_slots=cuts))
+    lay, x_layouts, pt = prob.layout, prob.x_layouts, prob.pt
+    hp = prob.h_packed
+    d = lay.dim
     h_mean = float(hp[lay.diagonal].real.sum()) / d
     hc = hp.copy()  # the traceless part H_c = H - (tr H / d) I
     hc[lay.diagonal] -= h_mean

@@ -11,8 +11,7 @@ blocks, and a PPT problem into magnetization sectors, without forming the
 2^n x 2^n matrix.  The splits read any sparse operand through its
 `tocoo()`, scipy's sparse matrices included.  Only a dense
 path densifies an operator, behind the memory guard: an operator that does
-not conserve magnetization, a full diagonalization, or the spectrum of H
-that a PPT scan places its energy grid on.
+not conserve magnetization, or a full diagonalization.
 """
 from __future__ import annotations
 

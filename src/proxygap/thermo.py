@@ -10,8 +10,6 @@ import math
 
 import numpy as np
 
-from .linalg import HermitianOperator
-
 
 def gibbs_at(spectrum, beta: float):
     """Return (lnZ, E, S) for the Gibbs state of `spectrum` at inverse
@@ -130,12 +128,10 @@ def _linear_entropy_weights(w: np.ndarray, e: float):
     return p / p.sum(), a, -b if flip else b
 
 
-def linear_entropy_max(h, e: float) -> float:
-    """Maximal impurity 1 - tr(rho^2) over states with tr(rho H) = e."""
-    if isinstance(h, HermitianOperator):
-        w = np.linalg.eigvalsh(h.entries)
-    else:
-        w = np.sort(np.asarray(h, dtype=float))
+def linear_entropy_max(spectrum, e: float) -> float:
+    """Maximal impurity 1 - tr(rho^2) over states with tr(rho H) = e, H
+    of the given spectrum."""
+    w = np.sort(np.asarray(spectrum, dtype=float))
     if not (w.min() - 1e-12 <= e <= w.max() + 1e-12):
         raise ValueError("energy outside the attainable range")
     e = float(np.clip(e, w.min(), w.max()))

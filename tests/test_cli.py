@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import proxygap.dual as dual_mod
@@ -217,7 +218,9 @@ def test_gap_scan_rows_match_the_golden_csv(tmp_path, name):
     # tests/data/gap_scan_<name>.csv holds the rows of an earlier, checked
     # version of the solvers.  Flags and infinities must match exactly and
     # every other float to 1e-10 relative; delta_S, a difference that can
-    # sit at 1e-13, is held to 1e-10 of S_gibbs.  The window edges must
+    # sit at 1e-13, is held to 1e-10 of S_gibbs, and E and E_per_site,
+    # whose top row is the mean of a traceless H (zero up to rounding), to
+    # 1e-10 of the golden file's energy range.  The window edges must
     # match exactly.
     cfg_path = _write_config(tmp_path, "cfg.json", GOLDEN_SCANS[name])
     out = tmp_path / "run"
@@ -230,6 +233,8 @@ def test_gap_scan_rows_match_the_golden_csv(tmp_path, name):
     with open(DATA / f"gap_scan_{name}.csv") as f:
         golden = list(csv.DictReader(f))
     assert len(rows) == len(golden)
+    span = {key: np.ptp([float(r[key]) for r in golden])
+            for key in ("E", "E_per_site")}
     for row, ref in zip(rows, golden):
         assert row.keys() == ref.keys()
         assert row["detected"] == ref["detected"]
@@ -238,7 +243,8 @@ def test_gap_scan_rows_match_the_golden_csv(tmp_path, name):
             if not math.isfinite(b):
                 assert a == b, (key, row, ref)
                 continue
-            scale = abs(float(ref["S_gibbs"])) if key == "delta_S" else 0.0
+            scale = (abs(float(ref["S_gibbs"])) if key == "delta_S" else
+                     span.get(key, 0.0))
             assert math.isclose(a, b, rel_tol=1e-10,
                                 abs_tol=1e-10 * scale), (key, row, ref)
 
@@ -362,6 +368,26 @@ def test_oracle_command_margin_nonnegative(tmp_path, capsys):
     assert by_e[-0.45 * 3]["margin"] >= -1e-6
     # -0.8 per site lies below the separable energy range
     assert "infeasible" in by_e[-0.8 * 3]
+
+
+_ORACLE_CFG = {
+    "model": {"type": "heisenberg", "n": 3, "jx": -1, "jy": -1, "jz": -1},
+    "constraints": {"cuts": "all"},
+    "energies": [-1.0],
+    "ensemble_size": 8,
+}
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("bell-gap", {"beta": -1}),
+    ("bell-gap", {"d_list": [1, 4]}),
+    ("oracle", dict(_ORACLE_CFG, energies=["x"])),
+    ("oracle", dict(_ORACLE_CFG, ensemble_size="many")),
+], ids=["bell-beta", "bell-d", "oracle-energy", "oracle-ensemble"])
+def test_bad_values_exit_2_before_any_solve(tmp_path, command, cfg):
+    cfg_path = _write_config(tmp_path, "cfg.json", cfg)
+    assert main(["--out", str(tmp_path / "run"), command,
+                 "--config", cfg_path]) == EXIT_CONFIG
 
 
 def test_oracle_prepares_the_dual_once(tmp_path, monkeypatch):

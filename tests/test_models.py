@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import csr_of
-from proxygap.dual import GridOptions, gap_energy_scan, prepare_dual
+from proxygap.dual import (GridOptions, gap_energy_scan, ppt_energy_min,
+                           prepare_dual)
 from proxygap.linalg import LinalgError
 from proxygap.models import (HeisenbergParams, XYParams, bell_staircase,
                              dicke_state, energy_extremes,
@@ -10,7 +11,8 @@ from proxygap.models import (HeisenbergParams, XYParams, bell_staircase,
                              heisenberg_sparse, is_translation_invariant,
                              momentum_sector_split, popcounts,
                              sector_split_sparse, translation_table, xy_chain)
-from proxygap.witness import ConstraintSet, dicke_witness
+from proxygap.witness import (ConstraintSet, dicke_witness,
+                              even_odd_bipartition)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -201,5 +203,20 @@ def test_memory_guard_spares_the_block_path(monkeypatch):
     assert prepare_dual(h, cs).path == "momentum"
     res = gap_energy_scan(h, cs, GridOptions(n_points=4, bisect_iters=3))
     assert res.e_max_gap is not None
+    with pytest.raises(MemoryError):
+        h.entries
+
+
+def test_memory_guard_spares_the_ppt_sector_path(monkeypatch):
+    # a PPT scan and the PPT minimum energy of an n=6 AFM ring, even-odd
+    # cut, read H only through its magnetization sectors
+    monkeypatch.setenv("PROXYGAP_MAX_QUBITS", "5")
+    n = 6
+    h = heisenberg_chain(HeisenbergParams(n, -1, -1, -1))
+    cuts = (even_odd_bipartition(n),)
+    cs = ConstraintSet(map_slots=cuts)
+    assert prepare_dual(h, cs).path == "sector"
+    gap_energy_scan(h, cs, GridOptions(n_points=3, bisect_iters=2))
+    assert ppt_energy_min(h, cuts).converged
     with pytest.raises(MemoryError):
         h.entries
