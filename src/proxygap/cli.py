@@ -134,13 +134,17 @@ def cmd_gap_scan(args) -> int:
     cs = _build_constraints(cfg, h)
     grid = _grid_options(cfg, h.n_sites)
     opts = _solver_options(cfg)
+    n = h.n_sites
+    cuts = _build_cuts(cfg["ppt_emin"], n) if cfg.get("ppt_emin") else None
     t0 = time.time()
+    # the PPT minimum energy shares the scan's problem where it is the same
+    problem = (dual.prepare_dual(h, cs) if cuts and not cs.witnesses
+               and tuple(cs.map_slots) == tuple(cuts) else None)
     try:
-        res = dual.gap_energy_scan(h, cs, grid, opts)
+        res = dual.gap_energy_scan(h, cs, grid, opts, problem)
     except dual.GridError as exc:
         raise ConfigError(f"bad grid spec: {exc}")
     wall = time.time() - t0
-    n = h.n_sites
     csv_path = os.path.join(args.out, "gap_scan.csv")
     with open(csv_path, "w") as f:
         f.write("E,E_per_site,beta,T,S_gibbs,S_dual,delta_S,detected\n")
@@ -167,9 +171,8 @@ def cmd_gap_scan(args) -> int:
         "bisect_decided": res.bisect_decided,
         "wall_time_s": wall,
     }
-    if cfg.get("ppt_emin"):
-        cuts = _build_cuts(cfg["ppt_emin"], n)
-        ppt = dual.ppt_energy_min(h, cuts)
+    if cuts:
+        ppt = dual.ppt_energy_min(h, cuts, problem=problem)
         summary["e_min_ppt"] = ppt.value
         summary["e_min_ppt_per_site"] = ppt.value / n
         summary["ppt_residual"] = ppt.residual

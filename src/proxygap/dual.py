@@ -46,8 +46,8 @@ twirling by the product unitaries exp(i phi S_z) keeps every cut PPT, so
 the restriction loses nothing).  Y_A^(T_A) is then an index permutation,
 and every eigendecomposition runs on stacks of equal-size blocks;
 otherwise each is one dense block.  `prepare_dual` alone reads H: every
-spectrum comes from its blocks, and `ppt_energy_min` prepares through it
-and runs in the same layouts.
+spectrum comes from its blocks, and `ppt_energy_min` prepares through it,
+or takes a scan's prepared problem, and runs in the same layouts.
 """
 from __future__ import annotations
 
@@ -219,7 +219,8 @@ class DualProblem:
     the blocks of `x_layouts[A]`; `pt[A]` = (to_m, to_x) are the index
     permutations of its partial transpose into `layout` and back.  `free`
     holds the fixed spectra of the witness-free blocks and `spectrum` the
-    sorted spectrum of H, each eigenvalue as often as it occurs.  `path` is
+    sorted spectrum of H, each eigenvalue as often as it occurs, taken
+    where it is first read.  `path` is
     the split taken ("momentum", "sector" or "dense"; "diagonal" in
     `diagonal_dual`) and `fallback` why no finer one was, or None.
     `envelope` is the witness path, set when there is at most one witness
@@ -236,13 +237,25 @@ class DualProblem:
     n_wit: int
     path: str
     fallback: str | None
-    spectrum: np.ndarray = None
     envelope: "_Envelope | None" = None
+    _spectrum: np.ndarray = None
     _last_beta: tuple = (np.nan, np.nan)  # (e, beta_at(e))
 
     @property
     def block_sizes(self) -> list:
         return list(zip(self.layout.sizes, self.mult))
+
+    @property
+    def spectrum(self) -> np.ndarray:
+        """The sorted spectrum of H: the witness path's energies, else
+        the free spectra and one `eigvalsh` of every kept block.  Taken on
+        first read, so `ppt_energy_min`, which never reads it, pays none."""
+        if self._spectrum is None:
+            ev = self.envelope.energies if self.envelope is not None else \
+                np.concatenate([self.free, self.layout.eigvalsh(
+                    self.h_packed)[self.order]])
+            self._spectrum = np.sort(ev)
+        return self._spectrum
 
     def beta_at(self, e: float) -> float:
         """The inverse temperature of the Gibbs state of H at energy e.  A
@@ -290,11 +303,6 @@ def _prepared(h, cs: ConstraintSet, path, fallback, h_blocks, w_blocks,
                           x_layouts, pt, n_wit, path, fallback)
     if n_wit <= 1 and not cs.map_slots:
         problem.envelope = _Envelope(problem)
-        ev = problem.envelope.energies
-    else:
-        ev = np.concatenate([free, layout.eigvalsh(problem.h_packed)
-                             [problem.order]])
-    problem.spectrum = np.sort(ev)
     return problem
 
 
@@ -944,10 +952,12 @@ class GridOptions:
 
 
 def gap_energy_scan(h, cs: ConstraintSet, grid: GridOptions = None,
-                    opts: SolverOptions = None) -> GapScanResult:
+                    opts: SolverOptions = None,
+                    problem: DualProblem = None) -> GapScanResult:
     """Scan the energy axis, record the entropy gap per point, and locate
     the detection window edges by bisection on gap = gap_tolerance.  The
-    problem is prepared once and shared by every solve of the scan.  On
+    problem is prepared once, or given as `problem` = `prepare_dual(h,
+    cs)`, and shared by every solve of the scan.  On
     the witness path E_min,W is certified first, and an energy below it is
     infeasible without a solve.
 
@@ -960,7 +970,7 @@ def gap_energy_scan(h, cs: ConstraintSet, grid: GridOptions = None,
     [E0, mean], or not finite, raises `GridError` before any solve."""
     grid = grid or GridOptions()
     opts = opts or SolverOptions()
-    problem = prepare_dual(h, cs)
+    problem = problem or prepare_dual(h, cs)
     spectrum = problem.spectrum
     env = problem.envelope
     e_min_w = env.e_min_w() if env is not None and problem.n_wit else None
@@ -1112,18 +1122,22 @@ class _Anderson:
 
 
 def ppt_energy_min(h, cuts, cert_tol: float = 1e-5,
-                   max_iter: int = 20000) -> PPTResult:
+                   max_iter: int = 20000,
+                   problem: DualProblem = None) -> PPTResult:
     """min tr(rho H) over states PSD under partial transposition on every
     cut, by consensus ADMM (alternating projections onto the density and
     PT-PSD sets) with safeguarded Anderson acceleration, bracketed to
-    within cert_tol.
+    within cert_tol.  `problem` is `prepare_dual(h, ConstraintSet(
+    map_slots=cuts))`, to share one with a scan; one with a witness, or
+    with another number of cuts, raises ValueError.
 
-    One ADMM sweep is a map T on the packed state x = (z0, z_A, u0, u_A),
-    and each step extrapolates it (`_Anderson`).  An extrapolated x whose
-    residual |T(x) - x| exceeds the last accepted point's is rejected, and
-    the plain sweep from that point is taken with the memory cleared
-    (Zhang, O'Donoghue & Boyd, SIAM J. Optim. 30 (2020)).  `iterations`
-    counts every sweep, `rejected` the extrapolations thrown away.
+    One ADMM sweep is a map T on the packed state x = (z, u): z holds z0
+    and every z_A, u their scaled duals u0 and u_A.  Each step extrapolates
+    it (`_Anderson`).  An extrapolated x whose residual |T(x) - x| exceeds
+    the last accepted point's is rejected, and the plain sweep from that
+    point is taken with the memory cleared (Zhang, O'Donoghue & Boyd, SIAM
+    J. Optim. 30 (2020)).  `iterations` counts every sweep, `rejected` the
+    extrapolations thrown away.
 
     The sweeps run on the traceless part H_c = H - (tr H / d) I, with the
     penalty sigma = PPT_PENALTY ||H_c||_F (1 where H_c = 0).  On states
@@ -1142,22 +1156,29 @@ def ppt_energy_min(h, cuts, cert_tol: float = 1e-5,
       widen the margin and a scale of H scales it;
     - `rho` = (1 - t) z0 + t I / d, z0 a state by construction and t the
       least weight that makes every partial transpose PSD; `primal_value`
-      = tr(rho H) is then attained by a PPT state.
+      = tr(rho H), attained by a PPT state, plus the rounding bound of
+      that n-term sum, n eps sum_i |rho_i H_i| (Higham, Accuracy and
+      Stability of Numerical Algorithms, 2nd ed., sec. 3.1).
     `residual` = primal_value - value bounds the distance of both to the
-    optimum.  The solve stops once primal_value - lam_min <= cert_tol, so
-    `residual` exceeds cert_tol by at most the margin, 2e-9 ||M_c||_2 and
-    the rounding of the sum.
+    optimum.  The solve stops once tr(rho H) - lam_min <= cert_tol, so
+    `residual` exceeds cert_tol by at most the two margins.
 
     rho and its copy z0 live in the magnetization sectors, and each copy
     z_A of rho^(T_A) in the blocks of the cut's twisted charge (see
     `_cut_layouts`); from the start I / d every iterate stays in them.
     Where H does not conserve magnetization, or the sites are not qubits,
-    each is one dense block.  For a real H every iterate is real."""
+    each is one dense block.  For a real H every iterate is real.  A sweep
+    moves z and u into one joint layout of all those blocks
+    (`BlockLayout.joined`) and back, so it diagonalizes each block size
+    once, in one `eigh` over z0's blocks and every cut's."""
     cuts = tuple(cuts)
     if not cuts:
         raise ValueError("need at least one cut")
-    prob = prepare_dual(h, ConstraintSet(map_slots=cuts))
-    lay, x_layouts, pt = prob.layout, prob.x_layouts, prob.pt
+    prob = problem or prepare_dual(h, ConstraintSet(map_slots=cuts))
+    if prob.n_wit or len(prob.pt) != len(cuts):
+        raise ValueError("the problem must be prepared with these cuts "
+                         "and no witness")
+    lay, pt = prob.layout, prob.pt
     hp = prob.h_packed
     d = lay.dim
     h_mean = float(hp[lay.diagonal].real.sum()) / d
@@ -1165,43 +1186,61 @@ def ppt_energy_min(h, cuts, cert_tol: float = 1e-5,
     hc[lay.diagonal] -= h_mean
     sigma = PPT_PENALTY * float(np.linalg.norm(hc)) or 1.0
     n_c = len(cuts)
-    sizes = [lay.size] + [xl.size for xl in x_layouts]
-    edges = np.cumsum(sizes * 2)[:-1]
-
-    def parts(x):  # z0, [z_A], u0, [u_A]
-        p = np.split(x, edges)
-        return p[0], p[1:n_c + 1], p[n_c + 1], p[n_c + 2:]
+    joint, perm = BlockLayout.joined([lay] + prob.x_layouts)
+    size = joint.size
+    sizes = [lay.size] + [xl.size for xl in prob.x_layouts]
+    # x keeps z0, then each z_A (u likewise), and each sweep permutes it
+    # into the joint layout and back: the extrapolation's Gram matrix
+    # amplifies the rounding of its sums, and in the joint order the n=5
+    # all-cuts solve ends 6e-6 away, after 278 sweeps in place of 248
+    at = np.empty(size, dtype=int)  # x's order -> joint position
+    at[perm] = np.arange(size)
+    starts = np.cumsum(sizes) - sizes
+    # z[gather] stacks z0 and every z_A^(T_A), each in z0's layout;
+    # rho[scatter] is rho, then every rho^(T_A), in z's order
+    gather = np.stack([np.arange(lay.size)]
+                      + [s + to_m for s, (to_m, _) in zip(starts[1:], pt)])
+    scatter = np.concatenate([np.arange(lay.size)]
+                             + [to_x for _, to_x in pt])
+    part = np.repeat(np.arange(n_c + 1), sizes)  # 0 for z0, A + 1 for z_A
+    on_cuts = np.flatnonzero(part[perm])  # the z_A in the joint layout
+    cut_adjoint = joint.adjoint[on_cuts]
+    # the positions of z0's eigenvalues among `joint.eigh`'s
+    n0 = len(lay.sizes)
+    state_ev = joint.block_order([1] * n0 + [0] * (len(joint.sizes) - n0))
+    cut_ev = np.ones(joint.dim, dtype=bool)
+    cut_ev[state_ev] = False
 
     def sweep(x):
-        z0, za, u0, ua = parts(x)
-        acc = (z0 - u0) - hc / sigma
-        for zi, ui, (to_m, _) in zip(za, ua, pt):
-            acc = acc + (zi - ui)[to_m]
-        rho = acc / (1.0 + n_c)
-        w, vecs = lay.eigh(lay.hermitian(rho + u0))
-        z0_new = lay.compose(vecs, _simplex_project(w))
-        rho_a = [rho[to_x] for _, to_x in pt]
-        za_new = [xl.psd_project(ra + ui)
-                  for ra, ui, xl in zip(rho_a, ua, x_layouts)]
-        r_prim = np.linalg.norm(rho - z0_new)
-        for ra, zi in zip(rho_a, za_new):
-            r_prim = max(r_prim, np.linalg.norm(ra - zi))
-        return np.concatenate(
-            [z0_new, *za_new, u0 + rho - z0_new,
-             *(ui + ra - zi for ui, ra, zi in zip(ua, rho_a, za_new))]), \
-            r_prim
+        z, u = x[:size], x[size:]
+        acc = (z - u)[gather]
+        acc[0] -= hc / sigma
+        rho = acc.sum(axis=0) / (1.0 + n_c)
+        v = rho[scatter]
+        w, vecs = joint.eigh(joint.hermitian((v + u)[perm]))
+        weights = np.maximum(w, 0.0)
+        weights[state_ev] = _simplex_project(w[state_ev])
+        z_new = joint.compose(vecs, weights)
+        # each z_A is the Hermitian part, as `psd_project` returns it
+        z_new[on_cuts] = (z_new[on_cuts] + z_new[cut_adjoint].conj()) / 2
+        z_new = z_new[at]
+        r = v - z_new
+        r_prim = np.sqrt(np.bincount(part, (r * r.conj()).real).max())
+        return np.concatenate([z_new, u + v - z_new]), r_prim
 
     def bracket(g):
-        z0, _, _, ua = parts(g)
-        viol = 0.0
-        for (_, to_x), xl in zip(pt, x_layouts):
-            viol = max(viol, float(-xl.eigvalsh(z0[to_x]).min()))
+        z0, u = g[:lay.size], g[size:]
+        pt_w = joint.eigvalsh(z0[scatter][perm])[cut_ev]
+        viol = max(0.0, float(-pt_w.min()))
         t = d * viol / (1.0 + d * viol)
         primal = (1.0 - t) * float(np.vdot(z0, hp).real) + t * h_mean
-        ys = [xl.psd_project(-sigma * ui) for ui, xl in zip(ua, x_layouts)]
-        m = hc.copy()
-        for y, (to_m, _) in zip(ys, pt):
-            m = m - y[to_m]
+        # a bound on the rounding of that sum: eps = 2u per term covers
+        # the dot product of lay.size terms and the three operations after
+        upper = primal + (lay.size + 3) * np.finfo(float).eps * (
+            (1.0 - t) * float(np.vdot(np.abs(z0), np.abs(hp)))
+            + t * abs(h_mean))
+        y = joint.psd_project((-sigma * u)[perm])[at]
+        m = hc - y[gather[1:]].sum(axis=0)
         w = lay.eigvalsh(lay.hermitian(m))
         lo = float(w.min())
         # lam_min(H - sum Y^T) = lo + tr H / d; value lies below it by the
@@ -1211,13 +1250,12 @@ def ppt_energy_min(h, cuts, cert_tol: float = 1e-5,
                  - 2.0 * np.spacing(abs(lo) + abs(h_mean)))
         rho = (1.0 - t) * z0
         rho[lay.diagonal] += t / d
-        return PPTResult(lower, primal, primal - lower,
+        return PPTResult(lower, upper, upper - lower,
                          primal - lam <= cert_tol, lay.dense(rho))
 
     z0 = np.zeros(lay.size, dtype=lay.dtype)
     z0[lay.diagonal] = 1.0 / d
-    x = np.concatenate([z0] + [z0[to_x] for _, to_x in pt]
-                       + [np.zeros(sum(sizes), dtype=lay.dtype)])
+    x = np.concatenate([z0[scatter], np.zeros(size, dtype=lay.dtype)])
     g, r_prim = sweep(x)
     f_norm = np.linalg.norm(g - x)
     mix = _Anderson(x)

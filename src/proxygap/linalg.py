@@ -10,8 +10,9 @@ is densified only where a dense path asks for its `entries`, behind the
 MRRR eigensolver is imported only where numpy's `eigh` fails to converge.
 A `BlockLayout` stores block-diagonal matrices packed, in float64 where
 every matrix it holds is real and in complex128 otherwise, and
-diagonalizes equal-size blocks in one batched call; `pt_permutation`
-turns a partial transpose between two layouts into one index permutation.
+diagonalizes equal-size blocks in one batched call, also across the
+layouts that `BlockLayout.joined` puts in one; `pt_permutation` turns a
+partial transpose between two layouts into one index permutation.
 Entropies elsewhere are in nats.
 """
 from __future__ import annotations
@@ -285,6 +286,27 @@ class BlockLayout:
         order = np.argsort(q, kind="stable")
         index = np.split(order, np.flatnonzero(np.diff(q[order])) + 1)
         return cls([ix.size for ix in index], index, dtype)
+
+    @classmethod
+    def joined(cls, layouts) -> tuple:
+        """(joint, perm): the layout of the blocks of every layout in
+        `layouts`, in turn, and the index perm with joint_packed =
+        np.concatenate(packed)[perm], the layouts' packed vectors joined
+        in turn.  Equal-size blocks of all of them share one stack, so one
+        `eigh` per size serves them all."""
+        joint = cls([b for lay in layouts for b in lay.sizes],
+                    dtype=np.result_type(*(lay.dtype for lay in layouts)))
+        blocks, off = [], 0  # each block's positions in the joined vector
+        for lay in layouts:
+            at = [None] * len(lay.sizes)
+            for (_, ids), s in zip(lay.groups,
+                                   lay.stacks(np.arange(off, off + lay.size))):
+                for i, positions in zip(ids, s):
+                    at[i] = positions
+            blocks.extend(at)
+            off += lay.size
+        return joint, _joined((np.asarray([blocks[i] for i in ids])
+                               for _, ids in joint.groups), int)
 
     def stacks(self, packed: np.ndarray) -> list:
         """(k, b, b) views of a packed vector, one per block size."""

@@ -300,6 +300,33 @@ def test_gap_scan_with_ppt_block(tmp_path):
     assert 0 <= summary["ppt_rejected"] < summary["ppt_iterations"]
 
 
+def test_gap_scan_with_ppt_emin_prepares_once(tmp_path, monkeypatch):
+    # the benchmark's ppt-ring scan has ppt_emin on its own cut and no
+    # witness: the scan and the PPT minimum energy share one problem
+    calls = []
+    prepare = dual_mod.prepare_dual
+
+    def counted(h, cs):
+        calls.append(cs)
+        return prepare(h, cs)
+
+    monkeypatch.setattr(dual_mod, "prepare_dual", counted)
+    cfg = json.loads((Path(__file__).parents[1] / "bench" / "configs"
+                      / "ppt-ring.gap-scan.json").read_text())
+    out = tmp_path / "run"
+    assert main(["--out", str(out), "gap-scan", "--config",
+                 _write_config(tmp_path, "cfg.json", cfg)]) == EXIT_OK
+    assert len(calls) == 1
+    summary = json.loads((out / "gap_scan_summary.json").read_text())
+    assert summary["ppt_converged"] is True
+    # other cuts than the scan's prepare their own problem
+    calls.clear()
+    cfg["ppt_emin"] = "all"
+    assert main(["--out", str(out), "gap-scan", "--config",
+                 _write_config(tmp_path, "cfg.json", cfg)]) == EXIT_OK
+    assert len(calls) == 2
+
+
 def test_bad_configs_exit_2(tmp_path):
     missing = str(tmp_path / "nope.json")
     assert main(["--out", str(tmp_path), "gap-scan", "--config",

@@ -10,8 +10,8 @@ from proxygap.dual import (GAP_TOLERANCE, GAP_TOLERANCE_LINEAR, GridOptions,
                            gap_energy_scan, gap_lower_bound,
                            lin_dual_minimize, minimize_dual, ppt_energy_min,
                            prepare_dual)
-from proxygap.linalg import (Bipartition, CooMatrix, HermitianOperator,
-                             partial_transpose_matrix)
+from proxygap.linalg import (Bipartition, BlockLayout, CooMatrix,
+                             HermitianOperator, partial_transpose_matrix)
 from proxygap.models import (HeisenbergParams, XYParams, bell_staircase,
                              energy_extremes, heisenberg_chain,
                              heisenberg_sparse, xy_chain)
@@ -405,7 +405,9 @@ def test_ppt_energy_min_is_accelerated(n, iterations):
 def test_ppt_energy_min_is_shift_and_scale_invariant(n, cuts):
     # the sweeps run on the traceless part of H with a penalty in its norm,
     # so aH + cI takes the same iterates, and value moves to a value + c;
-    # the rounding margin of value scales with a, down to a = 1e-6
+    # the rounding margin of value scales with a, down to a = 1e-6.  The
+    # upper side bounds the rounding of its own sum, so the bracket stays
+    # open where the shift dwarfs aH (it read 0.0 at a = 1e-6 without it)
     h = heisenberg_chain(HeisenbergParams(n, -1, -1, -1))
     tol = 1e-5
     res = ppt_energy_min(h, cuts, cert_tol=tol)
@@ -417,6 +419,7 @@ def test_ppt_energy_min_is_shift_and_scale_invariant(n, cuts):
             assert got.converged
             assert got.iterations == res.iterations
             assert abs(got.value - (a * res.value + c)) <= a * tol
+            assert got.residual > 0
 
 
 def test_xy_ring_with_a_cut_is_one_block():
@@ -451,6 +454,80 @@ def test_ppt_solves_diagonalize_blocks_of_at_most_ten(monkeypatch):
         lin_dual_minimize(h, cs, e, problem=problem)
     ppt_energy_min(h, [cut], max_iter=200)
     assert widths and max(widths) == 10
+
+
+def test_ppt_sweep_runs_one_eigh_per_block_width(monkeypatch):
+    # on the AFM 4-ring the sectors and the twisted blocks of all 7 cuts
+    # are 1, 4, 6, 4, 1 wide: a sweep diagonalizes z0 and every z_A in one
+    # eigh per width above 1, and so does each bracket's P_PSD of all Y_A
+    # (one eigh per layout and width made 16 a sweep)
+    h = heisenberg_chain(HeisenbergParams(4, -1, -1, -1))
+    cuts = all_bipartitions(4)
+    problem = prepare_dual(h, ConstraintSet(map_slots=tuple(cuts)))
+    widths = {b for lay in [problem.layout] + problem.x_layouts
+              for b in lay.sizes if b > 1}
+    assert widths == {4, 6}
+    calls, brackets = [], []
+    eigh, certified = np.linalg.eigh, dual_mod._certified_min
+
+    def counted_eigh(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    def counted_bracket(w):  # each bracket certifies one lam_min
+        brackets.append(w)
+        return certified(w)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(dual_mod, "_certified_min", counted_bracket)
+    res = ppt_energy_min(h, cuts)
+    assert res.converged and brackets
+    assert len(calls) <= len(widths) * (res.iterations + len(brackets))
+
+
+def test_ppt_energy_min_takes_no_spectrum_of_h(monkeypatch):
+    # the PPT minimum energy never reads the spectrum of H, so its prepared
+    # problem takes no eigvalsh of the packed H; a scan's first read does
+    seen, problems = [], []
+    eigvalsh, prepare = BlockLayout.eigvalsh, dual_mod.prepare_dual
+
+    def recorded(self, packed):
+        seen.append(packed)
+        return eigvalsh(self, packed)
+
+    def kept(h, cs):
+        problems.append(prepare(h, cs))
+        return problems[-1]
+
+    monkeypatch.setattr(BlockLayout, "eigvalsh", recorded)
+    monkeypatch.setattr(dual_mod, "prepare_dual", kept)
+    h = heisenberg_chain(HeisenbergParams(5, -1, -1, -1))
+    assert ppt_energy_min(h, [even_odd_bipartition(5)]).converged
+    (problem,) = problems
+    assert seen and not any(p is problem.h_packed for p in seen)
+    spectrum = problem.spectrum
+    assert seen[-1] is problem.h_packed and problem.spectrum is spectrum
+    np.testing.assert_allclose(spectrum, np.linalg.eigvalsh(h.entries),
+                               rtol=0, atol=1e-12)
+
+
+def test_ppt_energy_min_shares_a_scan_problem():
+    # a problem prepared with the same cuts and no witness gives the same
+    # solve; one with a witness, or other cuts, is refused
+    h = heisenberg_chain(HeisenbergParams(4, -1, -1, -1))
+    cut = even_odd_bipartition(4)
+    cs = ConstraintSet(map_slots=(cut,))
+    problem = prepare_dual(h, cs)
+    gap_energy_scan(h, cs, GridOptions(n_points=3), problem=problem)
+    shared = ppt_energy_min(h, [cut], problem=problem)
+    own = ppt_energy_min(h, [cut])
+    assert (shared.value, shared.primal_value, shared.iterations) == \
+        (own.value, own.primal_value, own.iterations)
+    with_witness = prepare_dual(h, ConstraintSet((dicke_witness(4, 2),),
+                                                 (cut,)))
+    for bad, cuts in ((with_witness, [cut]), (problem, all_bipartitions(4))):
+        with pytest.raises(ValueError):
+            ppt_energy_min(h, cuts, problem=bad)
 
 
 def test_split_falls_back_only_where_magnetization_is_not_conserved(

@@ -188,3 +188,28 @@ def test_real_layouts_pack_real_entries_only(rng):
     cplx = BlockLayout([1, 2])
     assert cplx.pack(blocks).dtype == np.complex128
     assert cplx.width == 2 * cplx.size == 10
+
+
+def test_joined_layout_stacks_equal_sizes_of_every_layout(rng):
+    # the joint layout holds the blocks of both, one stack per size, and
+    # perm carries the layouts' packed vectors, joined, into it
+    n, a = 4, (0, 2)
+    mag = BlockLayout.of_charge(_excitations(n, range(n)))
+    twisted = BlockLayout.of_charge(_excitations(n, (1, 3))
+                                    - _excitations(n, a))
+    joint, perm = BlockLayout.joined([mag, twisted])
+    assert joint.sizes == mag.sizes + twisted.sizes
+    assert [b for b, _ in joint.groups] == [1, 4, 6]
+    assert sorted(perm) == list(range(mag.size + twisted.size))
+    blocks = [random_hermitian(rng, (b,)).entries for b in joint.sizes]
+    k = len(mag.sizes)
+    packed = np.concatenate([mag.pack(blocks[:k]), twisted.pack(blocks[k:])])
+    np.testing.assert_array_equal(packed[perm], joint.pack(blocks))
+    w = np.sort(joint.eigvalsh(packed[perm]))
+    np.testing.assert_allclose(
+        w, np.sort(np.r_[mag.eigvalsh(packed[:mag.size]),
+                         twisted.eigvalsh(packed[mag.size:])]),
+        rtol=0, atol=1e-12)
+    real, _ = BlockLayout.joined([BlockLayout([2], dtype=float)] * 2)
+    assert real.dtype == np.float64
+    assert BlockLayout.joined([mag, real])[0].dtype == np.complex128
