@@ -105,20 +105,20 @@ def _solver_options(cfg: dict):
         return None
     try:
         return dual.SolverOptions(**spec)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad solver spec: {exc}")
 
 
 def _grid_options(cfg: dict, n: int) -> dual.GridOptions:
-    spec = dict(cfg.get("grid", {}))
-    per_site = spec.pop("per_site", False)
-    if cfg.get("entropy"):
-        spec["entropy"] = cfg["entropy"]
-    if cfg.get("gap_tolerance") is not None:
-        spec["gap_tolerance"] = cfg["gap_tolerance"]
     try:
+        spec = dict(cfg.get("grid", {}))
+        per_site = spec.pop("per_site", False)
+        if "entropy" in cfg:
+            spec["entropy"] = cfg["entropy"]
+        if cfg.get("gap_tolerance") is not None:
+            spec["gap_tolerance"] = cfg["gap_tolerance"]
         grid = dual.GridOptions(**spec)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad grid spec: {exc}")
     if per_site:
         if grid.e_lo is not None:
@@ -131,9 +131,9 @@ def _grid_options(cfg: dict, n: int) -> dual.GridOptions:
 def cmd_gap_scan(args) -> int:
     cfg = _load_config(args.config)
     h = _build_model(cfg)
-    cs = _build_constraints(cfg, h)
     grid = _grid_options(cfg, h.n_sites)
     opts = _solver_options(cfg)
+    cs = _build_constraints(cfg, h)
     n = h.n_sites
     cuts = _build_cuts(cfg["ppt_emin"], n) if cfg.get("ppt_emin") else None
     t0 = time.time()

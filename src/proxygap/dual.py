@@ -53,6 +53,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, replace
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -159,7 +160,7 @@ def _blocks_for(h, cs: ConstraintSet):
     if any(d != 2 for d in dims):
         return _dense_blocks(h, cs, "not qubits")
     n = len(dims)
-    ops = [as_coo(h.sparse)] + [as_coo(w.matrix) for w in cs.witnesses]
+    ops = [h.sparse] + [as_coo(w.matrix) for w in cs.witnesses]
     if not all(conserves_magnetization(o, n) for o in ops):
         return _dense_blocks(h, cs, "does not conserve magnetization")
     mag = None
@@ -177,7 +178,7 @@ def _blocks_for(h, cs: ConstraintSet):
             fallback = str(exc)
     else:
         fallback = "not translation invariant"
-    sb = [[s.block for s in sector_split_sparse(o, n).sectors] for o in ops]
+    sb = [sector_split_sparse(o, n) for o in ops]
     return ("sector", fallback, sb[0], sb[1:], [1] * (n + 1), mag)
 
 
@@ -546,10 +547,24 @@ def _spg(obj: _BlockObjective, x0, opts: SolverOptions, decides=None):
                            termination, backtracks)
 
 
+def _check_option(name: str, value, kind, ok=lambda v: True):
+    """Raise ValueError unless value is a number of `kind`, not a bool,
+    and ok(value)."""
+    if isinstance(value, bool) or not isinstance(value, kind) or \
+            not ok(value):
+        raise ValueError(f"{name} = {value!r} is not a valid {kind.__name__}")
+
+
 @dataclass
 class SolverOptions:
+    """Stopping rules of a dual solve; a value of the wrong type or out of
+    range raises ValueError."""
     tol: float = 1e-7
     max_iter: int = 2000
+
+    def __post_init__(self):
+        _check_option("tol", self.tol, Real, lambda v: v > 0)
+        _check_option("max_iter", self.max_iter, Integral, lambda v: v >= 1)
 
 
 # ---------------------------------------------------------------------------
@@ -937,6 +952,9 @@ class GridError(ValueError):
 
 @dataclass
 class GridOptions:
+    """A scan's energy grid and bisection; a value of the wrong type or out
+    of range, or an entropy other than "von-neumann" or "linear", raises
+    ValueError."""
     n_points: int = 40
     e_lo: float | None = None
     e_hi: float | None = None
@@ -944,10 +962,21 @@ class GridOptions:
     gap_tolerance: float | None = None  # default depends on the entropy kind
     entropy: str = "von-neumann"  # or "linear"
 
+    def __post_init__(self):
+        _check_option("n_points", self.n_points, Integral, lambda v: v >= 1)
+        _check_option("bisect_iters", self.bisect_iters, Integral,
+                      lambda v: v >= 0)
+        for name in ("e_lo", "e_hi", "gap_tolerance"):
+            if getattr(self, name) is not None:
+                _check_option(name, getattr(self, name), Real)
+        if self.entropy not in ("von-neumann", "linear"):
+            raise ValueError(f"entropy must be 'von-neumann' or 'linear', "
+                             f"not {self.entropy!r}")
+
     def resolved_gap_tolerance(self) -> float:
         if self.gap_tolerance is not None:
             return self.gap_tolerance
-        return (GAP_TOLERANCE_LINEAR if self.entropy.startswith("lin")
+        return (GAP_TOLERANCE_LINEAR if self.entropy == "linear"
                 else GAP_TOLERANCE)
 
 
@@ -983,7 +1012,7 @@ def gap_energy_scan(h, cs: ConstraintSet, grid: GridOptions = None,
     for end in (lo, hi):  # the slack of `beta_from_energy`, which NaN fails
         if not e0 - 1e-12 * spread < end <= e_inf + 1e-12 * spread:
             raise GridError(f"grid end {end} outside [{e0}, {e_inf}]")
-    linear = grid.entropy.startswith("lin")
+    linear = grid.entropy == "linear"
     gap_tol = grid.resolved_gap_tolerance()
 
     solve = lin_dual_minimize if linear else minimize_dual

@@ -2,11 +2,12 @@
 
 Operators carry their tensor-factor structure (``local_dims``) so that
 partial transposition and bipartite cuts can be applied by index
-bookkeeping alone.  An operator holds a dense complex128 matrix or a
-sparse one, a `CooMatrix` of (row, col, value) triplets or any matrix
-with a `tocoo()` (scipy's sparse matrices among them); a sparse operator
-is densified only where a dense path asks for its `entries`, behind the
-`PROXYGAP_MAX_QUBITS` memory guard.  The module needs numpy alone: scipy's
+bookkeeping alone.  An operator holds one `CooMatrix` of (row, col,
+value) triplets, read from a dense array or from any matrix with a
+`tocoo()` (scipy's sparse matrices among them), in the given dtype:
+float64 for a real matrix.  It is densified only where a dense path asks
+for its `entries`, behind the `PROXYGAP_MAX_QUBITS` memory guard, and the
+dense copy is not kept.  The module needs numpy alone: scipy's
 MRRR eigensolver is imported only where numpy's `eigh` fails to converge.
 A `BlockLayout` stores block-diagonal matrices packed, in float64 where
 every matrix it holds is real and in complex128 otherwise, and
@@ -30,14 +31,10 @@ class LinalgError(ValueError):
     pass
 
 
-def max_qubits() -> int:
-    return int(os.environ.get("PROXYGAP_MAX_QUBITS", DEFAULT_MAX_QUBITS))
-
-
 def check_dense_size(dim: int):
     """Raise MemoryError before a dense dim x dim matrix beyond
     2^PROXYGAP_MAX_QUBITS is formed."""
-    cap = max_qubits()
+    cap = int(os.environ.get("PROXYGAP_MAX_QUBITS", DEFAULT_MAX_QUBITS))
     if dim > 2 ** cap:
         raise MemoryError(
             f"a dense {dim}x{dim} matrix exceeds the memory guard "
@@ -69,6 +66,8 @@ class CooMatrix:
     def from_dense(cls, m) -> "CooMatrix":
         """The nonzero entries of a dense matrix."""
         m = np.asarray(m)
+        if m.ndim != 2:
+            raise LinalgError(f"expected a matrix, got shape {m.shape}")
         row, col = np.nonzero(m)
         return cls(row, col, m[row, col], m.shape)
 
@@ -81,11 +80,6 @@ class CooMatrix:
         return out
 
 
-def is_sparse(m) -> bool:
-    """Whether m is a sparse matrix: one with a `tocoo()`."""
-    return hasattr(m, "tocoo")
-
-
 def as_coo(m) -> CooMatrix:
     """A sparse matrix, read through its `tocoo()`, as a `CooMatrix`."""
     c = m.tocoo()
@@ -93,64 +87,49 @@ def as_coo(m) -> CooMatrix:
         CooMatrix(c.row, c.col, c.data, c.shape)
 
 
-def _as_matrix(entries):
-    m = entries if is_sparse(entries) else np.asarray(entries, dtype=complex)
-    if len(m.shape) != 2 or m.shape[0] != m.shape[1]:
-        raise LinalgError(f"expected a square matrix, got shape {m.shape}")
-    return m
-
-
 class HermitianOperator:
-    """A Hermitian matrix, dense or sparse, together with its subsystem
-    structure.
+    """A Hermitian matrix, held as one `CooMatrix` (`sparse`), together
+    with its subsystem structure.
 
-    `entries` is the dense matrix: a sparse operator is densified on first
-    access, behind the memory guard, and keeps the dense copy.  `sparse` is
-    the sparse matrix as given, or a `CooMatrix` of the dense one's
-    nonzero entries."""
+    The constructor reads a dense array or any matrix with a `tocoo()` and
+    keeps its triplets in their own dtype (float64 for real input).
+    `entries` is the dense matrix in that dtype, built on each read behind
+    the memory guard and not kept."""
 
-    __slots__ = ("local_dims", "_matrix", "_dense")
+    __slots__ = ("local_dims", "sparse")
 
     def __init__(self, entries, local_dims=None):
-        m = _as_matrix(entries)
+        c = as_coo(entries) if hasattr(entries, "tocoo") else \
+            CooMatrix.from_dense(entries)
+        if c.shape[0] != c.shape[1]:
+            raise LinalgError(f"expected a square matrix, got shape {c.shape}")
         if local_dims is None:
-            local_dims = (m.shape[0],)
+            local_dims = (c.shape[0],)
         local_dims = tuple(int(d) for d in local_dims)
         if any(d <= 0 for d in local_dims):
             raise LinalgError("local dimensions must be positive")
-        if int(np.prod(local_dims)) != m.shape[0]:
+        if int(np.prod(local_dims)) != c.shape[0]:
             raise LinalgError(
-                f"product of local_dims {local_dims} != dim {m.shape[0]}")
-        if is_sparse(m):
-            c = as_coo(m)
-            scale = max(np.abs(c.data).max(initial=0.0), 1.0)
-            diff = CooMatrix(np.r_[c.row, c.col], np.r_[c.col, c.row],
-                             np.r_[c.data, -c.data.conj()], c.shape)
-            asym = np.abs(diff.data).max(initial=0.0)
-        else:
-            scale = max(np.abs(m).max(), 1.0)
-            asym = np.abs(m - m.conj().T).max()
-        if asym > HERMITICITY_RTOL * scale:
+                f"product of local_dims {local_dims} != dim {c.shape[0]}")
+        # each entry (i, j) against its partner (j, i), found by binary
+        # search in the sorted keys; an entry without one meets a zero
+        key, mirror = c.row * c.shape[1] + c.col, c.col * c.shape[1] + c.row
+        at = np.minimum(np.searchsorted(key, mirror), max(key.size - 1, 0))
+        partner = np.where(key[at] == mirror, c.data[at].conj(), 0.0)
+        scale = max(np.abs(c.data).max(initial=0.0), 1.0)
+        if np.abs(c.data - partner).max(initial=0.0) > HERMITICITY_RTOL * scale:
             raise LinalgError("matrix is not Hermitian")
         self.local_dims = local_dims
-        self._matrix = m
-        self._dense = None if is_sparse(m) else m
+        self.sparse = c
 
     @property
     def entries(self) -> np.ndarray:
-        if self._dense is None:
-            check_dense_size(self.dim)
-            self._dense = np.asarray(self._matrix.toarray(), dtype=complex)
-        return self._dense
-
-    @property
-    def sparse(self):
-        m = self._matrix
-        return m if is_sparse(m) else CooMatrix.from_dense(m)
+        check_dense_size(self.dim)
+        return self.sparse.toarray()
 
     @property
     def dim(self) -> int:
-        return self._matrix.shape[0]
+        return self.sparse.shape[0]
 
     @property
     def n_sites(self) -> int:

@@ -9,9 +9,11 @@ arithmetic (a bond term touches at most one off-diagonal per row), with
 numpy alone, and stay sparse: a witness-only scan splits them into symmetry
 blocks, and a PPT problem into magnetization sectors, without forming the
 2^n x 2^n matrix.  The splits read any sparse operand through its
-`tocoo()`, scipy's sparse matrices included.  Only a dense
-path densifies an operator, behind the memory guard: an operator that does
-not conserve magnetization, or a full diagonalization.
+`tocoo()`, scipy's sparse matrices included; `sector_split_sparse` returns
+the plain list of sector blocks.  Only a dense path densifies an operator,
+behind the memory guard and in the operator's own dtype (float64 for these
+real Hamiltonians): an operator that does not conserve magnetization, or a
+full diagonalization.
 """
 from __future__ import annotations
 
@@ -53,19 +55,6 @@ class XYParams:
     def __post_init__(self):
         if not 0.0 <= self.r <= 1.0:
             raise ValueError("anisotropy r must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
-class Sector:
-    magnetization: int
-    indices: np.ndarray
-    block: np.ndarray
-
-
-@dataclass(frozen=True)
-class SectorBlocks:
-    n_sites: int
-    sectors: tuple[Sector, ...]
 
 
 def _bonds(n: int, periodic: bool):
@@ -196,23 +185,23 @@ def _dense_block(c: CooMatrix, idx: np.ndarray) -> np.ndarray:
     return block
 
 
-def sector_split_sparse(h, n: int) -> SectorBlocks:
-    """Split a sparse qubit operator conserving total sigma_z into dense
-    excitation-sector blocks."""
+def sector_split_sparse(h, n: int) -> list:
+    """Split a sparse qubit operator conserving total sigma_z into its
+    dense excitation-sector blocks, block m on the basis states
+    `excitation_sector_indices(n, m)`, for m = 0 .. n."""
     if not conserves_magnetization(h, n):
         raise LinalgError("operator does not commute with total sigma_z")
     c = as_coo(h)
     counts = popcounts(n)
     scale = max(np.abs(c.data).max(initial=0.0), 1.0)
-    sectors = []
+    blocks = []
     for mm in range(n + 1):
-        idx = np.nonzero(counts == mm)[0]
-        block = _dense_block(c, idx)
+        block = _dense_block(c, np.nonzero(counts == mm)[0])
         if (np.iscomplexobj(block)
                 and np.abs(block.imag).max() < SYMMETRY_TOL * scale):
             block = block.real.copy()
-        sectors.append(Sector(n - 2 * mm, idx, block))
-    return SectorBlocks(n, tuple(sectors))
+        blocks.append(block)
+    return blocks
 
 
 def translation_table(n: int) -> np.ndarray:

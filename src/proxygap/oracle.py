@@ -9,6 +9,7 @@ certify entanglement themselves.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -35,10 +36,12 @@ class ProductStateSample:
                          np.exp(1j * ph) * np.sin(th / 2)], axis=1)
 
     def state(self) -> np.ndarray:
-        vec = np.ones(1, dtype=complex)
-        for site in self.site_vectors():
-            vec = np.kron(vec, site)
-        return vec
+        return _product_vector(self.site_vectors())
+
+
+def _product_vector(sites) -> np.ndarray:
+    """The product of the single-site vectors, site 0 most significant."""
+    return reduce(np.kron, sites, np.ones(1, dtype=complex))
 
 
 def _angles_from_vector(v: np.ndarray) -> tuple[float, float]:
@@ -57,12 +60,9 @@ def _check_oracle_size(n: int):
 
 def _embed_site(sites: np.ndarray, i: int) -> np.ndarray:
     """d x 2 isometry fixing every site except i to its current vector."""
-    m = np.ones((1, 1), dtype=complex)
-    n = len(sites)
-    for j in range(n):
-        factor = np.eye(2, dtype=complex) if j == i else sites[j][:, None]
-        m = np.kron(m, factor)
-    return m
+    return reduce(np.kron, (np.eye(2, dtype=complex) if j == i else s[:, None]
+                            for j, s in enumerate(sites)),
+                  np.ones((1, 1), dtype=complex))
 
 
 def _random_product(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -70,18 +70,23 @@ def _random_product(rng: np.random.Generator, n: int) -> np.ndarray:
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
+def _sweep(hmat: np.ndarray, sites: np.ndarray) -> float:
+    """One coordinate-descent sweep: each site in turn becomes the exact
+    ground state of its 2x2 effective Hamiltonian, the others fixed.
+    Returns the energy after the last update."""
+    for i in range(len(sites)):
+        m = _embed_site(sites, i)
+        heff = m.conj().T @ hmat @ m
+        w, v = np.linalg.eigh((heff + heff.conj().T) / 2)
+        sites[i] = v[:, 0]
+    return float(w[0])
+
+
 def _descend_energy(hmat: np.ndarray, sites: np.ndarray) -> float:
-    """Coordinate descent: each site update is the exact ground state of
-    its 2x2 effective Hamiltonian.  Monotone; returns the final energy."""
-    n = len(sites)
+    """`_sweep` until the energy settles (it never rises); returns it."""
     energy = np.inf
     for _ in range(_SWEEP_LIMIT):
-        for i in range(n):
-            m = _embed_site(sites, i)
-            heff = m.conj().T @ hmat @ m
-            w, v = np.linalg.eigh((heff + heff.conj().T) / 2)
-            sites[i] = v[:, 0]
-        new = float(w[0])
+        new = _sweep(hmat, sites)
         if energy - new < _CONVERGE_TOL * max(1.0, abs(new)):
             return new
         energy = new
@@ -163,17 +168,9 @@ def max_entropy_separable_lower(h, e: float, ensemble_size: int = 64,
     states = [np.eye(d, dtype=complex)[:, i] for i in range(d)]
     while len(states) < d + ensemble_size:
         sites = _random_product(rng, n)
-        sweeps = int(rng.integers(0, 4))
-        for _ in range(sweeps):
-            for i in range(n):
-                m = _embed_site(sites, i)
-                heff = m.conj().T @ hmat @ m
-                _, v = np.linalg.eigh((heff + heff.conj().T) / 2)
-                sites[i] = v[:, 0]
-        vec = np.ones(1, dtype=complex)
-        for site in sites:
-            vec = np.kron(vec, site)
-        states.append(vec)
+        for _ in range(int(rng.integers(0, 4))):
+            _sweep(hmat, sites)
+        states.append(_product_vector(sites))
     states = np.asarray(states)
     es = np.real(np.einsum("ki,ij,kj->k", states.conj(), hmat, states))
     if not es.min() - 1e-9 <= e <= es.max() + 1e-9:

@@ -103,19 +103,23 @@ def _linear_entropy_weights(w: np.ndarray, e: float):
     number of levels whose energy is at most e.  (a, b) then solve the two
     moment equations on the support, e clipped to the spectrum; where the
     support is one level, b sends the next level up to zero.  Above the
-    mean the same holds for the highest energies.  Returns (p, a, b)."""
+    mean the same holds for the highest energies.  The level energies are
+    taken as offsets from the lowest level, where a lowest level that
+    rounding has split by an ulp adds no cancellation.  Returns (p, a,
+    b)."""
     flip = e > w.mean()
     v, t = (-w, -e) if flip else (w, e)
     vs = np.sort(v)
     t = min(max(t, vs[0]), vs[-1])
-    s1, s2 = np.cumsum(vs), np.cumsum(vs * vs)
+    u = vs - vs[0]
+    u1, u2 = np.cumsum(u), np.cumsum(u * u)
     j = np.arange(1, vs.size)
-    nxt = vs[1:]
-    den = nxt * j - s1[:-1]  # zero only where all j lowest equal nxt
+    nxt = u[1:]
+    den = nxt * j - u1[:-1]  # zero only where all j lowest equal nxt
     safe = np.where(den > 0.0, den, 1.0)
-    level = np.where(den > 0.0, (nxt * s1[:-1] - s2[:-1]) / safe, nxt)
-    k = 1 + int(np.count_nonzero(level <= t))
-    s1, s2 = s1[k - 1], s2[k - 1]
+    level = np.where(den > 0.0, (nxt * u1[:-1] - u2[:-1]) / safe, nxt)
+    k = 1 + int(np.count_nonzero(level <= t - vs[0]))
+    s1, s2 = np.cumsum(vs)[k - 1], np.cumsum(vs * vs)[k - 1]
     det = k * s2 - s1 * s1
     if det > 1e-30 * max(1.0, s2):
         a, b = (s2 - s1 * t) / det, (k * t - s1) / det

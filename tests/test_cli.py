@@ -405,13 +405,42 @@ _ORACLE_CFG = {
 }
 
 
+_SCAN_CFG = {
+    "model": {"type": "heisenberg", "n": 3, "jx": -1, "jy": -1, "jz": -1},
+    "constraints": {"cuts": "even-odd"},
+    "entropy": "von-neumann",
+    "grid": {"n_points": 3, "bisect_iters": 2},
+}
+
+
 @pytest.mark.parametrize("command, cfg", [
     ("bell-gap", {"beta": -1}),
     ("bell-gap", {"d_list": [1, 4]}),
     ("oracle", dict(_ORACLE_CFG, energies=["x"])),
     ("oracle", dict(_ORACLE_CFG, ensemble_size="many")),
-], ids=["bell-beta", "bell-d", "oracle-energy", "oracle-ensemble"])
-def test_bad_values_exit_2_before_any_solve(tmp_path, command, cfg):
+    ("gap-scan", dict(_SCAN_CFG, entropy="foo")),
+    ("gap-scan", dict(_SCAN_CFG, entropy="lineer")),
+    ("gap-scan", dict(_SCAN_CFG, entropy=None)),
+    ("gap-scan", dict(_SCAN_CFG, grid={"n_points": "4"})),
+    ("gap-scan", dict(_SCAN_CFG, grid={"n_points": 0})),
+    ("gap-scan", dict(_SCAN_CFG, grid={"bisect_iters": -1})),
+    ("gap-scan", dict(_SCAN_CFG, grid={"e_lo": "low"})),
+    ("gap-scan", dict(_SCAN_CFG, grid="dense")),
+    ("gap-scan", dict(_SCAN_CFG, solver={"tol": "x"})),
+    ("gap-scan", dict(_SCAN_CFG, solver={"tol": 0.0})),
+    ("gap-scan", dict(_SCAN_CFG, solver={"max_iter": 0})),
+    ("gap-scan", dict(_SCAN_CFG, solver={"max_iter": 2.5})),
+], ids=["bell-beta", "bell-d", "oracle-energy", "oracle-ensemble",
+        "scan-entropy", "scan-entropy-typo", "scan-entropy-null",
+        "scan-n-points-str", "scan-n-points-0", "scan-bisect-neg",
+        "scan-e-lo-str", "scan-grid-str", "scan-tol-str", "scan-tol-0",
+        "scan-max-iter-0", "scan-max-iter-float"])
+def test_bad_values_exit_2_before_any_solve(tmp_path, monkeypatch, command,
+                                            cfg):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve started before the config was read")
+
+    monkeypatch.setattr(dual_mod, "prepare_dual", no_solve)
     cfg_path = _write_config(tmp_path, "cfg.json", cfg)
     assert main(["--out", str(tmp_path / "run"), command,
                  "--config", cfg_path]) == EXIT_CONFIG

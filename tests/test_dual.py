@@ -425,11 +425,13 @@ def test_ppt_energy_min_is_shift_and_scale_invariant(n, cuts):
 def test_xy_ring_with_a_cut_is_one_block():
     n = 4
     cs = ConstraintSet(map_slots=(even_odd_bipartition(n),))
-    problem = prepare_dual(xy_chain(XYParams(n, 0.5, 0.3)), cs)
+    h = xy_chain(XYParams(n, 0.5, 0.3))
+    problem = prepare_dual(h, cs)
     assert (problem.path, problem.fallback) == (
         "dense", "does not conserve magnetization")
     assert problem.block_sizes == [(16, 1)]
     assert [xl.size for xl in problem.x_layouts] == [16 * 16]
+    assert problem.h_packed.dtype == h.entries.dtype == np.float64
 
 
 def test_ppt_solves_diagonalize_blocks_of_at_most_ten(monkeypatch):

@@ -6,8 +6,9 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from conftest import random_hermitian
-from proxygap.linalg import (Bipartition, BlockLayout, HermitianOperator,
-                             LinalgError, SpectralDecomposition,
+from proxygap.linalg import (Bipartition, BlockLayout, CooMatrix,
+                             HermitianOperator, LinalgError,
+                             SpectralDecomposition,
                              partial_transpose_matrix, pt_permutation,
                              real_dtype_of, stacked_eigh)
 
@@ -35,15 +36,23 @@ def test_hermitian_operator_rejects_non_hermitian():
 
 def test_hermitian_operator_sparse_and_dense_views(rng):
     a = random_hermitian(rng, (2, 2))
-    csr = a.sparse
-    np.testing.assert_array_equal(csr.toarray(), a.entries)
-    b = HermitianOperator(csr, a.local_dims)
-    assert b.sparse is csr  # kept as given, not converted
+    m = a.entries
+    b = HermitianOperator(sp.csr_matrix(m), a.local_dims)
+    # a dense and a csr input are both held as one CooMatrix
+    assert type(a.sparse) is type(b.sparse) is CooMatrix
     assert b.dim == 4 and b.n_sites == 2
-    np.testing.assert_array_equal(b.entries, a.entries)
+    np.testing.assert_array_equal(a.sparse.toarray(), m)
+    np.testing.assert_array_equal(b.entries, m)
+    # entries is built on each read in the triplets' dtype, not kept
+    assert b.entries is not b.entries
+    real = HermitianOperator(m.real + m.real.T)
+    assert real.sparse.data.dtype == real.entries.dtype == np.float64
 
 
 def test_hermitian_operator_rejects_bad_dims():
+    for m in (np.ones(4), np.ones((2, 3)), sp.csr_matrix(np.ones((2, 3)))):
+        with pytest.raises(LinalgError):
+            HermitianOperator(m)
     with pytest.raises(LinalgError):
         HermitianOperator(np.eye(4), (3, 2))
     with pytest.raises(LinalgError):

@@ -98,10 +98,9 @@ def test_sector_split_blocks():
     h = heisenberg_chain(HeisenbergParams(4, -1, -1, -1, 0.3))
     sb = sector_split_sparse(h.sparse, h.n_sites)
     full = np.sort(np.linalg.eigvalsh(h.entries))
-    blocks = np.sort(np.concatenate(
-        [np.linalg.eigvalsh(s.block) for s in sb.sectors]))
+    blocks = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in sb]))
     np.testing.assert_allclose(blocks, full, atol=1e-10)
-    assert [s.block.shape[0] for s in sb.sectors] == [1, 4, 6, 4, 1]
+    assert [b.shape[0] for b in sb] == [1, 4, 6, 4, 1]
 
 
 def test_sector_split_stays_sparse(monkeypatch):
@@ -110,8 +109,7 @@ def test_sector_split_stays_sparse(monkeypatch):
     monkeypatch.setenv("PROXYGAP_MAX_QUBITS", "3")
     sb = sector_split_sparse(heisenberg_chain(p).sparse, p.n)
     full = np.linalg.eigvalsh(heisenberg_sparse(p).toarray())
-    blocks = np.sort(np.concatenate(
-        [np.linalg.eigvalsh(s.block) for s in sb.sectors]))
+    blocks = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in sb]))
     np.testing.assert_allclose(blocks, full, atol=1e-10)
 
 

@@ -143,6 +143,17 @@ def test_linear_entropy_weights_moments(rng):
     assert abs(p @ w - e) < 1e-8
 
 
+def test_linear_entropy_weights_on_levels_split_by_rounding():
+    # the real eigh of the AFM 3-ring splits each fourfold level by 2 ulps;
+    # the lowest level's split must not shrink the support, which left the
+    # weights off the energy constraint
+    w = np.array([-3.000000000000001] * 2 + [-3.0] * 2 + [3.0] * 2
+                 + [3.000000000000001] * 2)
+    p = linear_entropy_max_weights(w, -2.1)
+    assert p @ w == pytest.approx(-2.1, abs=1e-12)
+    np.testing.assert_allclose(p, [0.2125] * 4 + [0.0375] * 4, atol=1e-12)
+
+
 def test_impurity_multipliers_reproduce_the_weights(rng):
     # the 3-ring in a field B = 3 has a threefold ground level and a
     # threefold first excited one; at E0 + 1e-6 of the spread the weights
