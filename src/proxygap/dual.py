@@ -51,12 +51,14 @@ or takes a scan's prepared problem, and runs in the same layouts.
 """
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from numbers import Integral, Real
 
 import numpy as np
 
+from .limit import _minimize_bounded
 from .linalg import (BlockLayout, CooMatrix, HermitianOperator, LinalgError,
                      as_coo, pt_permutation, real_dtype_of,
                      stacked_eigh)
@@ -129,7 +131,9 @@ class GapScanResult:
     path: str
     fallback: str | None
     block_sizes: list  # (dimension, multiplicity) per diagonalized block
-    bisect_steps: int    # bisection steps on both window edges
+    # solves beyond the grid on both window edges: bisection steps on the
+    # SPG path, verdict solves past each edge on the witness path
+    bisect_steps: int
     bisect_decided: int  # of them, settled "detected" before the optimum
 
 
@@ -587,6 +591,17 @@ def _linear_multipliers(w: np.ndarray, e: float):
     return 2.0 * a, 2.0 * b
 
 
+def _entropy_slope(x, t, linear, beta=0.0):
+    """(S, dS/dt, beta) of the spectrum x >= 0, min x = 0, at mean energy
+    t, capped at the mean of x: the Gibbs entropy and its beta, warm from
+    `beta`, or the maximal impurity and -2b, its weights (a + b x)_+."""
+    if linear:
+        p, _, b = _linear_entropy_weights(x, min(max(t, 0.0), x.mean()))
+        return 1.0 - p @ p, -2.0 * b, beta
+    beta, lnz, _ = gibbs_newton(x, t, beta)
+    return lnz + beta * t, beta, beta
+
+
 class _Envelope:
     """The dual with at most one witness W and no cuts, as a one-parameter
     family of Gibbs spectra (the generalized grand canonical ensemble).
@@ -709,13 +724,9 @@ class _Envelope:
             return self.bounds[s, e]
         w = self.spectrum(s)
         lo = float(w.min())
-        if self.certifies(e, s):
-            value = -np.inf
-        elif linear:
-            value = linear_entropy_max(w, min(max(e, lo), float(w.mean())))
-        else:  # the value of `_BlockObjective` at (s,): ln Z + beta (e - lo)
-            beta, lnz, _ = gibbs_newton(w - lo, e - lo)
-            value = lnz + beta * (e - lo)
+        # the value of `_BlockObjective` at (s,): ln Z + beta (e - lo)
+        value = -np.inf if self.certifies(e, s) else \
+            _entropy_slope(w - lo, e - lo, linear)[0]
         self.bounds[s, e] = value
         return value
 
@@ -731,13 +742,14 @@ class _Envelope:
         From the last optimum, Newton's method on the central-difference
         slope of the bound, then the secant method on that slope; a step
         that leaves the bracket of s* which the slopes' signs give doubles
-        s or bisects the bracket instead.  Returns (s, bound(s),
-        evaluations, whether the iteration cap stopped it): s is the final
-        step, or the least bound evaluated where that step lands higher (a
-        step onto the flat stretch above the mean would otherwise leave a
-        false hole in a window); where a Farkas certificate turned up, s is
-        that point.  Raises `_Decided` at the first bound that makes
-        `decides` true."""
+        s or bisects the bracket instead.  A closing step that lands above
+        the least bound evaluated has overshot: where that least bound lies
+        outside the last stencil, the search stopped on a flat stretch (the
+        bound is ln d where spec(H - sW) has its mean below E), so it
+        bisects the bracket and goes on; else it returns that least bound.
+        Returns (s, bound(s), evaluations, whether the iteration cap
+        stopped it); where a Farkas certificate turned up, s is that point.
+        Raises `_Decided` at the first bound that makes `decides` true."""
         seen = {}
 
         def f(s):
@@ -772,13 +784,15 @@ class _Envelope:
             else:
                 dd = d - prev[1]
                 step = -d * (c - prev[0]) / dd if dd != 0.0 else np.nan
+            c_new = c + step
             if abs(step) <= (h if h <= floor else _S_XTOL * c):
-                s = c + step
+                s = c_new
                 if f(s) > min(seen.values()):  # the step overshot
                     s = min(seen, key=seen.get)
-                self.move = abs(s - start)
-                return s, seen[s], len(seen), False
-            c_new = c + step
+                    c_new = np.nan  # bisect, unless s is this stencil's
+                if abs(s - c) <= h:
+                    self.move = abs(s - start)
+                    return s, seen[s], len(seen), False
             if not lo < c_new < hi:
                 c_new = 2.0 * c if hi == np.inf else 0.5 * (lo + hi)
             prev = c, d
@@ -952,9 +966,9 @@ class GridError(ValueError):
 
 @dataclass
 class GridOptions:
-    """A scan's energy grid and bisection; a value of the wrong type or out
-    of range, or an entropy other than "von-neumann" or "linear", raises
-    ValueError."""
+    """A scan's energy grid and edge search (`bisect_iters`: see
+    `gap_energy_scan`); a value of the wrong type or out of range, or an
+    entropy other than "von-neumann" or "linear", raises ValueError."""
     n_points: int = 40
     e_lo: float | None = None
     e_hi: float | None = None
@@ -980,23 +994,163 @@ class GridOptions:
                 else GAP_TOLERANCE)
 
 
+# the witness path's edge search brackets an edge to _EDGE_ETOL of the
+# spread; Brent's method on ln s stops within _EDGE_UTOL, or sooner (see
+# `_witness_edge`)
+_EDGE_ETOL = 1e-11
+_EDGE_UTOL = 1e-6
+
+
+class _Stop(Exception):
+    """Ends the maximization of an edge search."""
+
+
+def _witness_edge(env: _Envelope, s_ref, linear: bool, gap_tol: float,
+                  e_in: float, e_out: float, s_in: float, budget: int,
+                  verdict) -> float:
+    """The window edge between e_in, which the scan detects at the point
+    nu = s_in, and e_out, which it does not, on the witness path.
+
+    A spectrum of H - sW certifies every energy E where the scan's test
+    s_ref(E) - bound(s, E) > gap_tol holds, not only the one it was taken
+    at.  phi(s), the energy farthest toward e_out that s certifies, needs
+    no eigensolve beyond spec(H - sW): Newton's method in E on gap' =
+    beta_H - beta_m (the impurity's -2b for the linear entropy), each
+    `gibbs_newton` warm from the last, bisects where a step leaves its
+    bracket or no slope exists.  Where s does not certify e_in, phi goes on
+    past it by one Newton step, so that it rises toward the s that do.
+    Brent's method maximizes phi over ln s, on a bracket found by halving s
+    from s_in (the optimal s falls toward an edge, where the witness stops
+    binding), or by doubling it; it stops once a new best phi gains less
+    than the edge's tolerance.  The best phi less half that tolerance,
+    checked by the scan's own test, is the edge.  `verdict(e)` then solves
+    at the energy half a tolerance past that root, warm from its s, and
+    returns (whether it detects, its point); where it detects, the search
+    goes on from there.  No spectrum is computed once `budget` are, and no
+    verdict follows, so that e_out stays the undetected side; the search
+    makes at most `budget` rounds.  Returns the edge, a detected energy."""
+    spec = env.problem.spectrum
+    e0 = float(spec.min())
+    x_h = spec - e0
+    tol = _EDGE_ETOL * max(float(spec.mean()) - e0, 1.0)
+    sign = 1.0 if e_out > e_in else -1.0
+    lo_e, hi_e = min(e_in, e_out), max(e_in, e_out)
+    passes = env.passes
+    beta_h = 0.0
+    best = None  # (s, the root of its test) of the highest phi
+
+    def phi(s):
+        nonlocal beta_h, best
+        if s not in env.spectra and env.passes - passes >= budget:
+            raise _Stop
+        w = env.spectrum(s)
+        lo, cut = float(w.min()), _certified_min(w)
+        x_m, beta_m = w - lo, 0.0
+
+        def gap(e):  # the test's value above gap_tol, and its slope in e
+            nonlocal beta_h, beta_m
+            if e < cut:  # s is a Farkas certificate at e
+                return np.inf, np.nan
+            s_h, d_h, beta_h = _entropy_slope(x_h, e - e0, linear, beta_h)
+            s_m, d_m, beta_m = _entropy_slope(x_m, e - lo, linear, beta_m)
+            return s_h - s_m - gap_tol, d_h - d_m
+
+        t, (g, d) = e_in, gap(e_in)
+        if not g > 0.0:
+            return sign * e_in + (g / abs(d) if d else -np.inf)
+        a, b = e_in, e_out  # the test holds at a and fails at b
+        while True:
+            step = -g / d if d else np.nan
+            if abs(step) <= 0.1 * tol or abs(b - a) <= 0.1 * tol:
+                break
+            t = t + step
+            if not min(a, b) < t < max(a, b):
+                t = 0.5 * (a + b)
+            g, d = gap(t)
+            if g > 0.0:
+                a = t
+            else:
+                b = t
+        root = t + step
+        if not min(a, b) <= root <= max(a, b):
+            root = 0.5 * (a + b)
+        if best is None or sign * root > sign * best[1]:
+            gain = np.inf if best is None else sign * (root - best[1])
+            best = (s, root)
+            if gain < tol:
+                raise _Stop
+        return sign * root
+
+    def maximize():
+        (sa, fa), r = (s_in, phi(s_in)), 0.5
+        sb = r * sa
+        fb = phi(sb)
+        if not fb > fa:
+            r, (sa, fa), (sb, fb) = 2.0, (sb, fb), (sa, fa)
+        while True:
+            sc = r * sb
+            fc = phi(sc)
+            if not fc > fb:
+                break
+            sa, fa, sb, fb = sb, fb, sc, fc
+        pts = sorted([(math.log(sb), -fb), (math.log(sa), -fa),
+                      (math.log(sc), -fc)], key=lambda p: p[1])
+        _minimize_bounded(lambda u: -phi(math.exp(u)),
+                          *sorted((pts[1][0], pts[2][0])), _EDGE_UTOL,
+                          start=pts)
+
+    edge = e_in
+    for _ in range(budget):
+        best = None
+        try:
+            maximize()
+        except _Stop:
+            pass
+        if best is None:
+            break
+        s, root = best
+        # the certified side of the root, and the side past it
+        a, b = (min(max(root + k * sign * tol, lo_e), hi_e)
+                for k in (-0.5, 0.5))
+        if not s_ref(a) - env.bound(s, a, linear) > gap_tol:
+            break
+        edge = a
+        if abs(e_out - a) <= tol or env.passes - passes >= budget:
+            break
+        env.s_last, env.move = s, 0.0
+        detected, x = verdict(b)
+        if not detected:
+            break
+        edge = e_in = b
+        s_in = float(x[0])
+    return float(edge)
+
+
 def gap_energy_scan(h, cs: ConstraintSet, grid: GridOptions = None,
                     opts: SolverOptions = None,
                     problem: DualProblem = None) -> GapScanResult:
     """Scan the energy axis, record the entropy gap per point, and locate
-    the detection window edges by bisection on gap = gap_tolerance.  The
-    problem is prepared once, or given as `problem` = `prepare_dual(h,
-    cs)`, and shared by every solve of the scan.  On
-    the witness path E_min,W is certified first, and an energy below it is
-    infeasible without a solve.
+    the detection window edges, where s_ref - S_dual crosses gap_tolerance.
+    The problem is prepared once, or given as `problem` = `prepare_dual(h,
+    cs)`, and shared by every solve of the scan.  On the witness path
+    E_min,W is certified first, and an energy below it is infeasible
+    without a solve.
 
-    Every grid row is a full solve, since its S_dual is reported.  A
-    bisection step reads only whether s_ref - S_dual > gap_tolerance, so
-    its solve stops at the first feasible point whose value passes that
-    test (termination "decided": by weak duality the point certifies
-    detection); a step that does not detect still runs the full solve.
-    The result counts the steps and the decided ones.  A grid end outside
-    [E0, mean], or not finite, raises `GridError` before any solve."""
+    Every grid row is a full solve, since its S_dual is reported.  Between
+    the last detected row and the next one, an edge is located by solves
+    that read only whether s_ref - S_dual > gap_tolerance, so each stops at
+    the first feasible point whose value passes that test (termination
+    "decided": by weak duality the point certifies detection); one that
+    does not detect still runs the full solve.  On the SPG path these are
+    bisection steps, at most `grid.bisect_iters` per edge, and the edge is
+    the final bracket's midpoint.  On the witness path each spectrum of H -
+    sW certifies a whole interval of energies, so the edge is one
+    maximization over s (`_witness_edge`), which computes at most
+    `grid.bisect_iters` spectra before its verdict solve, and the edge is a
+    certified detected energy.  With `bisect_iters` 0 both report the
+    midpoint of the two rows.  The result counts the verdict solves and the
+    decided ones.  A grid end outside [E0, mean], or not finite, raises
+    `GridError` before any solve."""
     grid = grid or GridOptions()
     opts = opts or SolverOptions()
     problem = problem or prepare_dual(h, cs)
@@ -1018,55 +1172,72 @@ def gap_energy_scan(h, cs: ConstraintSet, grid: GridOptions = None,
     solve = lin_dual_minimize if linear else minimize_dual
     init = None  # each solve warm-starts from the last one's point
 
+    def s_ref_at(e):
+        return (linear_entropy_max(spectrum, e) if linear else
+                gibbs_at(spectrum, problem.beta_at(e))[2])
+
     def gap_at(e, verdict=False):
+        # (s_ref, s_dual, info, the point whose bound s_dual is)
         nonlocal init
-        s_ref = (linear_entropy_max(spectrum, e) if linear else
-                 gibbs_at(spectrum, problem.beta_at(e))[2])
+        s_ref = s_ref_at(e)
         if e_min_w is not None and e < e_min_w:
             return s_ref, -np.inf, SolveInfo(True, 0, np.nan, 0,
-                                             "certificate")
+                                             "certificate"), \
+                np.array([env.edge()[1]])
         # the very test that flags a row detected, so no verdict disagrees
         decides = (lambda value: s_ref - value > gap_tol) if verdict else None
         s_dual, init, info = solve(h, cs, e, opts, init, problem,
                                    decides=decides)
-        return s_ref, s_dual, info
+        return s_ref, s_dual, info, init
 
-    rows = []
+    rows, points = [], []
     for e in np.linspace(lo, hi, grid.n_points):
         beta = problem.beta_at(e)
-        s_ref, s_dual, info = gap_at(e)
+        s_ref, s_dual, info, x = gap_at(e)
         delta = s_ref - s_dual
         rows.append(ScanRow(float(e), float(beta), s_ref, s_dual, delta,
                             delta > gap_tol, info.converged,
                             info.infeasible))
+        points.append(x)
 
     detected = [r.detected for r in rows]
     e_min_gap = e_max_gap = None
     steps = decided = 0
+
+    def verdict(e):
+        # one solve beyond the grid: (whether it detects, its point)
+        nonlocal steps, decided
+        s_ref, s_dual, info, x = gap_at(e, verdict=True)
+        steps += 1
+        decided += info.termination == "decided"
+        return s_ref - s_dual > gap_tol, x
+
+    def bisect(e_out, e_in):
+        # gap(e_in) > tol, gap(e_out) <= tol
+        for _ in range(grid.bisect_iters):
+            mid = 0.5 * (e_out + e_in)
+            if verdict(mid)[0]:
+                e_in = mid
+            else:
+                e_out = mid
+            if abs(e_in - e_out) < 1e-10 * max(abs(spread), 1.0):
+                break
+        return 0.5 * (e_out + e_in)
+
+    def edge(i_out, i_in):
+        e_out, e_in = rows[i_out].e, rows[i_in].e
+        if env is None or not grid.bisect_iters:
+            return bisect(e_out, e_in)
+        return _witness_edge(env, s_ref_at, linear, gap_tol, e_in, e_out,
+                             float(points[i_in][0]), grid.bisect_iters,
+                             verdict)
+
     if any(detected):
         first = detected.index(True)
         last = len(detected) - 1 - detected[::-1].index(True)
-
-        def bisect(e_out, e_in):
-            # gap(e_in) > tol, gap(e_out) <= tol
-            nonlocal steps, decided
-            for _ in range(grid.bisect_iters):
-                mid = 0.5 * (e_out + e_in)
-                s_ref, s_dual, info = gap_at(mid, verdict=True)
-                steps += 1
-                decided += info.termination == "decided"
-                if s_ref - s_dual > gap_tol:
-                    e_in = mid
-                else:
-                    e_out = mid
-                if abs(e_in - e_out) < 1e-10 * max(abs(spread), 1.0):
-                    break
-            return 0.5 * (e_out + e_in)
-
-        e_min_gap = rows[first].e if first == 0 else \
-            bisect(rows[first - 1].e, rows[first].e)
+        e_min_gap = rows[first].e if first == 0 else edge(first - 1, first)
         e_max_gap = rows[last].e if last == len(rows) - 1 else \
-            bisect(rows[last + 1].e, rows[last].e)
+            edge(last + 1, last)
     frac = 0.0 if e_max_gap is None else (e_max_gap - e0) / (e_top - e0)
     return GapScanResult(rows, e0, e_top, e_min_gap, e_max_gap, float(frac),
                          bool(detected and detected[0]), e_min_w,

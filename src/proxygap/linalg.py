@@ -112,12 +112,19 @@ class HermitianOperator:
             raise LinalgError(
                 f"product of local_dims {local_dims} != dim {c.shape[0]}")
         # each entry (i, j) against its partner (j, i), found by binary
-        # search in the sorted keys; an entry without one meets a zero
-        key, mirror = c.row * c.shape[1] + c.col, c.col * c.shape[1] + c.row
+        # search in the sorted keys; an entry without one meets a zero.
+        # The keys are row-major, so a stable sort by column puts the
+        # mirror keys in order, and the search runs on sorted queries
+        # (numpy's stable sort of 16-bit integers is a radix sort)
+        key = c.row * c.shape[1] + c.col
+        order = np.argsort(c.col.astype(np.min_scalar_type(c.shape[1])),
+                           kind="stable")
+        mirror = c.col[order] * c.shape[1] + c.row[order]
         at = np.minimum(np.searchsorted(key, mirror), max(key.size - 1, 0))
         partner = np.where(key[at] == mirror, c.data[at].conj(), 0.0)
         scale = max(np.abs(c.data).max(initial=0.0), 1.0)
-        if np.abs(c.data - partner).max(initial=0.0) > HERMITICITY_RTOL * scale:
+        if np.abs(c.data[order] - partner).max(initial=0.0) > \
+                HERMITICITY_RTOL * scale:
             raise LinalgError("matrix is not Hermitian")
         self.local_dims = local_dims
         self.sparse = c

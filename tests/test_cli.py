@@ -205,9 +205,11 @@ GOLDEN_SCANS = {
 
 
 # (e_min_gap, e_max_gap) of each golden scan, from the same checked
-# version: every bisection step reads one verdict, so the edges are exact
+# version: every bisection step reads one verdict, and the witness path's
+# edge is the energy its maximization over s certifies, so the edges are
+# exact
 GOLDEN_EDGES = {
-    "dicke-block": (-151.28578244728237, -140.85472131622282),
+    "dicke-block": (-151.28578244728237, -140.85714987328186),
     "ppt-ring": (-6.0, -3.388916015625),
     "linear-ring": (-4.8, -1.5185546874999998),
 }
@@ -277,9 +279,9 @@ def test_gap_scan_bad_grid_end_exits_2(tmp_path, e_lo):
 
 
 def test_gap_scan_summary_counts_decided_bisection_steps(tmp_path):
-    # a bisection step that detects stops at its first certifying point
-    cfg_path = _write_config(tmp_path, "cfg.json",
-                             GOLDEN_SCANS["dicke-block"])
+    # a bisection step that detects stops at its first certifying point;
+    # the SPG path (ppt-ring) bisects its edges
+    cfg_path = _write_config(tmp_path, "cfg.json", GOLDEN_SCANS["ppt-ring"])
     out = tmp_path / "run"
     assert main(["--out", str(out), "gap-scan", "--config", cfg_path]) == \
         EXIT_OK

@@ -934,18 +934,13 @@ def test_scan_rows_below_the_witness_edge_are_infeasible():
     assert res.rows[0].infeasible
 
 
-@pytest.mark.parametrize("path", ["spg", "witness"])
-def test_decided_bisection_steps_are_certificates(monkeypatch, path):
-    # a bisection step stops at the first feasible point whose value
+def test_decided_bisection_steps_are_certificates(monkeypatch):
+    # an SPG bisection step stops at the first feasible point whose value
     # passes the scan's test s_ref - value > gap_tol: the point must be
     # feasible, its value the dual's there, and a full solve must detect
-    if path == "spg":
-        h = heisenberg_chain(HeisenbergParams(4, -1, -1, -1))
-        cs = ConstraintSet(map_slots=(even_odd_bipartition(4),))
-        grid = GridOptions(n_points=5, e_lo=-4.8, bisect_iters=10)
-    else:
-        h, cs = _xxz(5), ConstraintSet((dicke_witness(5, 2),))
-        grid = GridOptions(n_points=5, bisect_iters=12)
+    h = heisenberg_chain(HeisenbergParams(4, -1, -1, -1))
+    cs = ConstraintSet(map_slots=(even_odd_bipartition(4),))
+    grid = GridOptions(n_points=5, e_lo=-4.8, bisect_iters=10)
     steps = []
     solve = dual_mod.minimize_dual
 
@@ -970,9 +965,79 @@ def test_decided_bisection_steps_are_certificates(monkeypatch, path):
         s_ref = gibbs_at(w, beta_from_energy(w, e))[2]
         assert s_ref - value > GAP_TOLERANCE
         assert s_ref - solve(h, cs, e, problem=problem)[0] > GAP_TOLERANCE
-    if path == "witness":  # decided from a cached spectrum, and by a search
-        assert {info.evaluations > 0 for _, (_, _, info) in decided} == \
-            {False, True}
+
+
+@pytest.mark.parametrize("b, entropy, n_points", [
+    (-1, "von-neumann", 5), (-1, "linear", 5), (3, "linear", 12)])
+def test_witness_edges_are_certified(monkeypatch, b, entropy, n_points):
+    # a witness-path edge is a detected energy: a cached spectrum of H - sW
+    # passes the scan's own test there.  Its verdict solve, at most 1e-10
+    # of the spread past it, does not detect, nor does a full solve there.
+    # The field b = 3 puts the window above the first row, so that scan
+    # has a lower edge too.
+    h = heisenberg_chain(HeisenbergParams(5, 5, 5, 1, b))
+    cs = ConstraintSet((dicke_witness(5, 2),))
+    linear = entropy == "linear"
+    solve_name = "lin_dual_minimize" if linear else "minimize_dual"
+    solve = getattr(dual_mod, solve_name)
+    verdicts = []
+
+    def recorded(h, cs, e, *args, decides=None, **kwargs):
+        out = solve(h, cs, e, *args, decides=decides, **kwargs)
+        if decides is not None:
+            verdicts.append((e, out[2].termination))
+        return out
+
+    monkeypatch.setattr(dual_mod, solve_name, recorded)
+    problem = prepare_dual(h, cs)
+    grid = GridOptions(n_points=n_points, bisect_iters=40, entropy=entropy)
+    res = gap_energy_scan(h, cs, grid, problem=problem)
+    w, env = problem.spectrum, problem.envelope
+    tol = grid.resolved_gap_tolerance()
+
+    def s_ref(e):
+        return linear_entropy_max(w, e) if linear else \
+            gibbs_at(w, beta_from_energy(w, e))[2]
+
+    edges = [(res.e_max_gap, 1.0)]
+    if not res.e_min_open:
+        edges.append((res.e_min_gap, -1.0))
+    assert len(verdicts) == res.bisect_steps == len(edges)
+    spread = w.mean() - w.min()
+    for edge, sign in edges:
+        assert any(s_ref(edge) - env.bound(s, edge, linear) > tol
+                   for s in env.spectra)
+        e_v = [e for e, term in verdicts
+               if 0.0 < sign * (e - edge) <= 1e-10 * spread]
+        assert len(e_v) == 1
+        assert s_ref(e_v[0]) - solve(h, cs, e_v[0],
+                                     problem=problem)[0] <= tol
+
+
+def test_dicke_block_edge_takes_at_most_bisect_iters_spectra(monkeypatch):
+    # the dicke-block workload's upper edge: the maximization over s and
+    # its one verdict solve compute at most 12 spectra, where bisection
+    # computed 32; with a budget of 4 the search computes 4, and no verdict
+    # solve follows
+    h = heisenberg_chain(HeisenbergParams(11, 11, 11, 1, -1))
+    cs = ConstraintSet((dicke_witness(11, 5),))
+    counts = []
+    edge = dual_mod._witness_edge
+
+    def counted(env, *args):
+        passes = env.passes
+        out = edge(env, *args)
+        counts.append(env.passes - passes)
+        return out
+
+    monkeypatch.setattr(dual_mod, "_witness_edge", counted)
+    for budget, verdicts in ((12, 1), (4, 0)):
+        counts.clear()
+        res = gap_energy_scan(h, cs, GridOptions(n_points=7,
+                                                 bisect_iters=budget))
+        assert len(counts) == 1 and 0 < counts[0] <= budget
+        assert res.bisect_steps == verdicts and res.bisect_decided == 0
+        assert res.rows[0].e < res.e_max_gap < res.rows[1].e
 
 
 def _assert_projected_grad_norm(problem, e, linear, x, info):
@@ -1300,15 +1365,17 @@ def test_gap_energy_scan_empty_constraints_no_detection():
 
 
 def test_dicke_window_has_no_false_hole():
-    # on this open chain a Newton step of the witness search from s ~ 0.52
-    # lands at s ~ 27.8, on the flat stretch where spec(H - sW) has its mean
-    # below E and the bound is ln 32; the search returns the least bound it
-    # evaluated, bound(0.517) = 0.769, so the row at E0 + 5 % of the spread
-    # is detected and the window has no hole
+    # on this open chain a secant step of the witness search from s ~ 0.49
+    # lands at s ~ 27.4, on the flat stretch where spec(H - sW) has its mean
+    # below E and the bound is ln 32; its closing step there overshoots the
+    # least bound seen, bound(0.517) = 0.769, so the search bisects back to
+    # the optimum, bound(0.588) = 0.75584 (a grid over s reaches 0.75585 at
+    # s = 0.59).  The row at E0 + 5 % of the spread is detected, and the
+    # window has no hole
     h = heisenberg_chain(HeisenbergParams(5, 5, 5, 1, -1, periodic=False))
     cs = ConstraintSet((dicke_witness(5, 2),))
     res = gap_energy_scan(h, cs, GridOptions(n_points=21))
-    assert res.rows[1].s_dual <= 0.77
+    assert res.rows[1].s_dual <= 0.7560
     hits = np.flatnonzero([r.detected for r in res.rows])
     assert hits.size and np.all(np.diff(hits) == 1)
 
