@@ -52,7 +52,6 @@ or takes a scan's prepared problem, and runs in the same layouts.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, replace
 from numbers import Integral, Real
 
@@ -801,37 +800,14 @@ class _Envelope:
         s = min(seen, key=seen.get)
         return s, seen[s], len(seen), True
 
-    def _cached_verdict(self, e: float, linear: bool, decides):
-        """(s, bound(s)) for a cached s whose bound makes `decides` true,
-        else None; no spectrum is computed.  The bound is quasiconvex in s,
-        so a walk downhill through the sorted cached s, from the last
-        optimum, ends at their least bound (short of a flat stretch, where
-        it stops), and `decides` is monotone in the value, so the walk
-        checks a handful of them, not all."""
-        ss = sorted(self.spectra)
-        if not ss:
-            return None
-
-        def bound(i):
-            return self.bound(ss[i], e, linear)
-
-        i = min(bisect_left(ss, self.s_last or 0.0), len(ss) - 1)
-        while not decides(bound(i)):
-            j = min((j for j in (i - 1, i + 1) if 0 <= j < len(ss)),
-                    key=bound, default=i)
-            if not bound(j) < bound(i):
-                return None
-            i = j
-        return ss[i], bound(i)
-
     def solve(self, e: float, opts: SolverOptions, linear: bool,
               decides=None):
         """The witness-path solve: (value, (s,), SolveInfo), nu = s the
-        point.  Given `decides`, the first s, cached or searched, whose
-        bound makes it true ends the solve, as "decided" (or at a Farkas
+        point.  Given `decides`, the first s the search visits whose bound
+        makes it true ends the solve, as "decided" (or at a Farkas
         certificate where that bound is -inf); where none does, the solve
         returns the optimum's bound with no gradient (grad_norm nan).  A
-        full solve returns bound(s), as a bisection step does, with the
+        full solve returns bound(s), as a verdict solve does, with the
         projected gradient norm of `_BlockObjective` at (s,)."""
         p = self.problem
         passes = self.passes
@@ -854,21 +830,16 @@ class _Envelope:
             # a positive multiple of tr(rho W) >= 0, projects to zero
             return value, np.zeros(p.n_wit), SolveInfo(
                 True, 0, 0.0, self.passes - passes, "gibbs_feasible")
-        found, iterations = None, 0
-        if decides is not None:
-            found = self._cached_verdict(e, linear, decides)
-        if found is None:
-            try:
-                s, value, iterations, capped = self._search(e, linear, opts,
-                                                            decides)
-            except _Decided as stop:
-                *found, iterations = stop.args
-        if found is not None:
-            s, value = found
+        decided = False
+        try:
+            s, value, iterations, capped = self._search(e, linear, opts,
+                                                        decides)
+        except _Decided as stop:
+            (s, value, iterations), decided = stop.args, True
         if value == -np.inf:  # bound(s) is -inf where s certifies
             return self._farkas(s, iterations, passes)
         vec = np.array([s])
-        if found is not None:
+        if decided:
             return value, vec, SolveInfo(False, iterations, np.nan,
                                          self.passes - passes, "decided")
         self.s_last = s
