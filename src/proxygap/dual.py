@@ -51,20 +51,20 @@ or takes a scan's prepared problem, and runs in the same layouts.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from numbers import Integral, Real
 
 import numpy as np
 
-from .limit import _minimize_bounded
 from .linalg import (BlockLayout, CooMatrix, HermitianOperator, LinalgError,
                      as_coo, pt_permutation, real_dtype_of,
                      stacked_eigh)
 from .models import (conserves_magnetization, is_translation_invariant,
                      momentum_sector_split, popcounts, sector_split_sparse)
-from .thermo import (_linear_entropy_weights, beta_from_energy, gibbs_at,
-                     gibbs_newton, linear_entropy_max)
+from .edge import witness_edge
+from .thermo import (_linear_entropy_weights, beta_from_energy,
+                     entropy_slope, gibbs_at, gibbs_newton,
+                     linear_entropy_max)
 from .witness import ConstraintSet, Witness
 
 GAP_TOLERANCE = 1e-4       # nats; "detected" threshold, von Neumann path
@@ -590,17 +590,6 @@ def _linear_multipliers(w: np.ndarray, e: float):
     return 2.0 * a, 2.0 * b
 
 
-def _entropy_slope(x, t, linear, beta=0.0):
-    """(S, dS/dt, beta) of the spectrum x >= 0, min x = 0, at mean energy
-    t, capped at the mean of x: the Gibbs entropy and its beta, warm from
-    `beta`, or the maximal impurity and -2b, its weights (a + b x)_+."""
-    if linear:
-        p, _, b = _linear_entropy_weights(x, min(max(t, 0.0), x.mean()))
-        return 1.0 - p @ p, -2.0 * b, beta
-    beta, lnz, _ = gibbs_newton(x, t, beta)
-    return lnz + beta * t, beta, beta
-
-
 class _Envelope:
     """The dual with at most one witness W and no cuts, as a one-parameter
     family of Gibbs spectra (the generalized grand canonical ensemble).
@@ -725,7 +714,7 @@ class _Envelope:
         lo = float(w.min())
         # the value of `_BlockObjective` at (s,): ln Z + beta (e - lo)
         value = -np.inf if self.certifies(e, s) else \
-            _entropy_slope(w - lo, e - lo, linear)[0]
+            entropy_slope(w - lo, e - lo, linear)[0]
         self.bounds[s, e] = value
         return value
 
@@ -965,138 +954,6 @@ class GridOptions:
                 else GAP_TOLERANCE)
 
 
-# the witness path's edge search brackets an edge to _EDGE_ETOL of the
-# spread; Brent's method on ln s stops within _EDGE_UTOL, or sooner (see
-# `_witness_edge`)
-_EDGE_ETOL = 1e-11
-_EDGE_UTOL = 1e-6
-
-
-class _Stop(Exception):
-    """Ends the maximization of an edge search."""
-
-
-def _witness_edge(env: _Envelope, s_ref, linear: bool, gap_tol: float,
-                  e_in: float, e_out: float, s_in: float, budget: int,
-                  verdict) -> float:
-    """The window edge between e_in, which the scan detects at the point
-    nu = s_in, and e_out, which it does not, on the witness path.
-
-    A spectrum of H - sW certifies every energy E where the scan's test
-    s_ref(E) - bound(s, E) > gap_tol holds, not only the one it was taken
-    at.  phi(s), the energy farthest toward e_out that s certifies, needs
-    no eigensolve beyond spec(H - sW): Newton's method in E on gap' =
-    beta_H - beta_m (the impurity's -2b for the linear entropy), each
-    `gibbs_newton` warm from the last, bisects where a step leaves its
-    bracket or no slope exists.  Where s does not certify e_in, phi goes on
-    past it by one Newton step, so that it rises toward the s that do.
-    Brent's method maximizes phi over ln s, on a bracket found by halving s
-    from s_in (the optimal s falls toward an edge, where the witness stops
-    binding), or by doubling it; it stops once a new best phi gains less
-    than the edge's tolerance.  The best phi less half that tolerance,
-    checked by the scan's own test, is the edge.  `verdict(e)` then solves
-    at the energy half a tolerance past that root, warm from its s, and
-    returns (whether it detects, its point); where it detects, the search
-    goes on from there.  No spectrum is computed once `budget` are, and no
-    verdict follows, so that e_out stays the undetected side; the search
-    makes at most `budget` rounds.  Returns the edge, a detected energy."""
-    spec = env.problem.spectrum
-    e0 = float(spec.min())
-    x_h = spec - e0
-    tol = _EDGE_ETOL * max(float(spec.mean()) - e0, 1.0)
-    sign = 1.0 if e_out > e_in else -1.0
-    lo_e, hi_e = min(e_in, e_out), max(e_in, e_out)
-    passes = env.passes
-    beta_h = 0.0
-    best = None  # (s, the root of its test) of the highest phi
-
-    def phi(s):
-        nonlocal beta_h, best
-        if s not in env.spectra and env.passes - passes >= budget:
-            raise _Stop
-        w = env.spectrum(s)
-        lo, cut = float(w.min()), _certified_min(w)
-        x_m, beta_m = w - lo, 0.0
-
-        def gap(e):  # the test's value above gap_tol, and its slope in e
-            nonlocal beta_h, beta_m
-            if e < cut:  # s is a Farkas certificate at e
-                return np.inf, np.nan
-            s_h, d_h, beta_h = _entropy_slope(x_h, e - e0, linear, beta_h)
-            s_m, d_m, beta_m = _entropy_slope(x_m, e - lo, linear, beta_m)
-            return s_h - s_m - gap_tol, d_h - d_m
-
-        t, (g, d) = e_in, gap(e_in)
-        if not g > 0.0:
-            return sign * e_in + (g / abs(d) if d else -np.inf)
-        a, b = e_in, e_out  # the test holds at a and fails at b
-        while True:
-            step = -g / d if d else np.nan
-            if abs(step) <= 0.1 * tol or abs(b - a) <= 0.1 * tol:
-                break
-            t = t + step
-            if not min(a, b) < t < max(a, b):
-                t = 0.5 * (a + b)
-            g, d = gap(t)
-            if g > 0.0:
-                a = t
-            else:
-                b = t
-        root = t + step
-        if not min(a, b) <= root <= max(a, b):
-            root = 0.5 * (a + b)
-        if best is None or sign * root > sign * best[1]:
-            gain = np.inf if best is None else sign * (root - best[1])
-            best = (s, root)
-            if gain < tol:
-                raise _Stop
-        return sign * root
-
-    def maximize():
-        (sa, fa), r = (s_in, phi(s_in)), 0.5
-        sb = r * sa
-        fb = phi(sb)
-        if not fb > fa:
-            r, (sa, fa), (sb, fb) = 2.0, (sb, fb), (sa, fa)
-        while True:
-            sc = r * sb
-            fc = phi(sc)
-            if not fc > fb:
-                break
-            sa, fa, sb, fb = sb, fb, sc, fc
-        pts = sorted([(math.log(sb), -fb), (math.log(sa), -fa),
-                      (math.log(sc), -fc)], key=lambda p: p[1])
-        _minimize_bounded(lambda u: -phi(math.exp(u)),
-                          *sorted((pts[1][0], pts[2][0])), _EDGE_UTOL,
-                          start=pts)
-
-    edge = e_in
-    for _ in range(budget):
-        best = None
-        try:
-            maximize()
-        except _Stop:
-            pass
-        if best is None:
-            break
-        s, root = best
-        # the certified side of the root, and the side past it
-        a, b = (min(max(root + k * sign * tol, lo_e), hi_e)
-                for k in (-0.5, 0.5))
-        if not s_ref(a) - env.bound(s, a, linear) > gap_tol:
-            break
-        edge = a
-        if abs(e_out - a) <= tol or env.passes - passes >= budget:
-            break
-        env.s_last, env.move = s, 0.0
-        detected, x = verdict(b)
-        if not detected:
-            break
-        edge = e_in = b
-        s_in = float(x[0])
-    return float(edge)
-
-
 def gap_energy_scan(h, cs: ConstraintSet, grid: GridOptions = None,
                     opts: SolverOptions = None,
                     problem: DualProblem = None) -> GapScanResult:
@@ -1116,7 +973,7 @@ def gap_energy_scan(h, cs: ConstraintSet, grid: GridOptions = None,
     bisection steps, at most `grid.bisect_iters` per edge, and the edge is
     the final bracket's midpoint.  On the witness path each spectrum of H -
     sW certifies a whole interval of energies, so the edge is one
-    maximization over s (`_witness_edge`), which computes at most
+    maximization over s (`edge.witness_edge`), which computes at most
     `grid.bisect_iters` spectra before its verdict solve, and the edge is a
     certified detected energy.  With `bisect_iters` 0 both report the
     midpoint of the two rows.  The result counts the verdict solves and the
@@ -1199,9 +1056,9 @@ def gap_energy_scan(h, cs: ConstraintSet, grid: GridOptions = None,
         e_out, e_in = rows[i_out].e, rows[i_in].e
         if env is None or not grid.bisect_iters:
             return bisect(e_out, e_in)
-        return _witness_edge(env, s_ref_at, linear, gap_tol, e_in, e_out,
-                             float(points[i_in][0]), grid.bisect_iters,
-                             verdict)
+        return witness_edge(env, s_ref_at, linear, gap_tol, e_in, e_out,
+                            float(points[i_in][0]), grid.bisect_iters,
+                            verdict)
 
     if any(detected):
         first = detected.index(True)

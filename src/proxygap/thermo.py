@@ -132,6 +132,18 @@ def _linear_entropy_weights(w: np.ndarray, e: float):
     return p / p.sum(), a, -b if flip else b
 
 
+def entropy_slope(x, t, linear: bool, beta: float = 0.0):
+    """(S, dS/dt, beta) of the spectrum x >= 0, min x = 0, at mean energy
+    t, capped at the mean of x: the Gibbs entropy and its beta, warm from
+    `beta` (`gibbs_newton`), or the maximal impurity and -2b, its weights
+    (a + b x)_+."""
+    if linear:
+        p, _, b = _linear_entropy_weights(x, min(max(t, 0.0), x.mean()))
+        return 1.0 - p @ p, -2.0 * b, beta
+    beta, lnz, _ = gibbs_newton(x, t, beta)
+    return lnz + beta * t, beta, beta
+
+
 def linear_entropy_max(spectrum, e: float) -> float:
     """Maximal impurity 1 - tr(rho^2) over states with tr(rho H) = e, H
     of the given spectrum."""

@@ -1022,7 +1022,7 @@ def test_dicke_block_edge_takes_at_most_bisect_iters_spectra(monkeypatch):
     h = heisenberg_chain(HeisenbergParams(11, 11, 11, 1, -1))
     cs = ConstraintSet((dicke_witness(11, 5),))
     counts = []
-    edge = dual_mod._witness_edge
+    edge = dual_mod.witness_edge
 
     def counted(env, *args):
         passes = env.passes
@@ -1030,7 +1030,7 @@ def test_dicke_block_edge_takes_at_most_bisect_iters_spectra(monkeypatch):
         counts.append(env.passes - passes)
         return out
 
-    monkeypatch.setattr(dual_mod, "_witness_edge", counted)
+    monkeypatch.setattr(dual_mod, "witness_edge", counted)
     for budget, verdicts in ((12, 1), (4, 0)):
         counts.clear()
         res = gap_energy_scan(h, cs, GridOptions(n_points=7,
