@@ -112,6 +112,8 @@ def witness_edge(env, s_ref, linear: bool, gap_tol: float, e_in: float,
             r, (sa, fa), (sb, fb) = 2.0, (sb, fb), (sa, fa)
         while True:
             sc = r * sb
+            if not 0.0 < sc < np.inf:  # ln s must stay finite
+                raise _Stop
             fc = phi(sc)
             if not fc > fb:
                 break
